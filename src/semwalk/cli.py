@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import codes, congruences, graphs, walks
-from .words import Alphabet, Word, WordError
+from .words import Alphabet, Word, WordError, WordLimitExceeded
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -53,6 +53,17 @@ def _alphabet_of(data: dict, path: str) -> Alphabet:
         raise ParseFailure(f"{path}: {e}") from e
 
 
+# Raised while reading a missing or malformed field (int(), _as_list, words).
+_FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, WordError)
+
+
+def _as_list(value) -> list:
+    """A JSON array; a string would otherwise be iterated letter by letter."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON list, got {json.dumps(value)}")
+    return value
+
+
 def _parse_congruence_file(path: str) -> tuple[Alphabet, int, list[list[Word]]]:
     """Returns the raw block lists in file order; canonicalization is the
     caller's concern so that output can be aligned back to the input."""
@@ -60,8 +71,8 @@ def _parse_congruence_file(path: str) -> tuple[Alphabet, int, list[list[Word]]]:
     alphabet = _alphabet_of(data, path)
     try:
         k = int(data["k"])
-        blocks = [[alphabet.word(str(w)) for w in blk] for blk in data["blocks"]]
-    except (KeyError, TypeError, WordError) as e:
+        blocks = [[alphabet.word(str(w)) for w in _as_list(blk)] for blk in _as_list(data["blocks"])]
+    except _FIELD_ERRORS as e:
         raise ParseFailure(f"{path}: malformed congruence: {e}") from e
     return alphabet, k, blocks
 
@@ -70,9 +81,9 @@ def _parse_code_file(path: str) -> codes.IdealRep:
     data = _load_json(path)
     alphabet = _alphabet_of(data, path)
     try:
-        word_list = [alphabet.word(str(w)) for w in data["code"]]
+        word_list = [alphabet.word(str(w)) for w in _as_list(data["code"])]
         k = int(data["k"]) if "k" in data else max((len(w) for w in word_list), default=1)
-    except (KeyError, TypeError, WordError) as e:
+    except _FIELD_ERRORS as e:
         raise ParseFailure(f"{path}: malformed code: {e}") from e
     code = codes.SemaphoreCode(alphabet, tuple(word_list))
     return codes.IdealRep(code, k)
@@ -144,8 +155,11 @@ def _cmd_rc_generate(args) -> int:
     alphabet = _alphabet_of(data, args.infile)
     try:
         k = int(data["k"])
-        pairs = {(alphabet.word(str(u)), alphabet.word(str(v))) for u, v in data["pairs"]}
-    except (KeyError, TypeError, ValueError, WordError) as e:
+        pairs = {
+            (alphabet.word(str(u)), alphabet.word(str(v)))
+            for u, v in map(_as_list, _as_list(data["pairs"]))
+        }
+    except _FIELD_ERRORS as e:
         raise ParseFailure(f"{args.infile}: malformed pair set: {e}") from e
     rc = congruences.generate(pairs, alphabet, k)
     _emit({"congruence": _congruence_json(rc)}, args)
@@ -208,7 +222,9 @@ def _cmd_walk(args) -> int:
         return EXIT_OK
 
     if args.action == "simulate":
-        if args.code:
+        if (args.code is None) == (args.infile is None):
+            raise ParseFailure("walk simulate needs exactly one of --in FILE and --code FILE")
+        if args.code is not None:
             ideal = _parse_code_file(args.code)
         else:
             ideal = codes.reset_code(_walk_congruence(args))
@@ -234,7 +250,10 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_lattice_census(args) -> int:
-    alphabet = Alphabet.of_size(args.alphabet_size)
+    try:
+        alphabet = Alphabet.of_size(args.alphabet_size)
+    except WordError as e:
+        raise ParseFailure(f"-g: {e}") from e
     elements = congruences.enumerate_all(alphabet, args.k, carrier_bound=args.carrier_bound)
     report = congruences.lattice_report(elements)
     wanted = args.checks or ["semimodular", "modular", "atomistic", "jordan_dedekind"]
@@ -349,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(json.dumps(payload))
         return EXIT_VALIDATION
-    except congruences.BoundExceeded as e:
+    except (congruences.BoundExceeded, WordLimitExceeded) as e:
         print(json.dumps({"error": "bound", "message": str(e)}), file=sys.stderr)
         return EXIT_BOUND
     except (congruences.NotAPartitionError, codes.CodeError, walks.WalkError, WordError, graphs.GraphError, congruences.CongruenceError) as e:

@@ -90,8 +90,9 @@ class SemaphoreCode:
 class IdealRep:
     """An ideal of A* containing A^k, held by its finite semaphore code.
 
-    Invariants enforced on construction: all code words have length <= k
-    and every word of A^k has a (then unique) suffix in the code.
+    Invariants enforced on construction: all code words have length <= k,
+    no code word is a suffix of another, and every word of A^k has a (then
+    unique) suffix in the code.
     """
 
     code: SemaphoreCode
@@ -102,6 +103,15 @@ class IdealRep:
             raise CodeError("an ideal representation requires the full finite code")
         if self.code.max_len > self.k:
             raise CodeError(f"code word longer than k={self.k}")
+        if len(self.code.words) > 1:
+            # Linear in the total length: look up each word's proper suffixes,
+            # epsilon included, which is a suffix of every other word.
+            present = {w.indices for w in self.code.words}
+            for v in self.code.words:
+                for i in range(1, len(v) + 1):
+                    if v.indices[i:] in present:
+                        u = Word(self.alphabet, v.indices[i:])
+                        raise CodeError(f"not a suffix code: {u} is a suffix of {v}")
         for w in words_of_length(self.code.alphabet, self.k):
             if not self.code.in_ideal(w):
                 raise CodeError(f"word {w} of A^{self.k} has no suffix in the code")

@@ -7,15 +7,22 @@ the generated congruence of the union.  This module provides validation,
 generation from pairs, exhaustive enumeration at small parameters, and the
 lattice analytics (covers, atoms, semimodularity, modularity, atomisticity,
 equal maximal chain lengths).
+
+Internally A^k is the integers 0..g^k-1 in the lexicographic order of
+``words_of_length``: a word is its letter indices read in base g, and
+appending letter a sends x to (x*g + a) mod g^k.  A partition is held as
+its canonical labels, the block index of each integer; ``Word`` objects
+appear only at the boundary (parsing, blocks, rendering, witnesses).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .words import Alphabet, Word, product, words_of_length
+# product is unused here but stays importable as congruences.product for callers.
+from .words import Alphabet, Word, product, words_of_length  # noqa: F401
 
 # Enumeration is a Bell-number filter; partitions of more than 12 points are
 # refused outright, and more than 8 requires an explicit opt-in bound.
@@ -53,6 +60,104 @@ class ClosureViolation(CongruenceError):
         )
 
 
+# ------------------------------------------------------------ integer kernel
+
+
+@lru_cache(maxsize=8)
+def _action(g: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The right action on A^k as integers: nxt[x][a] = (x*g + a) mod g^k."""
+    n = g**k
+    return tuple(tuple((x * g + a) % n for a in range(g)) for x in range(n))
+
+
+@lru_cache(maxsize=8)
+def _carrier(alphabet: Alphabet, k: int) -> tuple[Word, ...]:
+    """A^k as words; position x holds the word whose integer is x."""
+    return tuple(words_of_length(alphabet, k))
+
+
+def _code(w: Word) -> int:
+    x = 0
+    for i in w.indices:
+        x = x * w.alphabet.size + i
+    return x
+
+
+def _in_carrier(w: Word, alphabet: Alphabet, k: int) -> bool:
+    return w.alphabet == alphabet and len(w) == k
+
+
+def _canonical(keys) -> tuple[int, ...]:
+    """Renumber keys by first occurrence: a restricted-growth string."""
+    first: dict = {}
+    return tuple(first.setdefault(key, len(first)) for key in keys)
+
+
+def _blocks(labels: tuple[int, ...]) -> list[list[int]]:
+    out: list[list[int]] = [[] for _ in range(max(labels, default=-1) + 1)]
+    for x, b in enumerate(labels):
+        out[b].append(x)
+    return out
+
+
+def _star(labels: tuple[int, ...]) -> list[int]:
+    """Each point mapped to the least point of its block: a union-find
+    forest of depth one, and, read as pairs (x, star[x]), a generating set."""
+    first: list[int] = []
+    for x, b in enumerate(labels):
+        if b == len(first):
+            first.append(x)
+    return [first[b] for b in labels]
+
+
+def _close(nxt, parent, pairs) -> tuple[int, ...]:
+    """Union-find closure under the action, returned as canonical labels.
+
+    ``parent`` is a union-find forest of a right-closed partition (identity
+    or ``_star`` of a congruence); it is copied, not changed.  Each pair is
+    merged, and every pair that joins two classes queues its images under
+    every letter, until fixpoint.
+    """
+    parent = list(parent)
+    work = list(pairs)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    while work:
+        u, v = work.pop()
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[rv] = ru
+            work.extend(zip(nxt[u], nxt[v]))
+    return _canonical(find(x) for x in range(len(parent)))
+
+
+def _join_labels(nxt, star1: list[int], star2: list[int]) -> tuple[int, ...]:
+    """Join of two congruences given by their stars: start from the first,
+    already closed, and merge only the pairs of the second."""
+    return _close(nxt, star1, ((x, p) for x, p in enumerate(star2) if x != p))
+
+
+def _closure_witness(nxt, labels: tuple[int, ...]) -> tuple[int, int, int] | None:
+    """First (u, v, a) in canonical block order such that u and v share a
+    block but u*a and v*a do not; None when the partition is right-closed."""
+    for blk in _blocks(labels):
+        u = blk[0]
+        image = [labels[y] for y in nxt[u]]
+        for v in blk[1:]:
+            for a, y in enumerate(nxt[v]):
+                if labels[y] != image[a]:
+                    return u, v, a
+    return None
+
+
+# ------------------------------------------------------------- congruences
+
+
 @dataclass(frozen=True)
 class RightCongruence:
     """A partition of A^k closed under the right action, in canonical form.
@@ -66,12 +171,26 @@ class RightCongruence:
     blocks: tuple[tuple[Word, ...], ...]
 
     @cached_property
+    def labels(self) -> tuple[int, ...]:
+        """Block index of each word of A^k, in carrier order.
+
+        Blocks are canonical, so this is a restricted-growth string and a
+        canonical key: two congruences on one A^k are equal iff their labels
+        are.
+        """
+        out = [0] * self.alphabet.size**self.k
+        for b, blk in enumerate(self.blocks):
+            for w in blk:
+                out[_code(w)] = b
+        return tuple(out)
+
+    @cached_property
     def block_of(self) -> dict[Word, int]:
-        return {w: i for i, blk in enumerate(self.blocks) for w in blk}
+        return dict(zip(self.carrier, self.labels))
 
     @cached_property
     def carrier(self) -> tuple[Word, ...]:
-        return tuple(words_of_length(self.alphabet, self.k))
+        return _carrier(self.alphabet, self.k)
 
     def related(self, u: Word, v: Word) -> bool:
         return self.block_of[u] == self.block_of[v]
@@ -87,8 +206,11 @@ class RightCongruence:
 
     def step(self, block_index: int, letter: Word) -> int:
         """Index of the block reached from a block by appending a letter."""
-        u = self.blocks[block_index][0]
-        return self.block_of[product(u, letter, self.k)]
+        nxt = _action(self.alphabet.size, self.k)
+        x = _code(self.blocks[block_index][0])
+        for a in letter.indices:
+            x = nxt[x][a]
+        return self.labels[x]
 
     @property
     def is_identity(self) -> bool:
@@ -101,7 +223,7 @@ class RightCongruence:
     def refines(self, other: "RightCongruence") -> bool:
         """Relation inclusion: every block of self lies inside a block of other."""
         _require_same_setting(self, other)
-        return all(len({other.block_of[w] for w in blk}) == 1 for blk in self.blocks)
+        return len(set(zip(self.labels, other.labels))) == len(self.blocks)
 
     def __str__(self) -> str:
         return " | ".join("{" + ",".join(str(w) for w in blk) + "}" for blk in self.blocks)
@@ -112,8 +234,13 @@ def _require_same_setting(r1: RightCongruence, r2: RightCongruence) -> None:
         raise CongruenceError("congruences live on different A^k")
 
 
-def _canonical_blocks(blocks: list[list[Word]]) -> tuple[tuple[Word, ...], ...]:
-    return tuple(sorted((tuple(sorted(blk)) for blk in blocks), key=lambda b: b[0]))
+def _from_labels(alphabet: Alphabet, k: int, labels: tuple[int, ...]) -> RightCongruence:
+    """The congruence with the given canonical labels."""
+    words = _carrier(alphabet, k)
+    blocks = tuple(tuple(words[x] for x in blk) for blk in _blocks(labels))
+    rc = RightCongruence(alphabet, k, blocks)
+    rc.__dict__["labels"] = labels  # fill the cached_property
+    return rc
 
 
 def validate(alphabet: Alphabet, k: int, blocks: list[list[Word]]) -> RightCongruence:
@@ -125,56 +252,35 @@ def validate(alphabet: Alphabet, k: int, blocks: list[list[Word]]) -> RightCongr
     """
     if k < 1:
         raise CongruenceError("k must be >= 1")
-    carrier = set(words_of_length(alphabet, k))
-    seen: set[Word] = set()
-    for blk in blocks:
+    carrier = _carrier(alphabet, k)
+    raw = [-1] * len(carrier)
+    for b, blk in enumerate(blocks):
         if not blk:
             raise NotAPartitionError("empty block")
         for w in blk:
-            if w in seen:
-                raise NotAPartitionError(f"word {w} appears in two blocks")
-            if w not in carrier:
+            if not _in_carrier(w, alphabet, k):
                 raise NotAPartitionError(f"word {w} is not in A^{k}")
-            seen.add(w)
-    if seen != carrier:
-        missing = sorted(carrier - seen)[0]
-        raise NotAPartitionError(f"word {missing} is not covered")
+            x = _code(w)
+            if raw[x] >= 0:
+                raise NotAPartitionError(f"word {w} appears in two blocks")
+            raw[x] = b
+    if -1 in raw:
+        raise NotAPartitionError(f"word {carrier[raw.index(-1)]} is not covered")
 
-    rc = RightCongruence(alphabet, k, _canonical_blocks([list(b) for b in blocks]))
-    for blk in rc.blocks:
-        u = blk[0]
-        for v in blk[1:]:
-            for a in alphabet:
-                if rc.block_of[product(u, a, k)] != rc.block_of[product(v, a, k)]:
-                    raise ClosureViolation(u, v, a)
-    return rc
+    labels = _canonical(raw)
+    witness = _closure_witness(_action(alphabet.size, k), labels)
+    if witness is not None:
+        u, v, a = witness
+        raise ClosureViolation(carrier[u], carrier[v], Word(alphabet, (a,)))
+    return _from_labels(alphabet, k, labels)
 
 
 def identity(alphabet: Alphabet, k: int) -> RightCongruence:
-    return RightCongruence(alphabet, k, tuple((w,) for w in words_of_length(alphabet, k)))
+    return RightCongruence(alphabet, k, tuple((w,) for w in _carrier(alphabet, k)))
 
 
 def universal(alphabet: Alphabet, k: int) -> RightCongruence:
-    return RightCongruence(alphabet, k, (tuple(words_of_length(alphabet, k)),))
-
-
-class _UnionFind:
-    def __init__(self, items: list[Word]):
-        self.parent = {w: w for w in items}
-
-    def find(self, w: Word) -> Word:
-        p = self.parent
-        while p[w] != w:
-            p[w] = p[p[w]]
-            w = p[w]
-        return w
-
-    def union(self, u: Word, v: Word) -> bool:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        self.parent[rv] = ru
-        return True
+    return RightCongruence(alphabet, k, (_carrier(alphabet, k),))
 
 
 def generate(
@@ -189,63 +295,44 @@ def generate(
     The result does not depend on merge order; canonical form is restored
     at the end regardless.
     """
-    carrier = words_of_length(alphabet, k)
-    carrier_set = set(carrier)
+    n = len(_carrier(alphabet, k))
     for u, v in pairs:
-        if u not in carrier_set or v not in carrier_set:
+        if not (_in_carrier(u, alphabet, k) and _in_carrier(v, alphabet, k)):
             raise CongruenceError(f"pair ({u}, {v}) is not in A^{k} x A^{k}")
-
-    uf = _UnionFind(carrier)
-    work: list[tuple[Word, Word]] = [p for p in pairs]
-    while work:
-        u, v = work.pop()
-        if uf.union(u, v):
-            for a in alphabet:
-                work.append((product(u, a, k), product(v, a, k)))
-
-    groups: dict[Word, list[Word]] = {}
-    for w in carrier:
-        groups.setdefault(uf.find(w), []).append(w)
-    return RightCongruence(alphabet, k, _canonical_blocks(list(groups.values())))
+    work = [(_code(u), _code(v)) for u, v in pairs]
+    return _from_labels(alphabet, k, _close(_action(alphabet.size, k), range(n), work))
 
 
 def meet(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
     """Common refinement: u ~ v iff related in both."""
     _require_same_setting(r1, r2)
-    groups: dict[tuple[int, int], list[Word]] = {}
-    for w in r1.carrier:
-        groups.setdefault((r1.block_of[w], r2.block_of[w]), []).append(w)
-    return RightCongruence(r1.alphabet, r1.k, _canonical_blocks(list(groups.values())))
+    return _from_labels(r1.alphabet, r1.k, _canonical(zip(r1.labels, r2.labels)))
 
 
 def join(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
     """Smallest right congruence containing both relations."""
     _require_same_setting(r1, r2)
-    pairs = {(blk[0], w) for blk in r1.blocks for w in blk[1:]}
-    pairs |= {(blk[0], w) for blk in r2.blocks for w in blk[1:]}
-    return generate(pairs, r1.alphabet, r1.k)
+    nxt = _action(r1.alphabet.size, r1.k)
+    return _from_labels(r1.alphabet, r1.k, _join_labels(nxt, _star(r1.labels), _star(r2.labels)))
 
 
-def _set_partitions(items: list[Word]):
-    """All set partitions, by restricted growth strings."""
+def _set_partitions(items):
+    """All set partitions of items, as restricted-growth strings: item i
+    goes to block s[i], and each block first appears after the ones before."""
     n = len(items)
     if n == 0:
-        yield []
+        yield ()
         return
     codes = [0] * n
 
     def rec(i: int, maxcode: int):
         if i == n:
-            blocks: list[list[Word]] = [[] for _ in range(maxcode + 1)]
-            for j, c in enumerate(codes):
-                blocks[c].append(items[j])
-            yield blocks
+            yield tuple(codes)
             return
         for c in range(maxcode + 2):
             codes[i] = c
             yield from rec(i + 1, max(maxcode, c))
 
-    codes[0] = 0
     yield from rec(1, 0)
 
 
@@ -253,21 +340,20 @@ def enumerate_all(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRI
     """Every right congruence on A^k, by filtering all set partitions.
 
     Deliberately brute force: this is the oracle that lattice results are
-    checked against, so it must stay definitional.
+    checked against, so it must stay definitional.  Each partition goes
+    through the same closure check as ``validate``.
     """
-    carrier = words_of_length(alphabet, k)
+    carrier = _carrier(alphabet, k)
     if len(carrier) > HARD_CARRIER_BOUND:
         raise BoundExceeded(f"carrier size {len(carrier)} exceeds hard bound {HARD_CARRIER_BOUND}")
     if len(carrier) > carrier_bound:
         raise BoundExceeded(f"carrier size {len(carrier)} exceeds bound {carrier_bound}")
-    out = []
-    for blocks in _set_partitions(carrier):
-        try:
-            out.append(validate(alphabet, k, blocks))
-        except ClosureViolation:
-            continue
-    out.sort(key=lambda rc: tuple(tuple(w.indices for w in blk) for blk in rc.blocks))
-    return out
+    if k < 1:
+        raise CongruenceError("k must be >= 1")
+    nxt = _action(alphabet.size, k)
+    kept = [s for s in _set_partitions(range(len(carrier))) if _closure_witness(nxt, s) is None]
+    kept.sort(key=_blocks)
+    return [_from_labels(alphabet, k, s) for s in kept]
 
 
 @dataclass
@@ -334,24 +420,31 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
     n = len(elements)
     if n > MAX_LATTICE_ELEMENTS:
         raise BoundExceeded(f"lattice of {n} elements exceeds the exhaustive-check bound")
-    index = {str(rc): i for i, rc in enumerate(elements)}
+    if not elements:
+        raise CongruenceError("a lattice has at least one element")
+    for rc in elements[1:]:
+        _require_same_setting(elements[0], rc)
+    index = {rc.labels: i for i, rc in enumerate(elements)}
     if len(index) != n:
         raise CongruenceError("duplicate elements")
 
-    leq = [[elements[i].refines(elements[j]) for j in range(n)] for i in range(n)]
-
+    labels = [rc.labels for rc in elements]
+    stars = [_star(lab) for lab in labels]
+    nxt = _action(elements[0].alphabet.size, elements[0].k)
     meets = [[0] * n for _ in range(n)]
     joins = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            mk = str(meet(elements[i], elements[j]))
-            jk = str(join(elements[i], elements[j]))
-            if mk not in index:
+            mi = index.get(_canonical(zip(labels[i], labels[j])))
+            ji = index.get(_join_labels(nxt, stars[i], stars[j]))
+            if mi is None:
                 raise CongruenceError("input is not closed under meet")
-            if jk not in index:
+            if ji is None:
                 raise CongruenceError("input is not closed under join")
-            meets[i][j] = meets[j][i] = index[mk]
-            joins[i][j] = joins[j][i] = index[jk]
+            meets[i][j] = meets[j][i] = mi
+            joins[i][j] = joins[j][i] = ji
+    # Meet is relation intersection, so x refines y exactly when x meet y = x.
+    leq = [[meets[i][j] == i for j in range(n)] for i in range(n)]
 
     bottom = next(i for i in range(n) if all(leq[i][j] for j in range(n)))
     top = next(i for i in range(n) if all(leq[j][i] for j in range(n)))

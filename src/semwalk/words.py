@@ -23,6 +23,10 @@ class WordError(ValueError):
     """Raised on malformed words or operations outside their domain."""
 
 
+class WordLimitExceeded(WordError):
+    """An enumeration of words was refused because it exceeds its limit."""
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """An ordered alphabet of distinct letters, rendered ``a, b, c, ...``."""
@@ -37,6 +41,8 @@ class Alphabet:
 
     @classmethod
     def of_size(cls, g: int) -> "Alphabet":
+        if not (1 <= g <= len(LETTER_POOL)):
+            raise WordError(f"alphabet size must be in 1..{len(LETTER_POOL)}, got {g}")
         return cls(LETTER_POOL[:g])
 
     @property
@@ -187,7 +193,7 @@ def words_of_length(alphabet: Alphabet, length: int, limit: int = DEFAULT_ENUMER
         raise WordError("length must be >= 0")
     count = alphabet.size**length
     if count > limit:
-        raise WordError(f"refusing to enumerate {count} words (limit {limit})")
+        raise WordLimitExceeded(f"refusing to enumerate {count} words (limit {limit})")
     return [Word(alphabet, idx) for idx in iter_product(range(alphabet.size), repeat=length)]
 
 

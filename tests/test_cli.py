@@ -270,3 +270,52 @@ def test_internal_assertion_exit_code(files, capsys, monkeypatch):
     )
     assert code == 3
     assert json.loads(err)["error"] == "internal"
+
+
+@pytest.mark.parametrize(
+    "argv_head, payload",
+    [
+        (["rc", "validate", "--in"], {"alphabet": "ab", "k": "x", "blocks": [["a"], ["b"]]}),
+        (["rc", "validate", "--in"], {"alphabet": "ab", "k": 1e400, "blocks": [["a"], ["b"]]}),
+        (["rc", "validate", "--in"], {"alphabet": "ab", "k": 2, "blocks": "aa"}),
+        (["rc", "validate", "--in"], {"alphabet": "ab", "k": 1, "blocks": ["a", "b"]}),
+        (["rc", "generate", "--in"], {"alphabet": "ab", "k": 2, "pairs": ["ab"]}),
+        (["walk", "stationary", "--pi", "a=1/2,b=1/2", "--code"], {"alphabet": "ab", "code": ["a", "b"], "k": "x"}),
+        (["walk", "stationary", "--pi", "a=1/2,b=1/2", "--code"], {"alphabet": "ab", "code": "ab"}),
+    ],
+)
+def test_malformed_fields_are_parse_errors(files, capsys, argv_head, payload):
+    code, out, err = run(capsys, *argv_head, files("bad.json", payload))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "parse"
+
+
+def test_walk_simulate_needs_exactly_one_input(files, capsys):
+    infile = files("five_class.json", FIVE_CLASS)
+    codefile = files("ba3.json", BA_RESTRICTED)
+    for extra in ([], ["--in", infile, "--code", codefile]):
+        code, out, err = run(capsys, "walk", "simulate", "--pi", "a=1/2,b=1/2", "--steps", "10", *extra)
+        assert code == 2
+        assert json.loads(err)["error"] == "parse"
+
+
+def test_walk_rejects_a_code_that_is_not_a_suffix_code(files, capsys):
+    # Covers A^2, so only the suffix-code check can reject it.
+    infile = files("nsc.json", {"alphabet": "ab", "code": ["a", "b", "ab"]})
+    for action in (["simulate", "--steps", "10"], ["stationary"]):
+        code, out, _ = run(capsys, "walk", *action, "--code", infile, "--pi", "a=1/2,b=1/2")
+        assert code == 1
+        assert json.loads(out) == {"error": "validation", "message": "not a suffix code: b is a suffix of ab"}
+
+
+@pytest.mark.parametrize("g", ["0", "-1", "27"])
+def test_lattice_census_alphabet_size_out_of_range(capsys, g):
+    code, out, err = run(capsys, "lattice", "census", "-g", g, "-k", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "parse"
+
+
+def test_lattice_census_word_limit_is_a_bound_refusal(capsys):
+    code, out, err = run(capsys, "lattice", "census", "-g", "2", "-k", "17")
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "bound", "message": "refusing to enumerate 131072 words (limit 65536)"}

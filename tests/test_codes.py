@@ -156,6 +156,14 @@ def test_ideal_rep_invariants(ab):
         IdealRep(mkcode(ab, ["aa"]), 2)
 
 
+def test_ideal_rep_requires_a_suffix_code(ab):
+    with pytest.raises(CodeError, match="not a suffix code: b is a suffix of ab"):
+        IdealRep(mkcode(ab, ["a", "b", "ab"]), 2)
+    with pytest.raises(CodeError, match="not a suffix code:  is a suffix of a"):
+        IdealRep(mkcode(ab, ["", "a", "b"]), 1)
+    assert IdealRep(mkcode(ab, [""]), 2).code.is_epsilon
+
+
 def test_tau_of_running_code(ab, five_class):
     rc = tau_of(IdealRep(mkcode(ab, EQ3_CODE), 3))
     assert [[str(w) for w in blk] for blk in rc.blocks] == [

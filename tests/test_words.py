@@ -166,3 +166,10 @@ def test_mixed_alphabet_operations_rejected():
         product(a2.word("a"), a3.word("a"), 2)
     with pytest.raises(WordError):
         lcs(a2.word("a"), a3.word("a"))
+
+
+def test_alphabet_of_size_rejects_sizes_outside_the_letter_pool():
+    assert Alphabet.of_size(26).size == 26
+    for g in (0, -1, 27):
+        with pytest.raises(WordError):
+            Alphabet.of_size(g)
