@@ -33,6 +33,13 @@ class ParseFailure(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ParseFailure, which main prints as JSON."""
+
+    def error(self, message: str):
+        raise ParseFailure(f"{self.prog}: {message}")
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -57,6 +64,13 @@ def _alphabet_of(data: dict, path: str) -> Alphabet:
 _FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, WordError)
 
 
+def _k_of(value) -> int:
+    """The "k" field: a JSON integer, never a float or boolean truncated by int()."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"k must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _as_list(value) -> list:
     """A JSON array; a string would otherwise be iterated letter by letter."""
     if not isinstance(value, list):
@@ -70,23 +84,25 @@ def _parse_congruence_file(path: str) -> tuple[Alphabet, int, list[list[Word]]]:
     data = _load_json(path)
     alphabet = _alphabet_of(data, path)
     try:
-        k = int(data["k"])
+        k = _k_of(data["k"])
         blocks = [[alphabet.word(str(w)) for w in _as_list(blk)] for blk in _as_list(data["blocks"])]
     except _FIELD_ERRORS as e:
         raise ParseFailure(f"{path}: malformed congruence: {e}") from e
     return alphabet, k, blocks
 
 
-def _parse_code_file(path: str) -> codes.IdealRep:
+def _parse_code_file(path: str) -> tuple[codes.IdealRep, list[str]]:
+    """Returns the ideal and the code words as written in the file, so that
+    output can be aligned back to the input."""
     data = _load_json(path)
     alphabet = _alphabet_of(data, path)
     try:
         word_list = [alphabet.word(str(w)) for w in _as_list(data["code"])]
-        k = int(data["k"]) if "k" in data else max((len(w) for w in word_list), default=1)
+        k = _k_of(data["k"]) if "k" in data else max((len(w) for w in word_list), default=1)
     except _FIELD_ERRORS as e:
         raise ParseFailure(f"{path}: malformed code: {e}") from e
     code = codes.SemaphoreCode(alphabet, tuple(word_list))
-    return codes.IdealRep(code, k)
+    return codes.IdealRep(code, k), [str(w) for w in word_list]
 
 
 def _pi_arg(alphabet: Alphabet, text: str) -> walks.LetterDistribution:
@@ -154,7 +170,7 @@ def _cmd_rc_generate(args) -> int:
     data = _load_json(args.infile)
     alphabet = _alphabet_of(data, args.infile)
     try:
-        k = int(data["k"])
+        k = _k_of(data["k"])
         pairs = {
             (alphabet.word(str(u)), alphabet.word(str(v)))
             for u, v in map(_as_list, _as_list(data["pairs"]))
@@ -176,13 +192,10 @@ def _walk_congruence(args) -> congruences.RightCongruence:
 
 def _cmd_walk(args) -> int:
     if args.action == "stationary":
-        ideal = _parse_code_file(args.code)
+        ideal, order = _parse_code_file(args.code)
         pi = _pi_arg(ideal.alphabet, args.pi)
-        vec = walks.stationary(ideal, pi)
-        by_word = vec.as_dict()
+        by_word = walks.stationary(ideal, pi).as_dict()
         # Align output to the code order given in the input file.
-        data = _load_json(args.code)
-        order = [str(w) for w in data["code"]]
         _emit({"states": order, "stationary": [str(by_word[w]) for w in order]}, args)
         return EXIT_OK
 
@@ -225,7 +238,7 @@ def _cmd_walk(args) -> int:
         if (args.code is None) == (args.infile is None):
             raise ParseFailure("walk simulate needs exactly one of --in FILE and --code FILE")
         if args.code is not None:
-            ideal = _parse_code_file(args.code)
+            ideal, _ = _parse_code_file(args.code)
         else:
             ideal = codes.reset_code(_walk_congruence(args))
         pi = _pi_arg(ideal.alphabet, args.pi)
@@ -295,7 +308,7 @@ def _cmd_graph_dot(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="semwalk", description=__doc__)
+    parser = _Parser(prog="semwalk", description=__doc__)
     sub = parser.add_subparsers(dest="group", required=True)
 
     rc = sub.add_parser("rc", help="right congruence operations")
@@ -353,9 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ParseFailure as e:
         print(json.dumps({"error": "parse", "message": str(e)}), file=sys.stderr)

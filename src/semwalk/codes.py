@@ -65,7 +65,9 @@ class SemaphoreCode:
     infinite_tail: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "words", tuple(sorted(set(self.words))))
+        words = tuple(sorted(set(self.words)))
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "_members", frozenset(words))
 
     @property
     def max_len(self) -> int:
@@ -76,7 +78,7 @@ class SemaphoreCode:
         return self.words == (epsilon(self.alphabet),)
 
     def __contains__(self, w: Word) -> bool:
-        return w in set(self.words)
+        return w in self._members
 
     def in_ideal(self, w: Word) -> bool:
         """Membership in the left ideal A*S: does w have a suffix in S?"""
@@ -103,17 +105,17 @@ class IdealRep:
             raise CodeError("an ideal representation requires the full finite code")
         if self.code.max_len > self.k:
             raise CodeError(f"code word longer than k={self.k}")
+        present = {w.indices for w in self.code.words}
         if len(self.code.words) > 1:
             # Linear in the total length: look up each word's proper suffixes,
             # epsilon included, which is a suffix of every other word.
-            present = {w.indices for w in self.code.words}
             for v in self.code.words:
                 for i in range(1, len(v) + 1):
                     if v.indices[i:] in present:
                         u = Word(self.alphabet, v.indices[i:])
                         raise CodeError(f"not a suffix code: {u} is a suffix of {v}")
         for w in words_of_length(self.code.alphabet, self.k):
-            if not self.code.in_ideal(w):
+            if not _has_suffix_in(w.indices, present):
                 raise CodeError(f"word {w} of A^{self.k} has no suffix in the code")
 
     @property
@@ -130,6 +132,11 @@ class IdealRep:
         if self.code.is_epsilon:
             out.add(epsilon(self.alphabet))
         return out
+
+
+def _has_suffix_in(indices: tuple[int, ...], present: set[tuple[int, ...]]) -> bool:
+    """Whether some suffix of the word, epsilon included, is in ``present``."""
+    return any(indices[j:] in present for j in range(len(indices) + 1))
 
 
 def is_semaphore(alphabet: Alphabet, words: list[Word] | set[Word]) -> SemaphoreCheck:
@@ -214,7 +221,8 @@ def restrict_k(code: SemaphoreCode, k: int) -> IdealRep:
     if code.infinite_tail and code.max_len < k:
         raise CodeError(f"truncated code is only known up to length {code.max_len} < k")
     short = [w for w in code.words if len(w) <= k]
-    added = [w for w in words_of_length(code.alphabet, k) if not any(is_suffix(s, w) for s in short)]
+    present = {w.indices for w in short}
+    added = [w for w in words_of_length(code.alphabet, k) if not _has_suffix_in(w.indices, present)]
     return IdealRep(SemaphoreCode(code.alphabet, tuple(short + added)), k)
 
 
@@ -229,6 +237,37 @@ def code_action(code: SemaphoreCode, s: Word, a: Word) -> Word:
         if is_suffix(t, sa):
             return t
     raise CodeError(f"no suffix of {sa} in the code; code is not semaphore or is truncated")
+
+
+def action_table(code: SemaphoreCode) -> list[list[int]]:
+    """The right action on state numbers: ``nxt[i][a]`` is the position in
+    ``code.words`` of ``code_action(code, code.words[i], letter a)``.
+
+    Each suffix of s+a is looked up in a dict, longest first, so the table
+    costs O(n*g*k) instead of a scan of the code per entry.  The first pair
+    (s, a) without a code suffix, in row-major order, raises the same error
+    as ``code_action``.
+    """
+    if code.words and code.words[0].is_empty:
+        raise CodeError("the action is not defined on the epsilon code")
+    index = {w.indices: i for i, w in enumerate(code.words)}
+    letters = range(code.alphabet.size)
+    nxt = []
+    for s in code.words:
+        row = []
+        for a in letters:
+            sa = s.indices + (a,)
+            for j in range(len(sa)):
+                t = index.get(sa[j:])
+                if t is not None:
+                    row.append(t)
+                    break
+            else:
+                raise CodeError(
+                    f"no suffix of {Word(code.alphabet, sa)} in the code; code is not semaphore or is truncated"
+                )
+        nxt.append(row)
+    return nxt
 
 
 def _suffix_minimal(words: set[Word]) -> list[Word]:

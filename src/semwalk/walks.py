@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import random
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .codes import CodeError, IdealRep, code_action, lower_approx, reset_code
+from .codes import CodeError, IdealRep, _has_suffix_in, action_table, lower_approx, reset_code
+# code_action is unused here but stays importable as walks.code_action for callers.
+from .codes import code_action  # noqa: F401
 from .congruences import RightCongruence
 from .words import Alphabet, Word, words_of_length
 
@@ -137,18 +140,32 @@ def debruijn_stationary(pi: LetterDistribution, k: int) -> StationaryVector:
     return StationaryVector(tuple(str(w) for w in ws), tuple(pi.word_prob(w) for w in ws))
 
 
+def _code_table(ideal: IdealRep, pi: LetterDistribution) -> list[list[int]]:
+    if pi.alphabet != ideal.alphabet:
+        raise WalkError("the letter distribution and the code are over different alphabets")
+    return action_table(ideal.code)
+
+
 def transition_matrix(ideal: IdealRep, pi: LetterDistribution) -> TransitionMatrix:
     """Transition matrix of the walk on the code words of an ideal."""
     if ideal.code.is_epsilon:
         raise CodeError("the one-word code has no action; use the 1x1 chain directly")
-    code = ideal.code
-    index = {w: i for i, w in enumerate(code.words)}
-    n = len(code.words)
+    n = len(ideal.code.words)
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for s in code.words:
-        for i, a in enumerate(pi.alphabet):
-            rows[index[s]][index[code_action(code, s, a)]] += pi.of(i)
-    return TransitionMatrix(tuple(str(w) for w in code.words), tuple(tuple(r) for r in rows))
+    for row, succ in zip(rows, _code_table(ideal, pi)):
+        for a, j in enumerate(succ):
+            row[j] += pi.probs[a]
+    return TransitionMatrix(tuple(str(w) for w in ideal.code.words), tuple(tuple(r) for r in rows))
+
+
+def advance(nxt: list[list[int]], pi: LetterDistribution, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """One step of the walk on a distribution: ``vec`` times the transition
+    matrix, read off the action table in O(n*g) exact operations."""
+    out = [Fraction(0)] * len(nxt)
+    for x, succ in zip(vec, nxt):
+        for p, j in zip(pi.probs, succ):
+            out[j] += x * p
+    return tuple(out)
 
 
 def congruence_transition_matrix(rc: RightCongruence, pi: LetterDistribution) -> TransitionMatrix:
@@ -165,9 +182,9 @@ def congruence_transition_matrix(rc: RightCongruence, pi: LetterDistribution) ->
 def stationary(ideal: IdealRep, pi: LetterDistribution) -> StationaryVector:
     """Closed-form stationary distribution: the word probabilities.
 
-    The result is asserted to be an exact fixpoint of the transition
-    matrix.  A non-positive distribution still satisfies the equations but
-    loses the uniqueness argument, hence the warning.
+    The result is asserted to be an exact fixpoint of one walk step, taken
+    through the action table.  A non-positive distribution still satisfies
+    the equations but loses the uniqueness argument, hence the warning.
     """
     if not pi.positive:
         warnings.warn("non-positive letter distribution: stationary vector may not be unique")
@@ -177,8 +194,7 @@ def stationary(ideal: IdealRep, pi: LetterDistribution) -> StationaryVector:
     vec = StationaryVector(
         tuple(str(w) for w in code.words), tuple(pi.word_prob(w) for w in code.words)
     )
-    matrix = transition_matrix(ideal, pi)
-    if matrix.left_apply(vec.values) != vec.values:
+    if advance(_code_table(ideal, pi), pi, vec.values) != vec.values:
         raise AssertionError("closed-form stationary vector is not a fixpoint")
     return vec
 
@@ -328,7 +344,7 @@ def lumped(rc: RightCongruence, pi: LetterDistribution) -> LumpedWalk:
 
     low, ideal = lower_approx(rc)
     code = ideal.code
-    fine = transition_matrix(ideal, pi)
+    nxt = _code_table(ideal, pi)
     # Each code word's bucket of A^k words lies inside one class of rc.
     cls: list[int] = []
     for s in code.words:
@@ -339,8 +355,8 @@ def lumped(rc: RightCongruence, pi: LetterDistribution) -> LumpedWalk:
     merged: list[list[Fraction] | None] = [None] * n
     for i, s in enumerate(code.words):
         sums = [Fraction(0)] * n
-        for j in range(len(code.words)):
-            sums[cls[j]] += fine.rows[i][j]
+        for p, j in zip(pi.probs, nxt[i]):
+            sums[cls[j]] += p
         if merged[cls[i]] is None:
             merged[cls[i]] = sums
         elif merged[cls[i]] != sums:
@@ -376,6 +392,33 @@ class SimulationResult:
         return tuple(v / self.steps for v in self.visits)
 
 
+def _episode_automaton(ideal: IdealRep) -> list[list[int]]:
+    """Reset episodes as a table over the letter strings read since an
+    episode began, numbered from 0 (the empty string) in breadth-first order.
+
+    ``auto[e][a]`` is the next string's number, or -L when reading a ends the
+    episode after L letters, that is when some suffix of the string is a code
+    word.  Every word of A^k has a code suffix, so no string reaches length k.
+    """
+    present = {w.indices for w in ideal.code.words}
+    number = {(): 0}
+    strings: list[tuple[int, ...]] = [()]
+    auto = []
+    for b in strings:  # grows while it is read
+        row = []
+        for a in range(ideal.alphabet.size):
+            ba = b + (a,)
+            if _has_suffix_in(ba, present):
+                row.append(-len(ba))
+            else:
+                if ba not in number:
+                    number[ba] = len(strings)
+                    strings.append(ba)
+                row.append(number[ba])
+        auto.append(row)
+    return auto
+
+
 def simulate(ideal: IdealRep, pi: LetterDistribution, steps: int, seed: int) -> SimulationResult:
     """Seeded Monte-Carlo walk on the code words of an ideal.
 
@@ -384,13 +427,12 @@ def simulate(ideal: IdealRep, pi: LetterDistribution, steps: int, seed: int) -> 
     reset episodes (an episode ends as soon as the letters read since its
     start form a word in the ideal).  Letters are drawn by exact cumulative
     inversion over a common denominator, so the sampler honours pi exactly.
+    Both the chain and the episodes are table lookups per letter.
     """
     if steps < 1:
         raise WalkError("steps must be >= 1")
     if not pi.positive:
         raise WalkError("simulation requires a positive letter distribution")
-    from .codes import code_action
-
     code = ideal.code
     if code.is_epsilon:
         raise CodeError("the one-word code has no chain to simulate")
@@ -403,39 +445,28 @@ def simulate(ideal: IdealRep, pi: LetterDistribution, steps: int, seed: int) -> 
         acc += int(p * denom)
         cuts.append(acc)
 
-    states = list(code.words)
-    index = {w: i for i, w in enumerate(states)}
-    table = [
-        [index[code_action(code, s, a)] for a in pi.alphabet]
-        for s in states
-    ]
-    by_len: dict[int, set[tuple[int, ...]]] = {}
-    for s in states:
-        by_len.setdefault(len(s), set()).add(s.indices)
-    lens = sorted(by_len)
+    nxt = _code_table(ideal, pi)
+    auto = _episode_automaton(ideal)
 
-    rng = random.Random(seed)
+    randrange = random.Random(seed).randrange
     state = 0
-    visits = [0] * len(states)
-    buffer: list[int] = []
+    episode = 0
+    visits = [0] * len(nxt)
     episodes = 0
     total_reset_time = 0
     for _ in range(steps):
-        r = rng.randrange(denom)
-        letter = next(i for i, c in enumerate(cuts) if r < c)
-        state = table[state][letter]
+        letter = bisect_right(cuts, randrange(denom))
+        state = nxt[state][letter]
         visits[state] += 1
-        buffer.append(letter)
-        for n in lens:
-            if n <= len(buffer) and tuple(buffer[-n:]) in by_len[n]:
-                episodes += 1
-                total_reset_time += len(buffer)
-                buffer.clear()
-                break
+        episode = auto[episode][letter]
+        if episode < 0:
+            episodes += 1
+            total_reset_time -= episode
+            episode = 0
 
     mean = total_reset_time / episodes if episodes else float("nan")
     return SimulationResult(
-        labels=tuple(str(w) for w in states),
+        labels=tuple(str(w) for w in code.words),
         visits=tuple(visits),
         steps=steps,
         seed=seed,

@@ -319,3 +319,55 @@ def test_lattice_census_word_limit_is_a_bound_refusal(capsys):
     code, out, err = run(capsys, "lattice", "census", "-g", "2", "-k", "17")
     assert code == 4 and out == ""
     assert json.loads(err) == {"error": "bound", "message": "refusing to enumerate 131072 words (limit 65536)"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["walk", "profile", "--in", "five_class.json"],
+        ["rc", "validate"],
+        ["walk", "simulate", "--code", "code.json", "--pi", "a=1/2,b=1/2", "--steps", "ten"],
+        ["walk", "mixing"],
+        [],
+    ],
+)
+def test_usage_errors_are_parse_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "parse"
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["walk", "--help"])
+    assert info.value.code == 0
+    assert "usage: semwalk walk" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k", [2.9, True, 3.0])
+@pytest.mark.parametrize(
+    "argv_head, payload",
+    [
+        (["rc", "validate", "--in"], {"alphabet": "ab", "blocks": [["aa", "ba"], ["ab"], ["bb"]]}),
+        (["rc", "generate", "--in"], {"alphabet": "ab", "pairs": [["aa", "ba"]]}),
+        (["walk", "stationary", "--pi", "a=1/2,b=1/2", "--code"], {"alphabet": "ab", "code": ["a", "b"]}),
+    ],
+)
+def test_non_integer_k_is_a_parse_error(files, capsys, argv_head, payload, k):
+    code, out, err = run(capsys, *argv_head, files("k.json", {**payload, "k": k}))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "parse"
+    assert f"k must be an integer, got {json.dumps(k)}" in json.loads(err)["message"]
+
+
+def test_walk_rejects_a_covering_code_that_is_not_semaphore(files, capsys):
+    # A suffix code covering A^3, but a+b has no suffix in it.
+    infile = files("nsem.json", {"alphabet": "ab", "code": ["a", "aab", "bab", "abb", "bbb"], "k": 3})
+    for action in (["simulate", "--steps", "10"], ["stationary"]):
+        code, out, _ = run(capsys, "walk", *action, "--code", infile, "--pi", "a=1/2,b=1/2")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "validation",
+            "message": "no suffix of ab in the code; code is not semaphore or is truncated",
+        }

@@ -1,22 +1,47 @@
-"""The integer kernel of semwalk.congruences against Word-level definitions.
+"""The integer kernels of semwalk against Word-level definitions.
 
-The oracles below work on pair sets of words and on the truncated product,
-as in the definitions, and share no code with the kernel: a relation is a
-set of (u, v) word pairs, its right-congruence closure is a fixpoint of
-symmetry, transitivity and (u, v) -> (u*a, v*a).
+Congruences: the oracles below work on pair sets of words and on the
+truncated product, as in the definitions, and share no code with the
+kernel: a relation is a set of (u, v) word pairs, its right-congruence
+closure is a fixpoint of symmetry, transitivity and (u, v) -> (u*a, v*a).
+
+Codes and walks: the action table against ``code_action`` entry by entry,
+the sparse walk step against the dense transition matrix and the Gaussian
+solver, and the simulator against the buffer-slicing loop it replaced.
 """
 
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semwalk import (
     Alphabet,
     ClosureViolation,
+    CodeError,
+    IdealRep,
+    LetterDistribution,
+    SemaphoreCode,
+    Word,
+    action_table,
+    advance,
+    code_action,
     enumerate_all,
+    enumerate_ideals,
+    from_generators,
     generate,
     join,
     meet,
     product,
+    reset_code,
+    restrict_k,
+    simulate,
+    solve_stationary,
+    stationary,
+    transition_matrix,
     validate,
     words_of_length,
 )
@@ -145,3 +170,149 @@ def test_enumerate_all_counts_and_every_element_validates():
         assert len({rc.labels for rc in elements}) == count
         for rc in elements:
             assert validate(alphabet, k, [list(blk) for blk in rc.blocks]) == rc
+
+
+# ------------------------------------------------------------ codes, walks
+
+IDEAL_SETTINGS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]
+
+
+@pytest.fixture(scope="module")
+def enumerated_ideals():
+    return {(g, k): enumerate_ideals(Alphabet.of_size(g), k) for g, k in IDEAL_SETTINGS}
+
+
+def oracle_table(code):
+    index = {w: i for i, w in enumerate(code.words)}
+    return [[index[code_action(code, s, a)] for a in code.alphabet] for s in code.words]
+
+
+def first_action_error(code):
+    """Message of the first (s, a), in row-major order, that code_action rejects."""
+    for s in code.words:
+        for a in code.alphabet:
+            try:
+                code_action(code, s, a)
+            except CodeError as e:
+                return str(e)
+    return None
+
+
+def distribution(alphabet, weights):
+    return LetterDistribution(alphabet, tuple(Fraction(w, sum(weights)) for w in weights))
+
+
+@st.composite
+def generated_ideals(draw):
+    """restrict_k of the semaphore code generated by 1-3 random words."""
+    g = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 4 if g == 2 else 3))
+    alphabet = Alphabet.of_size(g)
+    word = st.lists(st.integers(0, g - 1), min_size=1, max_size=k).map(lambda idx: Word(alphabet, idx))
+    gens = draw(st.sets(word, min_size=1, max_size=3))
+    return restrict_k(from_generators(alphabet, gens, k), k)
+
+
+def test_action_table_matches_code_action_on_every_enumerated_ideal(enumerated_ideals):
+    for ideals in enumerated_ideals.values():
+        for ideal in ideals:
+            if ideal.code.is_epsilon:
+                with pytest.raises(CodeError, match="not defined on the epsilon code"):
+                    action_table(ideal.code)
+                continue
+            assert action_table(ideal.code) == oracle_table(ideal.code)
+
+
+@given(generated_ideals())
+@settings(max_examples=80, deadline=None)
+def test_action_table_matches_code_action_on_generated_codes(ideal):
+    assert action_table(ideal.code) == oracle_table(ideal.code)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_action_table_raises_the_first_code_action_error(data):
+    # Truncated codes leave the known part: the action fails at some (s, a).
+    g = data.draw(st.sampled_from([2, 3]))
+    alphabet = Alphabet.of_size(g)
+    word = st.lists(st.integers(0, g - 1), min_size=1, max_size=3).map(lambda idx: Word(alphabet, idx))
+    gens = data.draw(st.sets(word, min_size=1, max_size=3))
+    code = from_generators(alphabet, gens, data.draw(st.integers(max(len(x) for x in gens), 4)))
+    expected = first_action_error(code)
+    if expected is None:
+        assert action_table(code) == oracle_table(code)
+    else:
+        with pytest.raises(CodeError) as info:
+            action_table(code)
+        assert str(info.value) == expected
+
+
+def test_action_table_rejects_a_covering_code_that_is_not_semaphore():
+    ab = Alphabet("ab")
+    ideal = IdealRep(SemaphoreCode(ab, tuple(ab.word(w) for w in ["a", "aab", "bab", "abb", "bbb"])), 3)
+    message = "no suffix of ab in the code; code is not semaphore or is truncated"
+    assert first_action_error(ideal.code) == message
+    with pytest.raises(CodeError) as info:
+        action_table(ideal.code)
+    assert str(info.value) == message
+
+
+@given(generated_ideals(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_step_matches_dense_matrix_and_solver(ideal, data):
+    n, g = len(ideal.code.words), ideal.alphabet.size
+    pi = distribution(ideal.alphabet, data.draw(st.lists(st.integers(1, 9), min_size=g, max_size=g)))
+    vec = tuple(Fraction(x, 7) for x in data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+    matrix = transition_matrix(ideal, pi)
+    nxt = action_table(ideal.code)
+    assert advance(nxt, pi, vec) == matrix.left_apply(vec)
+    fixed = stationary(ideal, pi)
+    assert advance(nxt, pi, fixed.values) == fixed.values
+    if n <= 30:
+        assert solve_stationary(matrix).values == fixed.values
+
+
+def buffer_slicing_simulate(ideal, pi, steps, seed):
+    """The simulator loop before the action table: per-step code_action
+    table, suffix slices of a letter buffer and set lookups per length."""
+    code = ideal.code
+    denom = lcm(*(p.denominator for p in pi.probs))
+    cuts, acc = [], 0
+    for p in pi.probs:
+        acc += int(p * denom)
+        cuts.append(acc)
+    table = oracle_table(code)
+    by_len = {}
+    for s in code.words:
+        by_len.setdefault(len(s), set()).add(s.indices)
+    lens = sorted(by_len)
+    rng = random.Random(seed)
+    state, visits, buffer, episodes, total = 0, [0] * len(code.words), [], 0, 0
+    for _ in range(steps):
+        r = rng.randrange(denom)
+        letter = next(i for i, c in enumerate(cuts) if r < c)
+        state = table[state][letter]
+        visits[state] += 1
+        buffer.append(letter)
+        for n in lens:
+            if n <= len(buffer) and tuple(buffer[-n:]) in by_len[n]:
+                episodes += 1
+                total += len(buffer)
+                buffer.clear()
+                break
+    return tuple(visits), episodes, total / episodes if episodes else float("nan")
+
+
+def test_simulate_matches_the_buffer_slicing_loop(enumerated_ideals, five_class):
+    ab, abc = Alphabet("ab"), Alphabet("abc")
+    cases = [
+        (reset_code(five_class), distribution(ab, [1, 2]), 20_000),
+        (restrict_k(from_generators(ab, {ab.word("b")}, 4), 3), distribution(ab, [3, 4]), 20_000),
+        (enumerated_ideals[2, 4][200], distribution(ab, [2, 5]), 20_000),
+        (enumerated_ideals[3, 2][4], distribution(abc, [1, 2, 3]), 10_000),
+    ]
+    cases += [(ideal, distribution(ab, [1, 1]), 2_000) for ideal in enumerated_ideals[2, 3][:-1:4]]
+    for ideal, pi, steps in cases:
+        for seed in (1, 2, 2024):
+            got = simulate(ideal, pi, steps=steps, seed=seed)
+            assert (got.visits, got.episodes, got.mean_reset_time) == buffer_slicing_simulate(ideal, pi, steps, seed)
