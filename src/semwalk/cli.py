@@ -15,6 +15,7 @@ stdout), 2 parse error, 3 internal assertion, 4 enumeration bound exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -146,23 +147,25 @@ def _emit(payload: dict, args) -> None:
 # ---------------------------------------------------------------- rc group
 
 
+def _read_congruence(args) -> congruences.RightCongruence:
+    return congruences.validate(*_parse_congruence_file(args.infile))
+
+
 def _cmd_rc(args) -> int:
-    alphabet, k, raw_blocks = _parse_congruence_file(args.infile)
+    rc = _read_congruence(args)
     if args.action == "validate":
-        rc = congruences.validate(alphabet, k, raw_blocks)
-        _emit({"valid": True, "congruence": _congruence_json(rc)}, args)
-        return EXIT_OK
-    rc = congruences.validate(alphabet, k, raw_blocks)
-    if args.action == "lower":
+        payload = {"valid": True, "congruence": _congruence_json(rc)}
+    elif args.action == "lower":
         approx, ideal = codes.lower_approx(rc)
-        _emit({"congruence": _congruence_json(approx), "code": _code_json(ideal)}, args)
+        payload = {"congruence": _congruence_json(approx), "code": _code_json(ideal)}
     elif args.action == "upper":
         approx, ideal = codes.upper_approx(rc)
-        _emit({"congruence": _congruence_json(approx), "code": _code_json(ideal)}, args)
+        payload = {"congruence": _congruence_json(approx), "code": _code_json(ideal)}
     elif args.action == "resets":
-        _emit(_code_json(codes.reset_code(rc)), args)
-    elif args.action == "is-special":
-        _emit({"special": codes.is_special(rc)}, args)
+        payload = _code_json(codes.reset_code(rc))
+    else:
+        payload = {"special": codes.is_special(rc)}
+    _emit(payload, args)
     return EXIT_OK
 
 
@@ -185,11 +188,6 @@ def _cmd_rc_generate(args) -> int:
 # -------------------------------------------------------------- walk group
 
 
-def _walk_congruence(args) -> congruences.RightCongruence:
-    alphabet, k, raw_blocks = _parse_congruence_file(args.infile)
-    return congruences.validate(alphabet, k, raw_blocks)
-
-
 def _cmd_walk(args) -> int:
     if args.action == "stationary":
         ideal, order = _parse_code_file(args.code)
@@ -200,7 +198,7 @@ def _cmd_walk(args) -> int:
         return EXIT_OK
 
     if args.action == "profile":
-        rc = _walk_congruence(args)
+        rc = _read_congruence(args)
         pi = _pi_arg(rc.alphabet, args.pi)
         prof = walks.reset_profile(rc, pi)
         _emit(
@@ -240,7 +238,7 @@ def _cmd_walk(args) -> int:
         if args.code is not None:
             ideal, _ = _parse_code_file(args.code)
         else:
-            ideal = codes.reset_code(_walk_congruence(args))
+            ideal = codes.reset_code(_read_congruence(args))
         pi = _pi_arg(ideal.alphabet, args.pi)
         result = walks.simulate(ideal, pi, steps=args.steps, seed=args.seed)
         _emit(
@@ -294,7 +292,7 @@ def _cmd_lattice_census(args) -> int:
 
 
 def _cmd_graph_dot(args) -> int:
-    rc = _walk_congruence(args)
+    rc = _read_congruence(args)
     text = graphs.to_dot(graphs.cayley(rc))
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -307,7 +305,14 @@ def _cmd_graph_dot(args) -> int:
 # ------------------------------------------------------------------ main
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it.
+
+    Building it costs more than a typical request, so it is done once per
+    process, and lazily, so that importing the module stays cheap.  A parse
+    leaves the parser unchanged: each call returns a fresh namespace.
+    """
     parser = _Parser(prog="semwalk", description=__doc__)
     sub = parser.add_subparsers(dest="group", required=True)
 

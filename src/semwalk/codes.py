@@ -9,6 +9,12 @@ yields a right congruence: u ~ v iff u and v share a suffix in I.  These
 are the special right congruences, and every right congruence is sandwiched
 between a best special refinement (from its reset ideal) and a best special
 coarsening (from the longest common suffixes of its blocks).
+
+The scans below run on integers, as the congruence kernel does: a word of
+length n is the key (n, x), x its letters read in base g, so that its
+suffix of length j is (j, x mod g^j), and the word of A^k with integer x
+followed by the word of length n with integer w is x*g^n + w.  ``Word``
+objects are built only for the codes, blocks and lcs sets returned.
 """
 
 from __future__ import annotations
@@ -16,15 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .congruences import RightCongruence, validate
+from .congruences import RightCongruence, _blocks, _carrier, _code, validate
 from .words import (
     Alphabet,
     Word,
     epsilon,
     is_factor,
     is_suffix,
-    lcs,
-    lcs_of,
     suffixes,
     words_of_length,
     words_up_to_length,
@@ -68,6 +72,7 @@ class SemaphoreCode:
         words = tuple(sorted(set(self.words)))
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "_members", frozenset(words))
+        object.__setattr__(self, "_indices", frozenset(w.indices for w in words))
 
     @property
     def max_len(self) -> int:
@@ -82,7 +87,7 @@ class SemaphoreCode:
 
     def in_ideal(self, w: Word) -> bool:
         """Membership in the left ideal A*S: does w have a suffix in S?"""
-        return any(is_suffix(s, w) for s in self.words)
+        return _has_suffix_in(w.indices, self._indices)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(w) if len(w) else "eps" for w in self.words) + "}"
@@ -105,7 +110,7 @@ class IdealRep:
             raise CodeError("an ideal representation requires the full finite code")
         if self.code.max_len > self.k:
             raise CodeError(f"code word longer than k={self.k}")
-        present = {w.indices for w in self.code.words}
+        present = self.code._indices
         if len(self.code.words) > 1:
             # Linear in the total length: look up each word's proper suffixes,
             # epsilon included, which is a suffix of every other word.
@@ -114,7 +119,7 @@ class IdealRep:
                     if v.indices[i:] in present:
                         u = Word(self.alphabet, v.indices[i:])
                         raise CodeError(f"not a suffix code: {u} is a suffix of {v}")
-        for w in words_of_length(self.code.alphabet, self.k):
+        for w in _carrier(self.code.alphabet, self.k):
             if not _has_suffix_in(w.indices, present):
                 raise CodeError(f"word {w} of A^{self.k} has no suffix in the code")
 
@@ -128,10 +133,31 @@ class IdealRep:
 
     def members_below_k(self) -> set[Word]:
         """The finite determining part: members of length < k (epsilon included)."""
-        out = {w for w in words_up_to_length(self.alphabet, self.k - 1) if self.code.in_ideal(w)}
-        if self.code.is_epsilon:
-            out.add(epsilon(self.alphabet))
-        return out
+        g = self.alphabet.size
+        code = {_key(s) for s in self.code.words}
+        return {
+            _word(self.alphabet, n, x)
+            for n in range(self.k)
+            for x in range(g**n)
+            if any((j, x % g**j) in code for j in range(n + 1))
+        }
+
+
+def _key(w: Word) -> tuple[int, int]:
+    return len(w), _code(w)
+
+
+def _word(alphabet: Alphabet, length: int, x: int) -> Word:
+    """The word with key (length, x)."""
+    indices = []
+    for _ in range(length):
+        x, a = divmod(x, alphabet.size)
+        indices.append(a)
+    return Word(alphabet, reversed(indices))
+
+
+def _ideal(alphabet: Alphabet, k: int, keys) -> IdealRep:
+    return IdealRep(SemaphoreCode(alphabet, tuple(_word(alphabet, n, x) for n, x in keys)), k)
 
 
 def _has_suffix_in(indices: tuple[int, ...], present: set[tuple[int, ...]]) -> bool:
@@ -270,16 +296,18 @@ def action_table(code: SemaphoreCode) -> list[list[int]]:
     return nxt
 
 
-def _suffix_minimal(words: set[Word]) -> list[Word]:
-    return sorted(w for w in words if not any(v != w and is_suffix(v, w) for v in words))
+def _suffix_minimal(keys: set[tuple[int, int]], g: int) -> list[tuple[int, int]]:
+    """The keys none of whose proper suffixes is a key, in shortlex order."""
+    return sorted((n, x) for n, x in keys if not any((j, x % g**j) in keys for j in range(n)))
 
 
 def ideal_from_members(alphabet: Alphabet, k: int, short_members: set[Word]) -> IdealRep:
     """Ideal A^{>=k} union short_members, given by its suffix-minimal code."""
     if epsilon(alphabet) in short_members:
         return IdealRep(SemaphoreCode(alphabet, (epsilon(alphabet),)), k)
-    members = set(short_members) | set(words_of_length(alphabet, k))
-    return IdealRep(SemaphoreCode(alphabet, tuple(_suffix_minimal(members))), k)
+    keys = {_key(w) for w in short_members}
+    keys.update((k, x) for x in range(len(_carrier(alphabet, k))))
+    return _ideal(alphabet, k, _suffix_minimal(keys, alphabet.size))
 
 
 def ideal_meet(i1: IdealRep, i2: IdealRep) -> IdealRep:
@@ -308,9 +336,11 @@ def suffix_classes(alphabet: Alphabet, k: int, code: SemaphoreCode) -> list[list
     Defined for any suffix code covering A^k, semaphore or not; the result
     is a right congruence exactly when the code's left ideal is two-sided.
     """
-    buckets: dict[Word, list[Word]] = {}
-    for u in words_of_length(alphabet, k):
-        hits = [s for s in code.words if is_suffix(s, u)]
+    g = alphabet.size
+    keys = {_key(s) for s in code.words}
+    buckets: dict[tuple[int, int], list[Word]] = {}
+    for x, u in enumerate(_carrier(alphabet, k)):
+        hits = [(j, x % g**j) for j in range(k + 1) if (j, x % g**j) in keys]
         if len(hits) != 1:
             raise CodeError(f"{u} has {len(hits)} suffixes in the code, expected exactly 1")
         buckets.setdefault(hits[0], []).append(u)
@@ -333,19 +363,28 @@ class LambdaResult:
 
 
 def lambda_of(rc: RightCongruence) -> LambdaResult:
-    per_block = tuple(lcs_of(blk) for blk in rc.blocks)
-    per_pair = {lcs(u, v) for blk in rc.blocks for u in blk for v in blk}
-    if any(w.is_empty for w in per_block):
-        # Some block mixes last letters, so epsilon spans the whole of A*.
-        members = {epsilon(rc.alphabet)}
-    else:
-        members = {
-            w
-            for w in words_up_to_length(rc.alphabet, rc.k - 1)
-            if any(is_suffix(s, w) for s in per_block)
-        }
-    ideal = ideal_from_members(rc.alphabet, rc.k, members)
-    return LambdaResult(per_block, frozenset(per_pair), ideal)
+    g, k = rc.alphabet.size, rc.k
+    per_block = []
+    # Diagonal pairs: every word of A^k is its own lcs.
+    per_pair = set(rc.carrier)
+    for xs in _blocks(rc.labels):
+        n = k
+        for x in xs[1:]:
+            while (x - xs[0]) % g**n:
+                n -= 1
+        per_block.append((n, xs[0] % g**n))
+        # (j, r) is the lcs of two words of the block when both end in r
+        # and differ in the letter before it.
+        for j in range(n, k):
+            before: dict[int, set[int]] = {}
+            for x in xs:
+                before.setdefault(x % g**j, set()).add(x % g ** (j + 1))
+            per_pair.update(_word(rc.alphabet, j, r) for r, seen in before.items() if len(seen) > 1)
+    # Every word of A^k has its block's lcs as a suffix, so the lcs set
+    # generates an ideal containing A^k; its code is the lcs set's
+    # suffix-minimal part, the epsilon code when some block mixes last letters.
+    ideal = _ideal(rc.alphabet, k, _suffix_minimal(set(per_block), g))
+    return LambdaResult(tuple(_word(rc.alphabet, n, x) for n, x in per_block), frozenset(per_pair), ideal)
 
 
 def reset_code(rc: RightCongruence) -> IdealRep:
@@ -359,18 +398,19 @@ def reset_code(rc: RightCongruence) -> IdealRep:
     if rc.is_universal:
         # Every word resets a one-vertex graph, epsilon included.
         return IdealRep(SemaphoreCode(rc.alphabet, (epsilon(rc.alphabet),)), rc.k)
-    found: list[Word] = []
+    g, n, labels = rc.alphabet.size, len(rc.labels), rc.labels
+    found: list[tuple[int, int]] = []
+    keys: set[tuple[int, int]] = set()
     for length in range(1, rc.k + 1):
-        for w in words_of_length(rc.alphabet, length):
-            if any(is_suffix(s, w) for s in found):
+        m = g**length
+        for w in range(m):
+            if any((j, w % g**j) in keys for j in range(1, length)):
                 continue
-            blocks = {
-                rc.block_of[x.concat(w)]
-                for x in words_of_length(rc.alphabet, rc.k - length)
-            }
-            if len(blocks) == 1:
-                found.append(w)
-    return IdealRep(SemaphoreCode(rc.alphabet, tuple(found)), rc.k)
+            # The words of A^k ending in w are x*m + w.
+            if all(labels[y] == labels[w] for y in range(m + w, n, m)):
+                found.append((length, w))
+        keys.update(found)
+    return _ideal(rc.alphabet, rc.k, found)
 
 
 def is_special(rc: RightCongruence) -> bool:
@@ -383,10 +423,9 @@ def is_special(rc: RightCongruence) -> bool:
     """
     _require_nontrivial_alphabet(rc)
     lam = lambda_of(rc)
-    injective = len(set(lam.per_block)) == len(lam.per_block)
-    antichain = not any(
-        u != v and is_suffix(u, v) for u in lam.per_block for v in lam.per_block
-    )
+    present = {w.indices for w in lam.per_block}
+    injective = len(present) == len(lam.per_block)
+    antichain = not any(w.indices and _has_suffix_in(w.indices[1:], present) for w in lam.per_block)
     by_lcs = injective and antichain
     by_resets = tau_of(reset_code(rc)) == rc
     assert by_lcs == by_resets, f"special-congruence criteria disagree on {rc}"
@@ -417,22 +456,16 @@ def enumerate_ideals(alphabet: Alphabet, k: int) -> list[IdealRep]:
 
     Such an ideal is determined by its members of length < k, which form an
     upward-closed set in the factor order (epsilon forces everything).  The
-    short words are few at desk scale, so the upward-closed sets are found
-    by direct filtering.
+    up-closed sets are found by closing the up-sets of single words under
+    union.
     """
     short = words_up_to_length(alphabet, k - 1)
-    upsets: list[set[Word]] = []
-
-    def closed_up(base: set[Word]) -> set[Word]:
-        return {w for w in short if any(is_factor(u, w) for u in base)} | base
-
-    seen: set[frozenset[Word]] = set()
-    for mask in range(1 << len(short)):
-        base = {short[i] for i in range(len(short)) if mask >> i & 1}
-        up = closed_up(base)
-        if frozenset(up) not in seen:
-            seen.add(frozenset(up))
-            upsets.append(up)
+    # The up-set of each short word, as a bit mask over ``short``.
+    ups = [sum(1 << j for j, w in enumerate(short) if is_factor(u, w)) for u in short]
+    masks = {0}
+    for up in ups:
+        masks |= {mask | up for mask in masks}
+    upsets = [{w for i, w in enumerate(short) if mask >> i & 1} for mask in masks]
     out = [ideal_from_members(alphabet, k, up) for up in sorted(upsets, key=lambda s: (len(s), sorted(s)))]
     out.append(ideal_from_members(alphabet, k, {epsilon(alphabet)}))
     return out

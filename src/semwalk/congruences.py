@@ -77,9 +77,9 @@ def _carrier(alphabet: Alphabet, k: int) -> tuple[Word, ...]:
 
 
 def _code(w: Word) -> int:
-    x = 0
+    g, x = w.alphabet.size, 0
     for i in w.indices:
-        x = x * w.alphabet.size + i
+        x = x * g + i
     return x
 
 
@@ -295,6 +295,8 @@ def generate(
     The result does not depend on merge order; canonical form is restored
     at the end regardless.
     """
+    if k < 1:
+        raise CongruenceError("k must be >= 1")
     n = len(_carrier(alphabet, k))
     for u, v in pairs:
         if not (_in_carrier(u, alphabet, k) and _in_carrier(v, alphabet, k)):
@@ -343,13 +345,13 @@ def enumerate_all(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRI
     checked against, so it must stay definitional.  Each partition goes
     through the same closure check as ``validate``.
     """
+    if k < 1:
+        raise CongruenceError("k must be >= 1")
     carrier = _carrier(alphabet, k)
     if len(carrier) > HARD_CARRIER_BOUND:
         raise BoundExceeded(f"carrier size {len(carrier)} exceeds hard bound {HARD_CARRIER_BOUND}")
     if len(carrier) > carrier_bound:
         raise BoundExceeded(f"carrier size {len(carrier)} exceeds bound {carrier_bound}")
-    if k < 1:
-        raise CongruenceError("k must be >= 1")
     nxt = _action(alphabet.size, k)
     kept = [s for s in _set_partitions(range(len(carrier))) if _closure_witness(nxt, s) is None]
     kept.sort(key=_blocks)

@@ -14,6 +14,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .codes import CodeError, IdealRep, _has_suffix_in, action_table, lower_approx, reset_code
@@ -41,6 +42,10 @@ class LetterDistribution:
             raise WalkError("letter probabilities must lie in [0, 1]")
         if sum(self.probs) != 1:
             raise WalkError(f"letter probabilities sum to {sum(self.probs)}, not 1")
+        # Each probability as numerator / denominator over one common denominator.
+        denom = lcm(*(p.denominator for p in self.probs))
+        object.__setattr__(self, "_denominator", denom)
+        object.__setattr__(self, "_numerators", tuple(p.numerator * (denom // p.denominator) for p in self.probs))
 
     @classmethod
     def uniform(cls, alphabet: Alphabet) -> "LetterDistribution":
@@ -69,10 +74,10 @@ class LetterDistribution:
         return self.probs[letter_index]
 
     def word_prob(self, w: Word) -> Fraction:
-        out = Fraction(1)
+        num = 1
         for i in w.indices:
-            out *= self.probs[i]
-        return out
+            num *= self._numerators[i]
+        return Fraction(num, self._denominator ** len(w))
 
 
 @dataclass(frozen=True)
@@ -95,10 +100,14 @@ class TransitionMatrix:
         return len(self.labels)
 
     def left_apply(self, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        n = self.size
-        return tuple(
-            sum((vec[i] * self.rows[i][j] for i in range(n)), Fraction(0)) for j in range(n)
-        )
+        """vec times the matrix, summing only the nonzero terms."""
+        out = [Fraction(0)] * self.size
+        for x, row in zip(vec, self.rows):
+            if x:
+                for j, p in enumerate(row):
+                    if p:
+                        out[j] += x * p
+        return tuple(out)
 
     def irreducible(self) -> bool:
         """Strong connectivity of the positive-entry support graph."""
@@ -438,12 +447,8 @@ def simulate(ideal: IdealRep, pi: LetterDistribution, steps: int, seed: int) -> 
         raise CodeError("the one-word code has no chain to simulate")
 
     # Exact letter sampler: cumulative integer thresholds over one denominator.
-    denom = lcm(*(p.denominator for p in pi.probs))
-    cuts = []
-    acc = 0
-    for p in pi.probs:
-        acc += int(p * denom)
-        cuts.append(acc)
+    denom = pi._denominator
+    cuts = list(accumulate(pi._numerators))
 
     nxt = _code_table(ideal, pi)
     auto = _episode_automaton(ideal)

@@ -75,7 +75,8 @@ class Word:
 
     def __init__(self, alphabet: Alphabet, indices: Iterable[int]):
         idx = tuple(indices)
-        if any(not (0 <= i < alphabet.size) for i in idx):
+        g = alphabet.size
+        if any(not (0 <= i < g) for i in idx):
             raise WordError(f"letter index out of range for alphabet {alphabet.letters!r}")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "_sort_len", len(idx))
@@ -191,6 +192,10 @@ def words_of_length(alphabet: Alphabet, length: int, limit: int = DEFAULT_ENUMER
     """
     if length < 0:
         raise WordError("length must be >= 0")
+    if alphabet.size > 1 and length > limit.bit_length():
+        # g^length > 2^bit_length > limit; a count this large is not worth
+        # computing, nor printable past a few thousand digits.
+        raise WordLimitExceeded(f"refusing to enumerate {alphabet.size}^{length} words (limit {limit})")
     count = alphabet.size**length
     if count > limit:
         raise WordLimitExceeded(f"refusing to enumerate {count} words (limit {limit})")

@@ -1,7 +1,18 @@
+import contextlib
+import io
+import itertools
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from semwalk import cli
 from semwalk.cli import main
 
 FIVE_CLASS = {
@@ -371,3 +382,137 @@ def test_walk_rejects_a_covering_code_that_is_not_semaphore(files, capsys):
             "error": "validation",
             "message": "no suffix of ab in the code; code is not semaphore or is truncated",
         }
+
+
+@pytest.mark.parametrize(
+    "argv_head, payload",
+    [
+        (["rc", "generate", "--in"], {"alphabet": "ab", "k": 0, "pairs": []}),
+        (["rc", "generate", "--in"], {"alphabet": "ab", "k": -1, "pairs": []}),
+    ],
+)
+def test_k_below_one_is_refused_with_the_validate_message(files, capsys, argv_head, payload):
+    code, out, err = run(capsys, *argv_head, files("k.json", payload))
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": "validation", "message": "k must be >= 1"}
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_lattice_census_k_below_one_is_refused(capsys, k):
+    code, out, err = run(capsys, "lattice", "census", "-g", "2", "-k", k)
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": "validation", "message": "k must be >= 1"}
+
+
+def test_huge_k_is_a_bound_refusal(files, capsys):
+    # 2^20000 has more digits than an int may print by default.
+    infile = files("big.json", {"alphabet": "ab", "k": 20000, "blocks": [["a"]]})
+    code, out, err = run(capsys, "rc", "validate", "--in", infile)
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "bound", "message": "refusing to enumerate 2^20000 words (limit 65536)"}
+
+
+def test_the_parser_is_built_once_and_not_at_import(files, capsys):
+    probe = "import semwalk.cli as c; print(c._build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert done.stdout == "0\n"
+    cli._build_parser.cache_clear()
+    infile = files("five_class.json", FIVE_CLASS)
+    for argv in (["rc", "validate", "--in", infile], ["rc", "validate"], ["walk", "--steps"], ["graph", "dot", "--in", infile]):
+        run(capsys, *argv)
+    assert cli._build_parser.cache_info().misses == 1
+
+
+# ------------------------------------------------- random argv and payloads
+
+# Every call must end in a documented exit code with JSON on the documented
+# stream (stdout for 0 and 1, stderr for 2-4; graph dot prints DOT), and a
+# repeat must print the same bytes.  The calls share one process, so one
+# parser serves every parse, failed or not.
+
+WORD = st.text(alphabet="abcz", max_size=4)
+JUNK = ["--bogus", "x", "-k", "--in", "--pi", "--steps", "3", ""]
+
+
+def mostly(draw, good, bad):
+    """The well-formed value four times in five, else a draw from bad."""
+    return good if draw(st.integers(0, 4)) else draw(bad)
+
+
+@st.composite
+def payloads(draw):
+    g, k = draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]))
+    letters = "abc"[:g]
+    carrier = ["".join(t) for t in itertools.product(letters, repeat=k)]
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(carrier), max_size=len(carrier)))
+    partition = [[w for w, b in zip(carrier, labels) if b == label] for label in sorted(set(labels))]
+    short = ["".join(t) for n in range(1, k) for t in itertools.product(letters, repeat=n)]
+    gens = draw(st.sets(st.sampled_from(short), max_size=3)) if short else set()
+    code = sorted(gens) + [w for w in carrier if not any(w.endswith(x) for x in gens)]
+    pairs = st.lists(st.lists(st.sampled_from(carrier), min_size=2, max_size=2), max_size=3)
+    payload = {
+        "alphabet": mostly(draw, letters, st.sampled_from(["ab", "abc", "a", "", "aa", 7])),
+        "k": mostly(draw, k, st.sampled_from([-1, 0, 1, 4, 17, 20000, 2.5, True, "2", None])),
+        "blocks": mostly(draw, partition, st.one_of(st.lists(st.lists(WORD, max_size=3), max_size=4), WORD)),
+        "pairs": mostly(draw, draw(pairs), st.one_of(st.lists(st.lists(WORD, max_size=3), max_size=2), WORD)),
+        "code": mostly(draw, code, st.one_of(st.lists(WORD, max_size=5), WORD)),
+    }
+    dropped = draw(st.sets(st.sampled_from(sorted(payload)), max_size=1)) if not draw(st.integers(0, 4)) else set()
+    return letters, {key: value for key, value in payload.items() if key not in dropped}
+
+
+@st.composite
+def argvs(draw, path, letters):
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(letters), max_size=len(letters)))
+    good_pi = ",".join(f"{c}={w}/{sum(weights)}" for c, w in zip(letters, weights))
+    pi = mostly(draw, good_pi, st.text(alphabet="abc=/,1230-", max_size=10))
+    inp = ["--in", path]
+    argv = draw(st.sampled_from([
+        ["rc", action, *inp] for action in ["validate", "generate", "lower", "upper", "resets", "is-special"]
+    ] + [
+        ["walk", "stationary", "--code", path, "--pi", pi],
+        ["walk", "profile", *inp, "--pi", pi],
+        ["walk", "lumped", *inp, "--pi", pi],
+        ["walk", "simulate", draw(st.sampled_from(["--in", "--code"])), path, "--pi", pi,
+         "--steps", str(draw(st.integers(-1, 1000))), "--seed", str(draw(st.integers(0, 9)))],
+        ["lattice", "census", "-g", draw(st.sampled_from(["-1", "0", "1", "2", "3", "4", "27"])),
+         "-k", draw(st.sampled_from(["-1", "0", "1", "2", "3", "17"])),
+         *draw(st.sampled_from([[], ["--carrier-bound", "4"], ["--carrier-bound", "9"], ["--checks", "modular"]]))],
+        ["graph", "dot", *inp],
+    ]))
+    if not draw(st.integers(0, 4)):
+        i = draw(st.integers(0, len(argv)))
+        argv = argv[:i] + [draw(st.sampled_from(JUNK))] + argv[i + 1 :]
+    return argv
+
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a zero letter probability warns once per process
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def payload_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("random") / "payload.json"
+
+
+@given(st.data())
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_random_argv_and_payloads_end_in_a_documented_outcome(payload_path, data):
+    letters, payload = data.draw(payloads())
+    payload_path.write_text(json.dumps(payload))
+    argv = data.draw(argvs(str(payload_path), letters))
+    code, out, err = call(argv)
+    assert code in (0, 1, 2, 3, 4)
+    if code == 0:
+        assert out.startswith("digraph {") if argv[:2] == ["graph", "dot"] else isinstance(json.loads(out), dict)
+    elif code == 1:
+        assert err == "" and json.loads(out)["error"] in ("validation", "closure")
+    else:
+        assert out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == {2: "parse", 3: "internal", 4: "bound"}[code]
+    assert call(argv) == (code, out, err)

@@ -11,6 +11,12 @@ commit 77e042d, where the walk still ran on ``code_action`` and a dense
 transition matrix, before the action table.  ``code_g2.json`` (g=2, k=5) and
 ``code_g3.json`` (g=3, k=3) are the codes of the two-sided ideals spanned by
 the factors {aba, bb} and {ab, cc}, words in shuffled order.
+
+The ``*_g3`` cases were recorded at commit 2e46302, before the reset and lcs
+scans of ``codes`` moved onto integers.  ``g3_k3.json`` is the 15-block
+congruence on {a,b,c}^3 generated by (acc, cac), (ccb, aab) and (ccc, cbc),
+blocks and words in shuffled order; it is not special, its reset code has 21
+words and its block lcs code has 7.
 """
 
 from pathlib import Path
@@ -24,6 +30,8 @@ FIVE_CLASS = str(GOLDEN / "five_class.json")
 PAIRS = str(GOLDEN / "five_class_pairs.json")
 PI = ["--pi", "a=1/2,b=1/2"]
 CODE_G2 = ["--code", str(GOLDEN / "code_g2.json"), "--pi", "a=2/7,b=5/7"]
+G3 = str(GOLDEN / "g3_k3.json")
+PI_G3 = ["--pi", "a=1/6,b=1/3,c=1/2"]
 CODE_G3 = ["--code", str(GOLDEN / "code_g3.json"), "--pi", "a=1/6,b=1/3,c=1/2"]
 
 CASES = {
@@ -39,6 +47,10 @@ CASES = {
     "walk_profile": ["walk", "profile", "--in", FIVE_CLASS, *PI],
     "walk_lumped": ["walk", "lumped", "--in", FIVE_CLASS, *PI],
     "graph_dot": ["graph", "dot", "--in", FIVE_CLASS],
+    **{f"rc_{action}_g3": ["rc", action, "--in", G3] for action in ["lower", "upper", "resets", "is-special"]},
+    "walk_profile_g3": ["walk", "profile", "--in", G3, *PI_G3],
+    "walk_lumped_g3": ["walk", "lumped", "--in", G3, *PI_G3],
+    "graph_dot_g3": ["graph", "dot", "--in", G3],
     "walk_stationary_g2": ["walk", "stationary", *CODE_G2],
     "walk_stationary_g3": ["walk", "stationary", *CODE_G3],
     "walk_simulate_code_g2": ["walk", "simulate", *CODE_G2, "--steps", "20000", "--seed", "5"],

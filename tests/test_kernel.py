@@ -7,7 +7,10 @@ closure is a fixpoint of symmetry, transitivity and (u, v) -> (u*a, v*a).
 
 Codes and walks: the action table against ``code_action`` entry by entry,
 the sparse walk step against the dense transition matrix and the Gaussian
-solver, and the simulator against the buffer-slicing loop it replaced.
+solver, and the simulator against the buffer-slicing loop it replaced.  The
+integer reset, suffix-class, lcs and ideal scans of ``codes`` against the
+Word-level scans they replaced, copied below, and the integer ``word_prob``
+and sparse ``left_apply`` against their Fraction loops.
 """
 
 import random
@@ -31,9 +34,16 @@ from semwalk import (
     code_action,
     enumerate_all,
     enumerate_ideals,
+    epsilon,
     from_generators,
     generate,
+    is_factor,
+    is_special,
+    is_suffix,
     join,
+    lambda_of,
+    lcs,
+    lcs_of,
     meet,
     product,
     reset_code,
@@ -41,10 +51,13 @@ from semwalk import (
     simulate,
     solve_stationary,
     stationary,
+    suffix_classes,
     transition_matrix,
     validate,
     words_of_length,
 )
+from semwalk.codes import ideal_from_members
+from semwalk.words import words_up_to_length
 
 SETTINGS = [(2, 2), (2, 3), (3, 1), (3, 2)]
 
@@ -316,3 +329,172 @@ def test_simulate_matches_the_buffer_slicing_loop(enumerated_ideals, five_class)
         for seed in (1, 2, 2024):
             got = simulate(ideal, pi, steps=steps, seed=seed)
             assert (got.visits, got.episodes, got.mean_reset_time) == buffer_slicing_simulate(ideal, pi, steps, seed)
+
+
+# ------------------------------------------------- Word-level code scans
+
+# The scans of ``codes`` as they were before they moved onto integers.
+
+
+def word_reset_code(rc):
+    if rc.is_universal:
+        return IdealRep(SemaphoreCode(rc.alphabet, (epsilon(rc.alphabet),)), rc.k)
+    found = []
+    for length in range(1, rc.k + 1):
+        for w in words_of_length(rc.alphabet, length):
+            if any(is_suffix(s, w) for s in found):
+                continue
+            blocks = {rc.block_of[x.concat(w)] for x in words_of_length(rc.alphabet, rc.k - length)}
+            if len(blocks) == 1:
+                found.append(w)
+    return IdealRep(SemaphoreCode(rc.alphabet, tuple(found)), rc.k)
+
+
+def word_suffix_classes(alphabet, k, code):
+    buckets = {}
+    for u in words_of_length(alphabet, k):
+        hits = [s for s in code.words if is_suffix(s, u)]
+        if len(hits) != 1:
+            raise CodeError(f"{u} has {len(hits)} suffixes in the code, expected exactly 1")
+        buckets.setdefault(hits[0], []).append(u)
+    return list(buckets.values())
+
+
+def word_ideal_from_members(alphabet, k, short_members):
+    if epsilon(alphabet) in short_members:
+        return IdealRep(SemaphoreCode(alphabet, (epsilon(alphabet),)), k)
+    members = set(short_members) | set(words_of_length(alphabet, k))
+    minimal = sorted(w for w in members if not any(v != w and is_suffix(v, w) for v in members))
+    return IdealRep(SemaphoreCode(alphabet, tuple(minimal)), k)
+
+
+def word_lambda_of(rc):
+    per_block = tuple(lcs_of(blk) for blk in rc.blocks)
+    per_pair = frozenset(lcs(u, v) for blk in rc.blocks for u in blk for v in blk)
+    if any(w.is_empty for w in per_block):
+        members = {epsilon(rc.alphabet)}
+    else:
+        members = {
+            w for w in words_up_to_length(rc.alphabet, rc.k - 1) if any(is_suffix(s, w) for s in per_block)
+        }
+    return per_block, per_pair, word_ideal_from_members(rc.alphabet, rc.k, members)
+
+
+def word_is_special(rc):
+    per_block = word_lambda_of(rc)[0]
+    injective = len(set(per_block)) == len(per_block)
+    antichain = not any(u != v and is_suffix(u, v) for u in per_block for v in per_block)
+    return injective and antichain
+
+
+def word_members_below_k(ideal):
+    out = {
+        w
+        for w in words_up_to_length(ideal.alphabet, ideal.k - 1)
+        if any(is_suffix(s, w) for s in ideal.code.words)
+    }
+    if ideal.code.is_epsilon:
+        out.add(epsilon(ideal.alphabet))
+    return out
+
+
+def word_enumerate_ideals(alphabet, k):
+    short = words_up_to_length(alphabet, k - 1)
+    upsets, seen = [], set()
+    for mask in range(1 << len(short)):
+        base = {short[i] for i in range(len(short)) if mask >> i & 1}
+        up = {w for w in short if any(is_factor(u, w) for u in base)} | base
+        if frozenset(up) not in seen:
+            seen.add(frozenset(up))
+            upsets.append(up)
+    out = [word_ideal_from_members(alphabet, k, up) for up in sorted(upsets, key=lambda s: (len(s), sorted(s)))]
+    out.append(word_ideal_from_members(alphabet, k, {epsilon(alphabet)}))
+    return out
+
+
+def assert_code_scans_match(rc):
+    resets = reset_code(rc)
+    assert resets == word_reset_code(rc)
+    lam = lambda_of(rc)
+    assert (lam.per_block, lam.per_pair, lam.ideal) == word_lambda_of(rc)
+    assert is_special(rc) == word_is_special(rc)
+    for ideal in (resets, lam.ideal):
+        assert suffix_classes(rc.alphabet, rc.k, ideal.code) == word_suffix_classes(rc.alphabet, rc.k, ideal.code)
+        assert ideal.members_below_k() == word_members_below_k(ideal)
+
+
+CODE_SETTINGS = [(2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_code_scans_match_the_word_level_scans(data):
+    g, k = data.draw(st.sampled_from(CODE_SETTINGS))
+    alphabet = Alphabet.of_size(g)
+    word = st.sampled_from(words_of_length(alphabet, k))
+    assert_code_scans_match(generate(data.draw(st.sets(st.tuples(word, word), max_size=3)), alphabet, k))
+
+
+@pytest.mark.parametrize("g, k", [(2, 3), (3, 2)])
+def test_code_scans_match_on_every_enumerated_congruence(g, k):
+    for rc in enumerate_all(Alphabet.of_size(g), k, carrier_bound=9):
+        assert_code_scans_match(rc)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_ideal_from_members_matches_the_word_level_scan(data):
+    g, k = data.draw(st.sampled_from(CODE_SETTINGS))
+    alphabet = Alphabet.of_size(g)
+    short = [epsilon(alphabet)] + words_up_to_length(alphabet, k - 1)
+    members = data.draw(st.sets(st.sampled_from(short), max_size=4))
+    assert ideal_from_members(alphabet, k, members) == word_ideal_from_members(alphabet, k, members)
+
+
+@pytest.mark.parametrize(
+    "words, k",
+    [(["aa"], 2), (["a", "ba"], 2), (["b", "aa"], 3), (["", "a"], 1)],
+)
+def test_suffix_classes_raises_the_word_level_error(words, k):
+    ab = Alphabet("ab")
+    code = SemaphoreCode(ab, tuple(ab.word(w) for w in words))
+    with pytest.raises(CodeError) as expected:
+        word_suffix_classes(ab, k, code)
+    with pytest.raises(CodeError) as got:
+        suffix_classes(ab, k, code)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("g, k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_enumerate_ideals_matches_the_subset_filter(g, k):
+    alphabet = Alphabet.of_size(g)
+    assert enumerate_ideals(alphabet, k) == word_enumerate_ideals(alphabet, k)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_word_prob_matches_the_fraction_product(data):
+    g = data.draw(st.integers(1, 4))
+    alphabet = Alphabet.of_size(g)
+    weights = data.draw(st.lists(st.integers(0, 12), min_size=g, max_size=g).filter(any))
+    denominators = data.draw(st.lists(st.integers(1, 5), min_size=g, max_size=g))
+    # Unequal denominators before normalisation: the weights are rescaled
+    # so that the common denominator differs from each one's.
+    probs = [Fraction(w, d) for w, d in zip(weights, denominators)]
+    pi = LetterDistribution(alphabet, tuple(p / sum(probs) for p in probs))
+    w = Word(alphabet, data.draw(st.lists(st.integers(0, g - 1), max_size=8)))
+    expected = Fraction(1)
+    for i in w.indices:
+        expected *= pi.probs[i]
+    assert pi.word_prob(w) == expected
+
+
+@given(generated_ideals(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_left_apply_matches_the_dense_sum(ideal, data):
+    n, g = len(ideal.code.words), ideal.alphabet.size
+    pi = distribution(ideal.alphabet, data.draw(st.lists(st.integers(0, 9), min_size=g, max_size=g).filter(any)))
+    vec = tuple(Fraction(x, 7) for x in data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+    matrix = transition_matrix(ideal, pi)
+    dense = tuple(sum((vec[i] * matrix.rows[i][j] for i in range(n)), Fraction(0)) for j in range(n))
+    assert matrix.left_apply(vec) == dense
