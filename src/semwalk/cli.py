@@ -265,7 +265,7 @@ def _cmd_lattice_census(args) -> int:
         alphabet = Alphabet.of_size(args.alphabet_size)
     except WordError as e:
         raise ParseFailure(f"-g: {e}") from e
-    elements = congruences.enumerate_all(alphabet, args.k, carrier_bound=args.carrier_bound)
+    elements = congruences.enumerate_rc(alphabet, args.k, carrier_bound=args.carrier_bound)
     report = congruences.lattice_report(elements)
     wanted = args.checks or ["semimodular", "modular", "atomistic", "jordan_dedekind"]
     payload: dict = {

@@ -4,9 +4,10 @@ A right congruence is a partition of A^k that is preserved by appending a
 letter (and truncating back to length k).  Under inclusion of relations the
 right congruences form a finite lattice: meet is common refinement, join is
 the generated congruence of the union.  This module provides validation,
-generation from pairs, exhaustive enumeration at small parameters, and the
-lattice analytics (covers, atoms, semimodularity, modularity, atomisticity,
-equal maximal chain lengths).
+generation from pairs, enumeration at small parameters (the join closure of
+the principal congruences, and the exhaustive partition filter that is its
+oracle), and the lattice analytics (covers, atoms, semimodularity,
+modularity, atomisticity, equal maximal chain lengths).
 
 Internally A^k is the integers 0..g^k-1 in the lexicographic order of
 ``words_of_length``: a word is its letter indices read in base g, and
@@ -17,18 +18,21 @@ appear only at the boundary (parsing, blocks, rendering, witnesses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import and_
 
 # product is unused here but stays importable as congruences.product for callers.
 from .words import Alphabet, Word, product, words_of_length  # noqa: F401
 
-# Enumeration is a Bell-number filter; partitions of more than 12 points are
-# refused outright, and more than 8 requires an explicit opt-in bound.
+# The oracle enumeration is a Bell-number filter.  Both enumerations refuse
+# carriers of more than 12 points outright, and more than 8 requires an
+# explicit opt-in bound.
 DEFAULT_CARRIER_BOUND = 8
 HARD_CARRIER_BOUND = 12
-# The pentagon search is cubic in the element count; beyond this it would
+# lattice_report fills n x n meet and join tables (the pentagon search, which
+# is cubic, runs only to find a witness); beyond this bound the tables would
 # stop being an interactive check, so it refuses rather than sampling.
 MAX_LATTICE_ELEMENTS = 5000
 
@@ -100,14 +104,28 @@ def _blocks(labels: tuple[int, ...]) -> list[list[int]]:
     return out
 
 
-def _star(labels: tuple[int, ...]) -> list[int]:
-    """Each point mapped to the least point of its block: a union-find
-    forest of depth one, and, read as pairs (x, star[x]), a generating set."""
+def _star(labels: tuple[int, ...]) -> tuple[int, ...]:
+    """Each point mapped to the least point of its block: a canonical key
+    like the labels, a union-find forest of depth one whose roots are the
+    block minima, and, read as pairs (x, star[x]), a generating set."""
     first: list[int] = []
     for x, b in enumerate(labels):
         if b == len(first):
             first.append(x)
-    return [first[b] for b in labels]
+    return tuple(first[b] for b in labels)
+
+
+def _star_pairs(star: tuple[int, ...]) -> list[tuple[int, int]]:
+    return [(x, p) for x, p in enumerate(star) if x != p]
+
+
+def _block_masks(labels: tuple[int, ...]) -> tuple[int, ...]:
+    """Each point mapped to the bitset of its block: a canonical key under
+    which the meet of two partitions is the pointwise AND."""
+    masks = [0] * (max(labels, default=-1) + 1)
+    for x, b in enumerate(labels):
+        masks[b] |= 1 << x
+    return tuple(masks[b] for b in labels)
 
 
 def _close(nxt, parent, pairs) -> tuple[int, ...]:
@@ -136,10 +154,32 @@ def _close(nxt, parent, pairs) -> tuple[int, ...]:
     return _canonical(find(x) for x in range(len(parent)))
 
 
-def _join_labels(nxt, star1: list[int], star2: list[int]) -> tuple[int, ...]:
-    """Join of two congruences given by their stars: start from the first,
-    already closed, and merge only the pairs of the second."""
-    return _close(nxt, star1, ((x, p) for x, p in enumerate(star2) if x != p))
+def _join_star(star1: tuple[int, ...], pairs2: list[tuple[int, int]]) -> tuple[int, ...]:
+    """Star of the join of two right congruences, the first given by its
+    ``_star``, the second by its ``_star_pairs``.
+
+    The join is the equivalence generated by the union; it needs no closure
+    under the action, because a chain u = w0 ~ w1 ~ ... ~ wm = v of steps in
+    either congruence maps letter by letter to the chain w0*a ~ ... ~ wm*a.
+    The larger root always goes under the smaller, so every pointer goes
+    down and the roots are the class minima; one pass in point order then
+    flattens the forest into the star.
+    """
+    parent = list(star1)
+    for x, p in pairs2:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        if x < p:
+            parent[p] = x
+        elif p < x:
+            parent[x] = p
+    for x, p in enumerate(parent):
+        parent[x] = parent[p]
+    return tuple(parent)
 
 
 def _closure_witness(nxt, labels: tuple[int, ...]) -> tuple[int, int, int] | None:
@@ -314,8 +354,8 @@ def meet(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
 def join(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
     """Smallest right congruence containing both relations."""
     _require_same_setting(r1, r2)
-    nxt = _action(r1.alphabet.size, r1.k)
-    return _from_labels(r1.alphabet, r1.k, _join_labels(nxt, _star(r1.labels), _star(r2.labels)))
+    star = _join_star(_star(r1.labels), _star_pairs(_star(r2.labels)))
+    return _from_labels(r1.alphabet, r1.k, _canonical(star))
 
 
 def _set_partitions(items):
@@ -358,6 +398,43 @@ def enumerate_all(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRI
     return [_from_labels(alphabet, k, s) for s in kept]
 
 
+def enumerate_rc(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIER_BOUND) -> list[RightCongruence]:
+    """Every right congruence on A^k, as the join closure of the principal ones.
+
+    A right congruence is the join of the principal congruences theta(u, v)
+    of its pairs, so joining the identity with one theta(u, v) at a time
+    reaches every element: one join per element and principal congruence
+    instead of a closure check per set partition.  Same list, order and
+    refusals as ``enumerate_all``.
+    """
+    if k < 1:
+        raise CongruenceError("k must be >= 1")
+    carrier = _carrier(alphabet, k)
+    if len(carrier) > HARD_CARRIER_BOUND:
+        raise BoundExceeded(f"carrier size {len(carrier)} exceeds hard bound {HARD_CARRIER_BOUND}")
+    if len(carrier) > carrier_bound:
+        raise BoundExceeded(f"carrier size {len(carrier)} exceeds bound {carrier_bound}")
+    n = len(carrier)
+    nxt = _action(alphabet.size, k)
+    principal: dict[tuple[int, ...], tuple[int, int]] = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            principal.setdefault(_star(_close(nxt, range(n), [(u, v)])), (u, v))
+    gens = [(u, v, _star_pairs(star)) for star, (u, v) in principal.items()]
+    seen = {tuple(range(n))}
+    todo = list(seen)
+    while todo:
+        x = todo.pop()
+        for u, v, pairs in gens:
+            if x[u] != x[v]:  # else theta(u, v) is below x
+                y = _join_star(x, pairs)
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+    kept = sorted(map(_canonical, seen), key=_blocks)
+    return [_from_labels(alphabet, k, s) for s in kept]
+
+
 @dataclass
 class LatticeReport:
     """Result of the definitional lattice checks on an enumerated set."""
@@ -376,10 +453,10 @@ class LatticeReport:
     semimodular_pentagon: tuple[int, int, int, int, int] | None = None
     non_atomistic_witness: int | None = None
     unequal_chains: tuple[list[int], list[int]] | None = None
-    flags: dict = field(init=False)
 
-    def __post_init__(self):
-        self.flags = {
+    @property
+    def flags(self) -> dict[str, bool]:
+        return {
             "semimodular": self.semimodular,
             "modular": self.modular,
             "atomistic": self.atomistic,
@@ -414,10 +491,24 @@ def _pentagon_search(leq, meets, joins, covers_set, n, require_cover: bool):
 
 
 def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
-    """Definitional lattice checks over an explicitly enumerated set.
+    """Lattice checks over an explicitly enumerated set, read off its order.
 
-    The input must be closed under meet and join (checked); the checks are
-    exhaustive, never sampled, so a clean report is a verification.
+    The input must be closed under meet and join (checked: every pair's meet
+    and every incomparable pair's join is computed and looked up).  The
+    order comes from the meet table (x <= y iff x meet y = x) and is kept as
+    up- and down-sets in int bitsets; y covers x when up(x) & down(y) is
+    {x, y}.  The flags rest on two theorems about finite lattices:
+
+    - Upper semimodularity (if a and b cover a meet b, then a join b covers
+      a and b) holds iff there is no pentagon sublattice e < c < b < a,
+      e < d < a whose d covers e in the whole lattice.
+    - The lattice is modular iff it is upper and lower semimodular (the
+      dual condition: if a join b covers a and b, then a and b cover
+      a meet b), and modular iff it has no pentagon sublattice.
+
+    Both semimodularity conditions are checked locally, on pairs of covers.
+    The exhaustive ``_pentagon_search`` runs only when a local check fails,
+    to find the witness, so a clean report is still a verification.
     """
     n = len(elements)
     if n > MAX_LATTICE_ELEMENTS:
@@ -426,59 +517,93 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
         raise CongruenceError("a lattice has at least one element")
     for rc in elements[1:]:
         _require_same_setting(elements[0], rc)
-    index = {rc.labels: i for i, rc in enumerate(elements)}
-    if len(index) != n:
+    labels = [rc.labels for rc in elements]
+    if len(set(labels)) != n:
         raise CongruenceError("duplicate elements")
 
-    labels = [rc.labels for rc in elements]
+    masks = [_block_masks(lab) for lab in labels]
     stars = [_star(lab) for lab in labels]
-    nxt = _action(elements[0].alphabet.size, elements[0].k)
+    gens = [_star_pairs(star) for star in stars]
+    by_mask = {m: i for i, m in enumerate(masks)}
+    by_star = {s: i for i, s in enumerate(stars)}
     meets = [[0] * n for _ in range(n)]
     joins = [[0] * n for _ in range(n)]
+    up = [0] * n  # bit j of up[i]: element i refines element j
+    down = [0] * n  # bit i of down[j]: the same
     for i in range(n):
+        mask_i, star_i = masks[i], stars[i]
         for j in range(i, n):
-            mi = index.get(_canonical(zip(labels[i], labels[j])))
-            ji = index.get(_join_labels(nxt, stars[i], stars[j]))
+            mi = by_mask.get(tuple(map(and_, mask_i, masks[j])))
             if mi is None:
                 raise CongruenceError("input is not closed under meet")
-            if ji is None:
-                raise CongruenceError("input is not closed under join")
+            if mi == i:
+                ji = j
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+            elif mi == j:
+                ji = i
+                up[j] |= 1 << i
+                down[i] |= 1 << j
+            else:
+                ji = by_star.get(_join_star(star_i, gens[j]))
+                if ji is None:
+                    raise CongruenceError("input is not closed under join")
             meets[i][j] = meets[j][i] = mi
             joins[i][j] = joins[j][i] = ji
-    # Meet is relation intersection, so x refines y exactly when x meet y = x.
-    leq = [[meets[i][j] == i for j in range(n)] for i in range(n)]
 
-    bottom = next(i for i in range(n) if all(leq[i][j] for j in range(n)))
-    top = next(i for i in range(n) if all(leq[j][i] for j in range(n)))
+    everything = (1 << n) - 1
+    bottom = up.index(everything)
+    top = down.index(everything)
 
     covers = []
+    upper: list[list[int]] = [[] for _ in range(n)]
+    lower: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            if i != j and leq[i][j]:
-                if not any(x != i and x != j and leq[i][x] and leq[x][j] for x in range(n)):
-                    covers.append((i, j))
+        above = up[i] ^ (1 << i)
+        while above:
+            bit = above & -above
+            above ^= bit
+            j = bit.bit_length() - 1
+            if up[i] & down[j] == (1 << i) | bit:
+                covers.append((i, j))
+                upper[i].append(j)
+                lower[j].append(i)
     covers_set = set(covers)
-    atoms = sorted(j for (i, j) in covers if i == bottom)
+    atoms = upper[bottom]
 
-    pentagon = _pentagon_search(leq, meets, joins, covers_set, n, require_cover=False)
-    semi_pentagon = _pentagon_search(leq, meets, joins, covers_set, n, require_cover=True)
+    upper_semimodular = all(
+        (a, joins[a][b]) in covers_set and (b, joins[a][b]) in covers_set
+        for m in range(n)
+        for a, b in combinations(upper[m], 2)
+    )
+    lower_semimodular = all(
+        (meets[a][b], a) in covers_set and (meets[a][b], b) in covers_set
+        for x in range(n)
+        for a, b in combinations(lower[x], 2)
+    )
+    pentagon = semi_pentagon = None
+    if not (upper_semimodular and lower_semimodular):
+        leq = [[m == i for m in row] for i, row in enumerate(meets)]
+        pentagon = _pentagon_search(leq, meets, joins, covers_set, n, require_cover=False)
+        if not upper_semimodular:
+            semi_pentagon = _pentagon_search(leq, meets, joins, covers_set, n, require_cover=True)
 
     # Atomistic: each element must be the join of the atoms below it.
     non_atomistic = None
     for x in range(n):
         acc = bottom
         for a in atoms:
-            if leq[a][x]:
+            if down[x] >> a & 1:
                 acc = joins[acc][a]
         if acc != x:
             non_atomistic = x
             break
 
-    # Equal maximal chain lengths: the cover relation must be graded.
+    # Equal maximal chain lengths: the cover relation must be graded.  An
+    # element has more elements below it than any element below it.
     rank = [0] * n
-    order = sorted(range(n), key=lambda i: sum(leq[j][i] for j in range(n)))
-    for i in order:
-        rank[i] = max([rank[j] + 1 for (j, jj) in covers if jj == i], default=0)
+    for i in sorted(range(n), key=lambda i: down[i].bit_count()):
+        rank[i] = max([rank[j] + 1 for j in lower[i]], default=0)
     jd = all(rank[j] == rank[i] + 1 for (i, j) in covers)
     unequal = None
     if not jd:
@@ -491,7 +616,7 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
         size=n,
         bottom=bottom,
         top=top,
-        covers=sorted(covers),
+        covers=covers,
         atoms=atoms,
         semimodular=semi_pentagon is None,
         modular=pentagon is None,

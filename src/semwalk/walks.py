@@ -92,8 +92,9 @@ class TransitionMatrix:
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise WalkError("matrix shape does not match the state labels")
         for i, row in enumerate(self.rows):
-            if sum(row) != 1:
-                raise WalkError(f"row {i} sums to {sum(row)}, not 1")
+            total = sum(filter(None, row))  # zeros add nothing; rows are mostly zeros
+            if total != 1:
+                raise WalkError(f"row {i} sums to {total}, not 1")
 
     @property
     def size(self) -> int:

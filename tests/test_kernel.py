@@ -11,10 +11,17 @@ solver, and the simulator against the buffer-slicing loop it replaced.  The
 integer reset, suffix-class, lcs and ideal scans of ``codes`` against the
 Word-level scans they replaced, copied below, and the integer ``word_prob``
 and sparse ``left_apply`` against their Fraction loops.
+
+Lattice order: ``enumerate_rc`` (join closure of the principal
+congruences) against ``enumerate_all``, the equivalence join against the
+action-closure join, and ``lattice_report`` (order bitsets, local cover
+checks) against a copy of the cubic report it replaced, on the enumerable
+lattices and on sublattices of RC(abc, 2).
 """
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import pytest
@@ -25,7 +32,9 @@ from semwalk import (
     Alphabet,
     ClosureViolation,
     CodeError,
+    CongruenceError,
     IdealRep,
+    LatticeReport,
     LetterDistribution,
     SemaphoreCode,
     Word,
@@ -34,6 +43,7 @@ from semwalk import (
     code_action,
     enumerate_all,
     enumerate_ideals,
+    enumerate_rc,
     epsilon,
     from_generators,
     generate,
@@ -42,6 +52,7 @@ from semwalk import (
     is_suffix,
     join,
     lambda_of,
+    lattice_report,
     lcs,
     lcs_of,
     meet,
@@ -498,3 +509,283 @@ def test_left_apply_matches_the_dense_sum(ideal, data):
     matrix = transition_matrix(ideal, pi)
     dense = tuple(sum((vec[i] * matrix.rows[i][j] for i in range(n)), Fraction(0)) for j in range(n))
     assert matrix.left_apply(vec) == dense
+
+
+# ------------------------------------------------------------ lattice order
+
+ENUMERABLE = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]
+
+
+@lru_cache(maxsize=None)
+def enumerated(g, k):
+    return enumerate_all(Alphabet.of_size(g), k, carrier_bound=9)
+
+
+def letter_action(g, k):
+    n = g**k
+    return [[(x * g + a) % n for a in range(g)] for x in range(n)]
+
+
+def canonical(keys):
+    first = {}
+    return tuple(first.setdefault(key, len(first)) for key in keys)
+
+
+def action_closure_join(nxt, labels1, labels2):
+    """The join as it was computed before: union-find from the first
+    partition, merging the pairs of the second and queueing the images of
+    every pair that joins two classes, until fixpoint."""
+    parent = list(range(len(labels1)))
+    least = {}
+    for x, b in enumerate(labels1):
+        parent[x] = least.setdefault(b, x)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    least = {}
+    work = [(x, least.setdefault(b, x)) for x, b in enumerate(labels2)]
+    while work:
+        u, v = work.pop()
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[rv] = ru
+            work.extend(zip(nxt[u], nxt[v]))
+    return canonical(find(x) for x in range(len(parent)))
+
+
+def cubic_pentagon_search(leq, meets, joins, covers_set, n, require_cover):
+    for b in range(n):
+        for d in range(n):
+            if leq[b][d] or leq[d][b]:
+                continue
+            e = meets[b][d]
+            a = joins[b][d]
+            if require_cover and (e, d) not in covers_set:
+                continue
+            for c in range(n):
+                if c == b or not leq[c][b]:
+                    continue
+                if leq[c][d] or leq[d][c]:
+                    continue
+                if joins[c][d] == a and meets[c][d] == e:
+                    return (a, b, c, d, e)
+    return None
+
+
+def cubic_longest_chain(covers, bottom, target, rank):
+    chain = [target]
+    here = target
+    while here != bottom:
+        here = max((i for (i, j) in covers if j == here), key=lambda i: rank[i])
+        chain.append(here)
+    chain.reverse()
+    return chain
+
+
+def cubic_lattice_report(elements):
+    """The lattice report as it was computed before: all n^2 meets and
+    action-closure joins, the order from the meets, covers by a cubic scan,
+    and both flags of semimodularity from the exhaustive pentagon search."""
+    n = len(elements)
+    index = {rc.labels: i for i, rc in enumerate(elements)}
+    labels = [rc.labels for rc in elements]
+    nxt = letter_action(elements[0].alphabet.size, elements[0].k)
+    meets = [[0] * n for _ in range(n)]
+    joins = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mi = index.get(canonical(zip(labels[i], labels[j])))
+            ji = index.get(action_closure_join(nxt, labels[i], labels[j]))
+            if mi is None:
+                raise CongruenceError("input is not closed under meet")
+            if ji is None:
+                raise CongruenceError("input is not closed under join")
+            meets[i][j] = meets[j][i] = mi
+            joins[i][j] = joins[j][i] = ji
+    leq = [[meets[i][j] == i for j in range(n)] for i in range(n)]
+    bottom = next(i for i in range(n) if all(leq[i][j] for j in range(n)))
+    top = next(i for i in range(n) if all(leq[j][i] for j in range(n)))
+    covers = []
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j]:
+                if not any(x != i and x != j and leq[i][x] and leq[x][j] for x in range(n)):
+                    covers.append((i, j))
+    covers_set = set(covers)
+    atoms = sorted(j for (i, j) in covers if i == bottom)
+    pentagon = cubic_pentagon_search(leq, meets, joins, covers_set, n, require_cover=False)
+    semi_pentagon = cubic_pentagon_search(leq, meets, joins, covers_set, n, require_cover=True)
+    non_atomistic = None
+    for x in range(n):
+        acc = bottom
+        for a in atoms:
+            if leq[a][x]:
+                acc = joins[acc][a]
+        if acc != x:
+            non_atomistic = x
+            break
+    rank = [0] * n
+    for i in sorted(range(n), key=lambda i: sum(leq[j][i] for j in range(n))):
+        rank[i] = max([rank[j] + 1 for (j, jj) in covers if jj == i], default=0)
+    jd = all(rank[j] == rank[i] + 1 for (i, j) in covers)
+    unequal = None
+    if not jd:
+        i, j = next((i, j) for (i, j) in covers if rank[j] != rank[i] + 1)
+        unequal = (
+            cubic_longest_chain(covers, bottom, j, rank),
+            cubic_longest_chain(covers, bottom, i, rank) + [j],
+        )
+    return LatticeReport(
+        size=n,
+        bottom=bottom,
+        top=top,
+        covers=sorted(covers),
+        atoms=atoms,
+        semimodular=semi_pentagon is None,
+        modular=pentagon is None,
+        atomistic=non_atomistic is None,
+        jordan_dedekind=jd,
+        pentagon=pentagon,
+        semimodular_pentagon=semi_pentagon,
+        non_atomistic_witness=non_atomistic,
+        unequal_chains=unequal,
+    )
+
+
+def outcome(report, elements):
+    try:
+        return report(elements)
+    except CongruenceError as e:
+        return type(e), str(e)
+
+
+def sublattice_closure(nxt, seeds):
+    """Labels of the closure of the seeds under meet and join."""
+    found = list(dict.fromkeys(seeds))
+    seen = set(found)
+    for i, x in enumerate(found):
+        for y in found[: i + 1]:
+            for z in (canonical(zip(x, y)), action_closure_join(nxt, x, y)):
+                if z not in seen:
+                    seen.add(z)
+                    found.append(z)
+    return found
+
+
+@st.composite
+def sublattices_of_rc_abc2(draw):
+    """The meet/join closure of 2-6 elements of RC(abc, 2), in a drawn order."""
+    elements = enumerated(3, 2)
+    picked = draw(st.lists(st.sampled_from(elements), min_size=2, max_size=6, unique=True))
+    closure = sublattice_closure(letter_action(3, 2), [rc.labels for rc in picked])
+    by_labels = {rc.labels: rc for rc in elements}
+    return [by_labels[lab] for lab in draw(st.permutations(closure))]
+
+
+@pytest.mark.parametrize("g, k", ENUMERABLE)
+def test_enumerate_rc_matches_enumerate_all(g, k):
+    alphabet = Alphabet.of_size(g)
+    closure = enumerate_rc(alphabet, k, carrier_bound=9)
+    assert [rc.labels for rc in closure] == [rc.labels for rc in enumerated(g, k)]
+    assert closure == enumerated(g, k)
+
+
+@pytest.mark.parametrize(
+    "g, k, bound",
+    [(2, 0, 8), (2, -1, 8), (3, 2, 8), (2, 2, 3), (3, 1, 2), (2, 4, 100), (4, 2, 16), (2, 20, 8)],
+)
+def test_enumerate_rc_refuses_what_enumerate_all_refuses(g, k, bound):
+    alphabet = Alphabet.of_size(g)
+    with pytest.raises(Exception) as old:
+        enumerate_all(alphabet, k, carrier_bound=bound)
+    with pytest.raises(Exception) as new:
+        enumerate_rc(alphabet, k, carrier_bound=bound)
+    assert type(new.value) is type(old.value)
+    assert str(new.value) == str(old.value)
+
+
+@given(setting_and_pairs())
+@settings(max_examples=60, deadline=None)
+def test_equivalence_join_matches_the_action_closure_join(case):
+    alphabet, k, (p1, p2) = case
+    r1, r2 = congruence_of(alphabet, k, p1), congruence_of(alphabet, k, p2)
+    nxt = letter_action(alphabet.size, k)
+    assert join(r1, r2).labels == action_closure_join(nxt, r1.labels, r2.labels)
+    assert join(r2, r1).labels == action_closure_join(nxt, r2.labels, r1.labels)
+
+
+@pytest.mark.parametrize("g, k", [(2, 3), (3, 2)])
+def test_equivalence_join_matches_on_enumerated_pairs(g, k):
+    elements = enumerated(g, k)
+    nxt = letter_action(g, k)
+    rng = random.Random(g * 10 + k)
+    pairs = [(x, y) for x in elements for y in elements]
+    for x, y in rng.sample(pairs, min(len(pairs), 2000)):
+        assert join(x, y).labels == action_closure_join(nxt, x.labels, y.labels)
+
+
+@pytest.mark.parametrize("g, k", ENUMERABLE)
+def test_lattice_report_matches_the_cubic_report(g, k):
+    elements = enumerated(g, k)
+    assert lattice_report(elements) == cubic_lattice_report(elements)
+    if len(elements) <= 30:
+        shuffled = random.Random(g * 10 + k).sample(elements, len(elements))
+        assert lattice_report(shuffled) == cubic_lattice_report(shuffled)
+
+
+@given(sublattices_of_rc_abc2())
+@settings(max_examples=60, deadline=None)
+def test_lattice_report_matches_the_cubic_report_on_sublattices(elements):
+    assert lattice_report(elements) == cubic_lattice_report(elements)
+
+
+def test_seeded_sublattices_reach_every_flag_combination():
+    # Hypothesis need not draw a lattice that fails a local check; these do.
+    elements = enumerated(3, 2)
+    by_labels = {rc.labels: rc for rc in elements}
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(40):
+        picked = rng.sample(elements, rng.randint(2, 6))
+        closure = [by_labels[lab] for lab in sublattice_closure(letter_action(3, 2), [rc.labels for rc in picked])]
+        rep = lattice_report(closure)
+        assert rep == cubic_lattice_report(closure)
+        seen.add((rep.semimodular, rep.modular))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_lattice_report_on_the_census_pentagon():
+    elements = enumerated(3, 2)
+    five = [elements[i] for i in lattice_report(elements).pentagon]
+    for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [3, 0, 4, 2, 1]):
+        pentagon = [five[i] for i in order]
+        rep = lattice_report(pentagon)
+        assert not rep.semimodular and not rep.modular
+        assert rep.semimodular_pentagon is not None and rep.pentagon is not None
+        assert rep == cubic_lattice_report(pentagon)
+
+
+@pytest.mark.parametrize("g, k", [(2, 2), (2, 3), (3, 1), (4, 1)])
+def test_a_missing_element_gives_the_cubic_outcome(g, k):
+    elements = enumerated(g, k)
+    messages = set()
+    for drop in range(len(elements)):
+        rest = elements[:drop] + elements[drop + 1 :]
+        new = outcome(lattice_report, rest)
+        assert new == outcome(cubic_lattice_report, rest)
+        if isinstance(new, tuple):
+            messages.add(new[1])
+    assert messages == {"input is not closed under meet", "input is not closed under join"}
+
+
+@given(sublattices_of_rc_abc2(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_missing_element_of_a_sublattice_gives_the_cubic_outcome(elements, data):
+    drop = data.draw(st.integers(0, len(elements) - 1))
+    rest = elements[:drop] + elements[drop + 1 :]
+    if rest:
+        assert outcome(lattice_report, rest) == outcome(cubic_lattice_report, rest)

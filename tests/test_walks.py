@@ -11,6 +11,7 @@ from semwalk import (
     IdealRep,
     LetterDistribution,
     SemaphoreCode,
+    TransitionMatrix,
     WalkError,
     cayley,
     check_polynomial_identity,
@@ -65,6 +66,18 @@ def test_letter_distribution_validation(ab):
         LetterDistribution.parse(ab, "a=1/2,a=1/4,b=1/4")
     pi = LetterDistribution.parse(ab, "a=1/3,b=2/3")
     assert pi.of(0) == F(1, 3) and pi.positive
+
+
+def test_transition_matrix_rejects_a_row_that_does_not_sum_to_one():
+    zero, half, quarter = F(0), F(1, 2), F(1, 4)
+    ok = (half, zero, half)
+    with pytest.raises(WalkError, match=r"^row 1 sums to 3/4, not 1$"):
+        TransitionMatrix(("x", "y", "z"), (ok, (half, zero, quarter), ok))
+    with pytest.raises(WalkError, match=r"^row 0 sums to 0, not 1$"):
+        TransitionMatrix(("x", "y"), ((zero, zero), (half, half)))
+    with pytest.raises(WalkError, match=r"^row 0 sums to 5/4, not 1$"):
+        TransitionMatrix(("x", "y"), ((F(3, 2), -quarter), (half, half)))
+    assert TransitionMatrix(("x", "y", "z"), (ok, ok, (zero, F(1), zero))).size == 3
 
 
 def test_debruijn_stationary_examples(ab):
