@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
-from operator import and_
+from itertools import combinations, combinations_with_replacement
 
 # product is unused here but stays importable as congruences.product for callers.
 from .words import Alphabet, Word, product, words_of_length  # noqa: F401
@@ -31,9 +30,9 @@ from .words import Alphabet, Word, product, words_of_length  # noqa: F401
 # explicit opt-in bound.
 DEFAULT_CARRIER_BOUND = 8
 HARD_CARRIER_BOUND = 12
-# lattice_report fills n x n meet and join tables (the pentagon search, which
-# is cubic, runs only to find a witness); beyond this bound the tables would
-# stop being an interactive check, so it refuses rather than sampling.
+# lattice_report looks up n^2 meet-table entries, one AND of relation bitsets
+# each and no per-pair closure, and keeps n-bit up- and down-sets (the cubic
+# pentagon search only finds witnesses); beyond this it refuses, not samples.
 MAX_LATTICE_ELEMENTS = 5000
 
 
@@ -456,48 +455,62 @@ class LatticeReport:
 
     @property
     def flags(self) -> dict[str, bool]:
-        return {
-            "semimodular": self.semimodular,
-            "modular": self.modular,
-            "atomistic": self.atomistic,
-            "jordan_dedekind": self.jordan_dedekind,
-        }
+        return {name: getattr(self, name) for name in ("semimodular", "modular", "atomistic", "jordan_dedekind")}
 
 
-def _pentagon_search(leq, meets, joins, covers_set, n, require_cover: bool):
+def _bits(mask: int):
+    """The set bits of mask, in increasing order."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
+def _pentagon_search(up, down, by_up, by_down, covers_set, require_cover: bool):
     """Exhaustive search for the forbidden pentagon sublattice.
 
     Pattern: five distinct elements with e < c < b < a, e < d < a, where
     b meet d = c meet d = e and b join d = c join d = a.  When
     require_cover is set, d must in addition cover e in the ambient
-    lattice.  Returns (a, b, c, d, e) or None.
+    lattice.  Returns the first (a, b, c, d, e) in (b, d, c) order, or None.
     """
-    for b in range(n):
-        for d in range(n):
-            if leq[b][d] or leq[d][b]:
+    everything = (1 << len(up)) - 1
+    for b, (up_b, down_b) in enumerate(zip(up, down)):
+        for d in _bits(everything & ~(up_b | down_b)):
+            up_a, down_e = up_b & up[d], down_b & down[d]
+            if require_cover and (by_down[down_e], d) not in covers_set:
                 continue
-            e = meets[b][d]
-            a = joins[b][d]
-            if require_cover and (e, d) not in covers_set:
-                continue
-            for c in range(n):
-                if c == b or not leq[c][b]:
-                    continue
-                if leq[c][d] or leq[d][c]:
-                    continue
-                if joins[c][d] == a and meets[c][d] == e:
-                    return (a, b, c, d, e)
+            for c in _bits(down_b & ~(1 << b) & ~(up[d] | down[d])):
+                if up[c] & up[d] == up_a and down[c] & down[d] == down_e:
+                    return (by_up[up_a], b, c, d, by_down[down_e])
     return None
+
+
+def _first_unclosed(rel, by_rel, stars) -> str:
+    """The first failing pair, in order, meet before join, as its message."""
+    joins = set(stars)
+    for i, j in combinations_with_replacement(range(len(rel)), 2):
+        m = by_rel.get(rel[i] & rel[j])
+        if m is None:
+            return "input is not closed under meet"
+        if m != i and m != j and _join_star(stars[i], _star_pairs(stars[j])) not in joins:
+            return "input is not closed under join"
+    raise AssertionError("a failed closure check has a failing pair")
 
 
 def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
     """Lattice checks over an explicitly enumerated set, read off its order.
 
-    The input must be closed under meet and join (checked: every pair's meet
-    and every incomparable pair's join is computed and looked up).  The
-    order comes from the meet table (x <= y iff x meet y = x) and is kept as
-    up- and down-sets in int bitsets; y covers x when up(x) & down(y) is
-    {x, y}.  The flags rest on two theorems about finite lattices:
+    An element is one int of relation bits (point x's block bitset at bit
+    x*N), so a meet is an AND and a lookup; every pair's is looked up, and
+    x <= y iff x meet y = x.  The order is kept as up- and down-set bitsets;
+    y covers x when up(x) & down(y) is {x, y}.  A meet-closed finite set
+    with a top is a lattice, in which the join of x and y has up-set
+    up(x) & up(y) (a meet, down-set down(x) & down(y)).  It is closed under
+    the join of right congruences if x v a is in it for every x and every
+    join-irreducible a (one lower cover), since every y is the join of the
+    join-irreducibles below it; only those joins are computed, each
+    compared with the up-set join.  On a failed check the first failing
+    pair, meet before join, is raised.  The flags rest on two theorems:
 
     - Upper semimodularity (if a and b cover a meet b, then a join b covers
       a and b) holds iff there is no pentagon sublattice e < c < b < a,
@@ -506,9 +519,8 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
       dual condition: if a join b covers a and b, then a and b cover
       a meet b), and modular iff it has no pentagon sublattice.
 
-    Both semimodularity conditions are checked locally, on pairs of covers.
-    The exhaustive ``_pentagon_search`` runs only when a local check fails,
-    to find the witness, so a clean report is still a verification.
+    Both conditions are checked locally, on pairs of covers; the exhaustive
+    ``_pentagon_search`` runs only when one fails, to find the witness.
     """
     n = len(elements)
     if n > MAX_LATTICE_ELEMENTS:
@@ -521,81 +533,72 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
     if len(set(labels)) != n:
         raise CongruenceError("duplicate elements")
 
-    masks = [_block_masks(lab) for lab in labels]
+    rel = [sum(m << (x * len(lab)) for x, m in enumerate(_block_masks(lab))) for lab in labels]
+    by_rel = {r: i for i, r in enumerate(rel)}
     stars = [_star(lab) for lab in labels]
-    gens = [_star_pairs(star) for star in stars]
-    by_mask = {m: i for i, m in enumerate(masks)}
-    by_star = {s: i for i, s in enumerate(stars)}
-    meets = [[0] * n for _ in range(n)]
-    joins = [[0] * n for _ in range(n)]
     up = [0] * n  # bit j of up[i]: element i refines element j
     down = [0] * n  # bit i of down[j]: the same
-    for i in range(n):
-        mask_i, star_i = masks[i], stars[i]
+    for i, r in enumerate(rel):
         for j in range(i, n):
-            mi = by_mask.get(tuple(map(and_, mask_i, masks[j])))
-            if mi is None:
-                raise CongruenceError("input is not closed under meet")
-            if mi == i:
-                ji = j
+            m = by_rel.get(r & rel[j])
+            if m == i:
                 up[i] |= 1 << j
                 down[j] |= 1 << i
-            elif mi == j:
-                ji = i
+            elif m == j:
                 up[j] |= 1 << i
                 down[i] |= 1 << j
-            else:
-                ji = by_star.get(_join_star(star_i, gens[j]))
-                if ji is None:
-                    raise CongruenceError("input is not closed under join")
-            meets[i][j] = meets[j][i] = mi
-            joins[i][j] = joins[j][i] = ji
+            elif m is None:
+                raise CongruenceError(_first_unclosed(rel, by_rel, stars))
 
-    everything = (1 << n) - 1
-    bottom = up.index(everything)
-    top = down.index(everything)
-
-    covers = []
+    covers = [(i, j) for i in range(n) for j in _bits(up[i] ^ (1 << i)) if up[i] & down[j] == (1 << i) | (1 << j)]
     upper: list[list[int]] = [[] for _ in range(n)]
     lower: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        above = up[i] ^ (1 << i)
-        while above:
-            bit = above & -above
-            above ^= bit
-            j = bit.bit_length() - 1
-            if up[i] & down[j] == (1 << i) | bit:
-                covers.append((i, j))
-                upper[i].append(j)
-                lower[j].append(i)
+    for i, j in covers:
+        upper[i].append(j)
+        lower[j].append(i)
     covers_set = set(covers)
+
+    everything = (1 << n) - 1
+    by_up = {u: i for i, u in enumerate(up)}
+    by_down = {d: i for i, d in enumerate(down)}
+    irreducible = {a: _star_pairs(stars[a]) for a in range(n) if len(lower[a]) == 1}
+    top = by_down.get(everything)
+    if top is None or not all(
+        _join_star(stars[x], pairs) == stars[by_up[up[x] & up[a]]]
+        for a, pairs in irreducible.items()
+        for x in _bits(everything & ~(up[a] | down[a]))
+    ):
+        raise CongruenceError(_first_unclosed(rel, by_rel, stars))
+    bottom = by_up[everything]
     atoms = upper[bottom]
 
     upper_semimodular = all(
-        (a, joins[a][b]) in covers_set and (b, joins[a][b]) in covers_set
+        (a, j) in covers_set and (b, j) in covers_set
         for m in range(n)
         for a, b in combinations(upper[m], 2)
+        for j in [by_up[up[a] & up[b]]]
     )
     lower_semimodular = all(
-        (meets[a][b], a) in covers_set and (meets[a][b], b) in covers_set
+        (e, a) in covers_set and (e, b) in covers_set
         for x in range(n)
         for a, b in combinations(lower[x], 2)
+        for e in [by_down[down[a] & down[b]]]
     )
     pentagon = semi_pentagon = None
     if not (upper_semimodular and lower_semimodular):
-        leq = [[m == i for m in row] for i, row in enumerate(meets)]
-        pentagon = _pentagon_search(leq, meets, joins, covers_set, n, require_cover=False)
+        pentagon = _pentagon_search(up, down, by_up, by_down, covers_set, require_cover=False)
         if not upper_semimodular:
-            semi_pentagon = _pentagon_search(leq, meets, joins, covers_set, n, require_cover=True)
+            semi_pentagon = _pentagon_search(up, down, by_up, by_down, covers_set, require_cover=True)
 
-    # Atomistic: each element must be the join of the atoms below it.
+    # Atomistic: each element must be the join of the atoms below it, whose
+    # up-set is the intersection of theirs.
     non_atomistic = None
     for x in range(n):
-        acc = bottom
+        acc = everything
         for a in atoms:
             if down[x] >> a & 1:
-                acc = joins[acc][a]
-        if acc != x:
+                acc &= up[a]
+        if acc != up[x]:
             non_atomistic = x
             break
 
@@ -608,9 +611,7 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
     unequal = None
     if not jd:
         i, j = next((i, j) for (i, j) in covers if rank[j] != rank[i] + 1)
-        long_way = _longest_chain(covers, bottom, j, rank)
-        short_way = _longest_chain(covers, bottom, i, rank) + [j]
-        unequal = (long_way, short_way)
+        unequal = (_longest_chain(lower, bottom, j, rank), _longest_chain(lower, bottom, i, rank) + [j])
 
     return LatticeReport(
         size=n,
@@ -629,11 +630,8 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
     )
 
 
-def _longest_chain(covers, bottom, target, rank):
+def _longest_chain(lower, bottom, target, rank):
     chain = [target]
-    here = target
-    while here != bottom:
-        here = max((i for (i, j) in covers if j == here), key=lambda i: rank[i])
-        chain.append(here)
-    chain.reverse()
-    return chain
+    while chain[-1] != bottom:
+        chain.append(max(lower[chain[-1]], key=rank.__getitem__))
+    return chain[::-1]

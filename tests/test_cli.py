@@ -326,6 +326,12 @@ def test_lattice_census_alphabet_size_out_of_range(capsys, g):
     assert json.loads(err)["error"] == "parse"
 
 
+def test_lattice_census_two_letters_k4_is_refused(capsys):
+    code, out, err = run(capsys, "lattice", "census", "-g", "2", "-k", "4")
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "bound", "message": "carrier size 16 exceeds hard bound 12"}
+
+
 def test_lattice_census_word_limit_is_a_bound_refusal(capsys):
     code, out, err = run(capsys, "lattice", "census", "-g", "2", "-k", "17")
     assert code == 4 and out == ""

@@ -15,10 +15,12 @@ and sparse ``left_apply`` against their Fraction loops.
 Lattice order: ``enumerate_rc`` (join closure of the principal
 congruences) against ``enumerate_all``, the equivalence join against the
 action-closure join, and ``lattice_report`` (order bitsets, local cover
-checks) against a copy of the cubic report it replaced, on the enumerable
-lattices and on sublattices of RC(abc, 2).
+checks, a join-irreducible closure certificate) against a copy of the
+cubic report it replaced, on the enumerable lattices and on sublattices of
+RC(abc, 2); the (2,4) lattice against the public meet, join and refines.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -47,6 +49,7 @@ from semwalk import (
     epsilon,
     from_generators,
     generate,
+    identity,
     is_factor,
     is_special,
     is_suffix,
@@ -64,9 +67,11 @@ from semwalk import (
     stationary,
     suffix_classes,
     transition_matrix,
+    universal,
     validate,
     words_of_length,
 )
+from semwalk import congruences
 from semwalk.codes import ideal_from_members
 from semwalk.words import words_up_to_length
 
@@ -789,3 +794,35 @@ def test_a_missing_element_of_a_sublattice_gives_the_cubic_outcome(elements, dat
     rest = elements[:drop] + elements[drop + 1 :]
     if rest:
         assert outcome(lattice_report, rest) == outcome(cubic_lattice_report, rest)
+
+
+@pytest.mark.parametrize("with_top", [True, False])
+def test_a_meet_closed_set_that_is_not_join_closed_fails_the_certificate(with_top):
+    # a1 and a2 are atoms of RC(ab, 3) whose join in RC is not the universal
+    # relation.  {Δ, a1, a2} is closed under meet and has no top; with ∇ it
+    # is a lattice in its own order, whose join of a1 and a2 is ∇.
+    ab = Alphabet("ab")
+    elements = enumerated(2, 3)
+    a1, a2 = (elements[i] for i in lattice_report(elements).atoms[:2])
+    assert meet(a1, a2) == identity(ab, 3) and join(a1, a2) != universal(ab, 3)
+    chosen = [identity(ab, 3), a1, a2] + ([universal(ab, 3)] if with_top else [])
+    for order in map(list, itertools.permutations(chosen)):
+        new = outcome(lattice_report, order)
+        assert new == outcome(cubic_lattice_report, order) == (CongruenceError, "input is not closed under join")
+
+
+def test_the_lattice_of_two_letters_at_k4(monkeypatch):
+    monkeypatch.setattr(congruences, "HARD_CARRIER_BOUND", 16)
+    elements = enumerate_rc(Alphabet("ab"), 4, carrier_bound=16)
+    rep = lattice_report(elements)
+    assert len(elements) == rep.size == 1247
+    assert rep.flags == {"semimodular": True, "modular": False, "atomistic": False, "jordan_dedekind": True}
+    a, b, c, d, e = (elements[i] for i in rep.pentagon)
+    assert len({a, b, c, d, e}) == 5
+    assert e.refines(c) and c.refines(b) and b.refines(a) and e.refines(d) and d.refines(a)
+    assert meet(b, d) == meet(c, d) == e and join(b, d) == join(c, d) == a
+    x, acc = elements[rep.non_atomistic_witness], elements[rep.bottom]
+    for atom in (elements[i] for i in rep.atoms):
+        if atom.refines(x):
+            acc = join(acc, atom)
+    assert acc != x
