@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .codes import CodeError, IdealRep, _has_suffix_in, action_table, lower_approx, reset_code
+from .codes import CodeError, IdealRep, action_table, lower_approx, reset_code
 # code_action is unused here but stays importable as walks.code_action for callers.
 from .codes import code_action  # noqa: F401
 from .congruences import RightCongruence
@@ -402,31 +402,37 @@ class SimulationResult:
         return tuple(v / self.steps for v in self.visits)
 
 
-def _episode_automaton(ideal: IdealRep) -> list[list[int]]:
-    """Reset episodes as a table over the letter strings read since an
-    episode began, numbered from 0 (the empty string) in breadth-first order.
+_BLOCK = 1 << 14  # letters per block: bounds the simulator's buffers at a few hundred kB
 
-    ``auto[e][a]`` is the next string's number, or -L when reading a ends the
-    episode after L letters, that is when some suffix of the string is a code
-    word.  Every word of A^k has a code suffix, so no string reaches length k.
+
+def _letter_blocks(rng: random.Random, denom: int, cuts: list[int], steps: int):
+    """The letters ``bisect_right(cuts, rng.randrange(denom))``, ``steps`` of
+    them, as ``bytes`` blocks of ``_BLOCK`` letters (the last one shorter).
+
+    ``randrange(denom)`` keeps the top ``denom.bit_length()`` bits of one
+    32-bit generator output and draws again while they are >= denom.  When
+    that is at most 8 bits, ``getrandbits(32 * n)`` holds n outputs, the
+    first in the lowest word, so every fourth byte of it is the top byte of
+    one output, and a translation table both maps it to its letter and
+    deletes the rejected ones.  Wider denominators draw one letter at a time.
     """
-    present = {w.indices for w in ideal.code.words}
-    number = {(): 0}
-    strings: list[tuple[int, ...]] = [()]
-    auto = []
-    for b in strings:  # grows while it is read
-        row = []
-        for a in range(ideal.alphabet.size):
-            ba = b + (a,)
-            if _has_suffix_in(ba, present):
-                row.append(-len(ba))
-            else:
-                if ba not in number:
-                    number[ba] = len(strings)
-                    strings.append(ba)
-                row.append(number[ba])
-        auto.append(row)
-    return auto
+    bits = denom.bit_length()
+    if bits > 8:
+        randrange = rng.randrange
+        for start in range(0, steps, _BLOCK):
+            yield bytes(bisect_right(cuts, randrange(denom)) for _ in range(min(_BLOCK, steps - start)))
+        return
+    tops = [byte >> (8 - bits) for byte in range(256)]
+    table = bytes(bisect_right(cuts, r) for r in tops)
+    reject = bytes(byte for byte, r in enumerate(tops) if r >= denom)
+    buffer = b""
+    for start in range(0, steps, _BLOCK):
+        size = min(_BLOCK, steps - start)
+        while len(buffer) < size:
+            need = -(-((size - len(buffer)) << bits) // denom)  # outputs expected to give the rest
+            buffer += rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4].translate(table, reject)
+        yield buffer[:size]
+        buffer = buffer[size:]
 
 
 def simulate(ideal: IdealRep, pi: LetterDistribution, steps: int, seed: int) -> SimulationResult:
@@ -435,12 +441,15 @@ def simulate(ideal: IdealRep, pi: LetterDistribution, steps: int, seed: int) -> 
     One letter stream drives both statistics: the chain state is updated
     every step for the visit counts, and the same stream is chopped into
     reset episodes (an episode ends as soon as the letters read since its
-    start form a word in the ideal).  Letters are drawn by exact cumulative
+    start have a suffix in the code).  Letters are drawn by exact cumulative
     inversion over a common denominator, so the sampler honours pi exactly.
-    Both the chain and the episodes are table lookups per letter.
+    They are drawn in blocks from the generator's 32-bit outputs: like
+    ``randrange(denom)``, each letter reads the top bits of one output and
+    skips outputs whose bits reach denom, so a seed gives the same walk as
+    one ``randrange`` per step (see ``_letter_blocks``).
     """
-    if steps < 1:
-        raise WalkError("steps must be >= 1")
+    if type(steps) is not int or steps < 1:
+        raise WalkError("steps must be an integer >= 1")
     if not pi.positive:
         raise WalkError("simulation requires a positive letter distribution")
     code = ideal.code
@@ -452,25 +461,24 @@ def simulate(ideal: IdealRep, pi: LetterDistribution, steps: int, seed: int) -> 
     cuts = list(accumulate(pi._numerators))
 
     nxt = _code_table(ideal, pi)
-    auto = _episode_automaton(ideal)
+    lengths = [len(w) for w in code.words]
 
-    randrange = random.Random(seed).randrange
     state = 0
-    episode = 0
+    since = 0  # letters read in the current episode
     visits = [0] * len(nxt)
     episodes = 0
-    total_reset_time = 0
-    for _ in range(steps):
-        letter = bisect_right(cuts, randrange(denom))
-        state = nxt[state][letter]
-        visits[state] += 1
-        episode = auto[episode][letter]
-        if episode < 0:
-            episodes += 1
-            total_reset_time -= episode
-            episode = 0
+    for letters in _letter_blocks(random.Random(seed), denom, cuts, steps):
+        for letter in letters:
+            state = nxt[state][letter]
+            visits[state] += 1
+            since += 1
+            # The state is the unique code suffix of all letters read (a covering
+            # suffix code), so the episode's letters have one iff it fits in them.
+            if lengths[state] <= since:
+                episodes += 1
+                since = 0
 
-    mean = total_reset_time / episodes if episodes else float("nan")
+    mean = (steps - since) / episodes if episodes else float("nan")
     return SimulationResult(
         labels=tuple(str(w) for w in code.words),
         visits=tuple(visits),

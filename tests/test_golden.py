@@ -17,6 +17,10 @@ scans of ``codes`` moved onto integers.  ``g3_k3.json`` is the 15-block
 congruence on {a,b,c}^3 generated by (acc, cac), (ccb, aab) and (ccc, cbc),
 blocks and words in shuffled order; it is not special, its reset code has 21
 words and its block lcs code has 7.
+
+``walk_simulate_wide`` was recorded at commit 318eca4, where the simulator
+still drew one ``randrange`` per letter.  Its denominator, 513, is wider
+than a byte, so the simulator draws its letters one at a time.
 """
 
 from pathlib import Path
@@ -55,6 +59,10 @@ CASES = {
     "walk_stationary_g3": ["walk", "stationary", *CODE_G3],
     "walk_simulate_code_g2": ["walk", "simulate", *CODE_G2, "--steps", "20000", "--seed", "5"],
     "walk_simulate_code_g3": ["walk", "simulate", *CODE_G3, "--steps", "20000", "--seed", "9"],
+    "walk_simulate_wide": [
+        "walk", "simulate", "--code", str(GOLDEN / "code_g2.json"), "--pi", "a=200/513,b=313/513",
+        "--steps", "20000", "--seed", "3",
+    ],
     "walk_simulate_in": [
         "walk", "simulate", "--in", FIVE_CLASS, "--pi", "a=1/3,b=2/3", "--steps", "20000", "--seed", "7"
     ],

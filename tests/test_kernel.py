@@ -7,7 +7,8 @@ closure is a fixpoint of symmetry, transitivity and (u, v) -> (u*a, v*a).
 
 Codes and walks: the action table against ``code_action`` entry by entry,
 the sparse walk step against the dense transition matrix and the Gaussian
-solver, and the simulator against the buffer-slicing loop it replaced.  The
+solver, the simulator against the buffer-slicing loop it replaced, and its
+blocked letter stream against one ``randrange`` draw per letter.  The
 integer reset, suffix-class, lcs and ideal scans of ``codes`` against the
 Word-level scans they replaced, copied below, and the integer ``word_prob``
 and sparse ``left_apply`` against their Fraction loops.
@@ -22,6 +23,7 @@ RC(abc, 2); the (2,4) lattice against the public meet, join and refines.
 
 import itertools
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -71,7 +73,7 @@ from semwalk import (
     validate,
     words_of_length,
 )
-from semwalk import congruences
+from semwalk import congruences, walks
 from semwalk.codes import ideal_from_members
 from semwalk.words import words_up_to_length
 
@@ -345,6 +347,63 @@ def test_simulate_matches_the_buffer_slicing_loop(enumerated_ideals, five_class)
         for seed in (1, 2, 2024):
             got = simulate(ideal, pi, steps=steps, seed=seed)
             assert (got.visits, got.episodes, got.mean_reset_time) == buffer_slicing_simulate(ideal, pi, steps, seed)
+
+
+# Denominators of every bit length up to 10, and wider ones that take a
+# ``randrange`` draw per letter.  ``randrange(d)`` redraws when its
+# ``d.bit_length()`` bits reach d: powers of two redraw nearly half the time,
+# 255 and 511 almost never.
+STREAM_DENOMINATORS = [1, 2, 3, 5, 7, 9, 17, 33, 100, 128, 129, 255, 256, 257, 300, 511, 512, 513, 2**16 + 1, 2**32 + 1]
+
+
+def random_cuts(rng, denom):
+    g = rng.randint(1, min(denom, 5))
+    return sorted(rng.sample(range(1, denom), g - 1)) + [denom]
+
+
+def test_letter_blocks_are_the_randrange_stream():
+    """The blocked letters equal one ``randrange`` draw per letter, which pins
+    how CPython's ``randrange`` reads its 32-bit outputs."""
+    rng = random.Random(0)
+    for denom in [*range(1, 301), *STREAM_DENOMINATORS]:
+        for seed in (1, 2, 2024):
+            cuts = random_cuts(rng, denom)
+            draw = random.Random(seed).randrange
+            expected = bytes(bisect_right(cuts, draw(denom)) for _ in range(300))
+            for n in (1, 300):
+                assert b"".join(walks._letter_blocks(random.Random(seed), denom, cuts, n)) == expected[:n]
+    block = walks._BLOCK
+    for denom in STREAM_DENOMINATORS:
+        for seed in (3, 1009):
+            cuts = random_cuts(rng, denom)
+            draw = random.Random(seed).randrange
+            expected = bytes(bisect_right(cuts, draw(denom)) for _ in range(3 * block + 7))
+            for n in (1, block - 1, block, block + 1, 3 * block + 7):
+                blocks = list(walks._letter_blocks(random.Random(seed), denom, cuts, n))
+                assert b"".join(blocks) == expected[:n]
+                assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+
+
+def test_simulate_matches_the_buffer_slicing_loop_on_wide_and_rejecting_draws(enumerated_ideals):
+    ab, abc, abcd = (Alphabet.of_size(g) for g in (2, 3, 4))
+    g3 = restrict_k(from_generators(abc, {abc.word("ab"), abc.word("cc")}, 3), 3)
+    g4 = restrict_k(from_generators(abcd, {abcd.word("ad"), abcd.word("c"), abcd.word("bdb")}, 3), 3)
+    assert len(g3.code.words) > 3 and len(g4.code.words) > 4
+    cases = [
+        (enumerated_ideals[2, 4][200], distribution(ab, [200, 313])),
+        (enumerated_ideals[2, 4][200], distribution(ab, [1, 1])),
+        (enumerated_ideals[2, 3][5], distribution(ab, [4, 5])),
+        (enumerated_ideals[2, 3][5], distribution(ab, [100, 157])),
+        (g3, distribution(abc, [2, 3, 4])),
+        (g3, distribution(abc, [100, 150, 263])),
+        (g4, distribution(abcd, [1, 1, 1, 6])),
+        (g4, distribution(abcd, [1, 2, 3, 251])),
+    ]
+    block = walks._BLOCK
+    for i, (ideal, pi) in enumerate(cases):
+        for steps in (block - 1, block, block + 1):
+            got = simulate(ideal, pi, steps=steps, seed=i)
+            assert (got.visits, got.episodes, got.mean_reset_time) == buffer_slicing_simulate(ideal, pi, steps, i)
 
 
 # ------------------------------------------------- Word-level code scans

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -335,6 +336,27 @@ def test_simulate_validations(ab, uniform):
         simulate(s3, uniform, steps=0, seed=1)
     with pytest.raises(WalkError):
         simulate(s3, LetterDistribution(ab, (F(1), F(0))), steps=10, seed=1)
+
+
+@pytest.mark.parametrize("steps", [2.5, 10.0, True, "10", None])
+def test_simulate_rejects_steps_that_are_not_an_int(ab, uniform, steps):
+    s3 = restrict_k(from_generators(ab, {ab.word("b")}, 4), 3)
+    with pytest.raises(WalkError):
+        simulate(s3, uniform, steps=steps, seed=1)
+
+
+def test_simulate_holds_one_block_of_letters_at_a_time(ab, uniform):
+    """A whole 10^6-letter stream would take several MB; one block is 16 kB."""
+    ideal = reset_code(identity(ab, 8))
+    assert len(ideal.code.words) == 256
+    simulate(ideal, uniform, steps=10, seed=1)
+    tracemalloc.start()
+    try:
+        simulate(ideal, uniform, steps=1_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
 
 
 def test_irreducibility_reported_for_all_enumerated_codes(ab, uniform):
