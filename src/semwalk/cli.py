@@ -216,17 +216,13 @@ def _cmd_walk(args) -> int:
         rc = congruences.validate(alphabet, k, raw_blocks)
         pi = _pi_arg(alphabet, args.pi)
         lw = walks.lumped(rc, pi)
-        by_label = lw.stationary.as_dict()
-        labels = ["{" + ",".join(str(w) for w in sorted(blk)) + "}" for blk in raw_blocks]
-        rows = {lab: row for lab, row in zip(lw.matrix.labels, lw.matrix.rows)}
-        col = {lab: i for i, lab in enumerate(lw.matrix.labels)}
+        # Align output to the block order given in the input file.
+        order = [rc.block_of[blk[0]] for blk in raw_blocks]
         _emit(
             {
-                "blocks": [[str(w) for w in sorted(blk)] for blk in raw_blocks],
-                "stationary": [str(by_label[lab]) for lab in labels],
-                "matrix": [
-                    [str(rows[lab][col[lab2]]) for lab2 in labels] for lab in labels
-                ],
+                "blocks": [[str(w) for w in rc.blocks[b]] for b in order],
+                "stationary": [str(lw.stationary.values[b]) for b in order],
+                "matrix": [[str(lw.matrix.rows[b][c]) for c in order] for b in order],
             },
             args,
         )

@@ -243,13 +243,23 @@ class RightCongruence:
                 out.add((v, u))
         return out
 
+    @cached_property
+    def block_labels(self) -> tuple[str, ...]:
+        """Each block rendered ``{w1,w2}``, in canonical block order."""
+        return tuple("{" + ",".join(map(str, blk)) + "}" for blk in self.blocks)
+
+    @cached_property
+    def block_action(self) -> tuple[tuple[int, ...], ...]:
+        """The Cayley table: ``block_action[b][a]`` is the block reached from
+        block b by appending letter a, read off the block's least word."""
+        nxt, labels = _action(self.alphabet.size, self.k), self.labels
+        return tuple(tuple(labels[y] for y in nxt[blk[0]]) for blk in _blocks(labels))
+
     def step(self, block_index: int, letter: Word) -> int:
         """Index of the block reached from a block by appending a letter."""
-        nxt = _action(self.alphabet.size, self.k)
-        x = _code(self.blocks[block_index][0])
         for a in letter.indices:
-            x = nxt[x][a]
-        return self.labels[x]
+            block_index = self.block_action[block_index][a]
+        return block_index
 
     @property
     def is_identity(self) -> bool:
@@ -265,7 +275,7 @@ class RightCongruence:
         return len(set(zip(self.labels, other.labels))) == len(self.blocks)
 
     def __str__(self) -> str:
-        return " | ".join("{" + ",".join(str(w) for w in blk) + "}" for blk in self.blocks)
+        return " | ".join(self.block_labels)
 
 
 def _require_same_setting(r1: RightCongruence, r2: RightCongruence) -> None:

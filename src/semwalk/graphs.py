@@ -5,7 +5,12 @@ lattice and automata: vertices are the congruence classes, edges append a
 letter.  Conversely, a strongly connected graph in which every word of
 length k acts as a constant map gives back a congruence by identifying the
 length-k words with equal one-point images.  These two constructions are
-mutually inverse, which the test suite checks exhaustively at small sizes.
+mutually inverse, which the test suite checks exhaustively on every
+congruence of (2,2), (2,3) and (2,4).
+
+Reset checks run on the integer carrier of ``congruences``: the images of
+all words of length k are extended level by level, x -> x*g + a, so no
+``Word`` is built for them.
 """
 
 from __future__ import annotations
@@ -13,15 +18,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .codes import IdealRep, reset_code
-from .congruences import RightCongruence, identity, validate
-from .words import Alphabet, Word, words_of_length
+from .congruences import RightCongruence, _carrier, identity, validate
+from .words import Alphabet, Word
 
 MAX_MORPHISM_VERTICES = 10_000
 
 
 class GraphError(ValueError):
     pass
+
+
+def _strongly_connected(succ) -> bool:
+    """Whether every vertex reaches vertex 0 and is reached from it, where
+    ``succ[v]`` holds the successors of vertex v."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for v, row in enumerate(succ):
+        for t in row:
+            pred[t].append(v)
+    for adj in (succ, pred):
+        seen = {0}
+        stack = [0]
+        while stack:
+            for t in adj[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        if len(seen) != len(succ):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -39,6 +63,8 @@ class AGraph:
 
     def __post_init__(self) -> None:
         n = len(self.labels)
+        if n == 0:
+            raise GraphError("a graph needs at least one vertex")
         if len(self.transitions) != n:
             raise GraphError("one transition row per vertex required")
         for row in self.transitions:
@@ -49,42 +75,31 @@ class AGraph:
     def vertex_count(self) -> int:
         return len(self.labels)
 
-    def step(self, vertex: int, letter: Word) -> int:
-        (i,) = letter.indices
-        return self.transitions[vertex][i]
-
-    def walk(self, vertex: int, word: Word) -> int:
-        for i in word.indices:
-            vertex = self.transitions[vertex][i]
-        return vertex
-
     def image(self, word: Word) -> frozenset[int]:
         """The set Q.w of endpoints of all paths labelled by the word."""
-        return frozenset(self.walk(v, word) for v in range(self.vertex_count))
+        if word.alphabet != self.alphabet:
+            raise GraphError("the word and the graph are over different alphabets")
+        image = range(self.vertex_count)
+        for i in word.indices:
+            image = {self.transitions[v][i] for v in image}
+        return frozenset(image)
+
+    def images(self, k: int) -> list[frozenset[int]]:
+        """Q.w for every word w of length k, in carrier order (the order of
+        ``words_of_length``), each extended from its prefix's image."""
+        _carrier(self.alphabet, k)  # refuses g^k beyond the enumeration limit
+        table, letters = self.transitions, range(self.alphabet.size)
+        level = [frozenset(range(self.vertex_count))]
+        for _ in range(k):
+            level = [frozenset(table[v][a] for v in image) for image in level for a in letters]
+        return level
 
     @cached_property
     def strongly_connected(self) -> bool:
-        n = self.vertex_count
-        fwd = [set(row) for row in self.transitions]
-        bwd = [set() for _ in range(n)]
-        for v, row in enumerate(self.transitions):
-            for t in row:
-                bwd[t].add(v)
-
-        def reach(adj, start):
-            seen = {start}
-            stack = [start]
-            while stack:
-                for t in adj[stack.pop()]:
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-            return seen
-
-        return len(reach(fwd, 0)) == n and len(reach(bwd, 0)) == n
+        return _strongly_connected(self.transitions)
 
     def is_k_reset(self, k: int) -> bool:
-        return all(len(self.image(w)) == 1 for w in words_of_length(self.alphabet, k))
+        return all(len(image) == 1 for image in self.images(k))
 
 
 def is_reset(graph: AGraph, word: Word) -> bool:
@@ -94,26 +109,12 @@ def is_reset(graph: AGraph, word: Word) -> bool:
 
 def cayley(rc: RightCongruence) -> AGraph:
     """The Cayley graph of a congruence: blocks as vertices, letters as edges."""
-    labels = tuple("{" + ",".join(str(w) for w in blk) + "}" for blk in rc.blocks)
-    table = tuple(
-        tuple(rc.step(b, a) for a in rc.alphabet) for b in range(len(rc.blocks))
-    )
-    return AGraph(rc.alphabet, labels, table)
+    return AGraph(rc.alphabet, rc.block_labels, rc.block_action)
 
 
 def debruijn(alphabet: Alphabet, k: int) -> AGraph:
     """The k-dimensional de Bruijn graph, vertices in enumeration order."""
     return cayley(identity(alphabet, k))
-
-
-def resets(rc: RightCongruence) -> IdealRep:
-    """The reset ideal of the congruence's Cayley graph.
-
-    Computed relationally (all length-k completions equivalent) rather than
-    by walking the graph; the graph-walk definition is what the tests
-    cross-validate against.
-    """
-    return reset_code(rc)
 
 
 def zeta(graph: AGraph, k: int) -> RightCongruence:
@@ -125,8 +126,7 @@ def zeta(graph: AGraph, k: int) -> RightCongruence:
     if not graph.strongly_connected:
         raise GraphError("zeta requires a strongly connected graph")
     buckets: dict[frozenset[int], list[Word]] = {}
-    for w in words_of_length(graph.alphabet, k):
-        img = graph.image(w)
+    for w, img in zip(_carrier(graph.alphabet, k), graph.images(k)):
         if len(img) != 1:
             raise GraphError(f"not a {k}-reset graph: {w} has image of size {len(img)}")
         buckets.setdefault(img, []).append(w)

@@ -20,7 +20,8 @@ from math import lcm
 from .codes import CodeError, IdealRep, action_table, lower_approx, reset_code
 # code_action is unused here but stays importable as walks.code_action for callers.
 from .codes import code_action  # noqa: F401
-from .congruences import RightCongruence
+from .congruences import RightCongruence, _code
+from .graphs import _strongly_connected
 from .words import Alphabet, Word, words_of_length
 
 
@@ -89,6 +90,8 @@ class TransitionMatrix:
 
     def __post_init__(self) -> None:
         n = len(self.labels)
+        if n == 0:
+            raise WalkError("a transition matrix needs at least one state")
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise WalkError("matrix shape does not match the state labels")
         for i, row in enumerate(self.rows):
@@ -112,21 +115,7 @@ class TransitionMatrix:
 
     def irreducible(self) -> bool:
         """Strong connectivity of the positive-entry support graph."""
-        n = self.size
-        fwd = [{j for j in range(n) if self.rows[i][j] > 0} for i in range(n)]
-        bwd = [{j for j in range(n) if self.rows[j][i] > 0} for i in range(n)]
-
-        def reach(adj):
-            seen = {0}
-            stack = [0]
-            while stack:
-                for t in adj[stack.pop()]:
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-            return seen
-
-        return len(reach(fwd)) == n and len(reach(bwd)) == n
+        return _strongly_connected([[j for j, p in enumerate(row) if p > 0] for row in self.rows])
 
 
 @dataclass(frozen=True)
@@ -156,16 +145,22 @@ def _code_table(ideal: IdealRep, pi: LetterDistribution) -> list[list[int]]:
     return action_table(ideal.code)
 
 
+def _matrix(labels: tuple[str, ...], nxt, pi: LetterDistribution) -> TransitionMatrix:
+    """The dense matrix of the walk with action table ``nxt``: row x puts
+    pi(a) on column nxt[x][a]."""
+    n = len(nxt)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for row, succ in zip(rows, nxt):
+        for p, j in zip(pi.probs, succ):
+            row[j] += p
+    return TransitionMatrix(labels, tuple(tuple(r) for r in rows))
+
+
 def transition_matrix(ideal: IdealRep, pi: LetterDistribution) -> TransitionMatrix:
     """Transition matrix of the walk on the code words of an ideal."""
     if ideal.code.is_epsilon:
         raise CodeError("the one-word code has no action; use the 1x1 chain directly")
-    n = len(ideal.code.words)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for row, succ in zip(rows, _code_table(ideal, pi)):
-        for a, j in enumerate(succ):
-            row[j] += pi.probs[a]
-    return TransitionMatrix(tuple(str(w) for w in ideal.code.words), tuple(tuple(r) for r in rows))
+    return _matrix(tuple(str(w) for w in ideal.code.words), _code_table(ideal, pi), pi)
 
 
 def advance(nxt: list[list[int]], pi: LetterDistribution, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -180,13 +175,9 @@ def advance(nxt: list[list[int]], pi: LetterDistribution, vec: tuple[Fraction, .
 
 def congruence_transition_matrix(rc: RightCongruence, pi: LetterDistribution) -> TransitionMatrix:
     """Transition matrix of the walk on congruence classes."""
-    n = len(rc.blocks)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for b in range(n):
-        for i, a in enumerate(rc.alphabet):
-            rows[b][rc.step(b, a)] += pi.of(i)
-    labels = tuple("{" + ",".join(str(w) for w in blk) + "}" for blk in rc.blocks)
-    return TransitionMatrix(labels, tuple(tuple(r) for r in rows))
+    if pi.alphabet != rc.alphabet:
+        raise WalkError("the letter distribution and the congruence are over different alphabets")
+    return _matrix(rc.block_labels, rc.block_action, pi)
 
 
 def stationary(ideal: IdealRep, pi: LetterDistribution) -> StationaryVector:
@@ -343,9 +334,8 @@ def lumped(rc: RightCongruence, pi: LetterDistribution) -> LumpedWalk:
     """
     if rc.alphabet.size < 2:
         raise WalkError("lumping requires at least two letters")
-    labels = tuple("{" + ",".join(str(w) for w in blk) + "}" for blk in rc.blocks)
-    pd = {w: pi.word_prob(w) for w in rc.carrier}
-    by_debruijn = tuple(sum((pd[w] for w in blk), Fraction(0)) for blk in rc.blocks)
+    labels = rc.block_labels
+    by_debruijn = tuple(sum((pi.word_prob(w) for w in blk), Fraction(0)) for blk in rc.blocks)
 
     if rc.is_universal:
         matrix = TransitionMatrix(labels, ((Fraction(1),),))
@@ -355,11 +345,9 @@ def lumped(rc: RightCongruence, pi: LetterDistribution) -> LumpedWalk:
     low, ideal = lower_approx(rc)
     code = ideal.code
     nxt = _code_table(ideal, pi)
-    # Each code word's bucket of A^k words lies inside one class of rc.
-    cls: list[int] = []
-    for s in code.words:
-        pad = Word(rc.alphabet, (0,) * (rc.k - len(s)) + s.indices)
-        cls.append(rc.block_of[pad])
+    # Each code word's bucket of A^k words lies inside one class of rc; the
+    # code word padded on the left with letter 0 is in it and has its integer.
+    cls = [rc.labels[_code(s)] for s in code.words]
 
     n = len(rc.blocks)
     merged: list[list[Fraction] | None] = [None] * n

@@ -153,10 +153,6 @@ def is_factor(u: Word, v: Word) -> bool:
     return any(v.indices[i : i + n] == u.indices for i in range(len(v) - n + 1))
 
 
-def is_proper_suffix(u: Word, v: Word) -> bool:
-    return len(u) < len(v) and is_suffix(u, v)
-
-
 def lcs(u: Word, v: Word) -> Word:
     """Longest common suffix; the empty word when the last letters differ."""
     _require_same_alphabet(u, v)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semwalk import (
     AGraph,
@@ -6,19 +8,20 @@ from semwalk import (
     GraphError,
     cayley,
     debruijn,
+    enumerate_rc,
     identity,
     is_reset,
     isomorphic,
     lower_approx,
     morphism,
     reset_code,
-    resets,
     to_dot,
     universal,
     validate,
     words_of_length,
     zeta,
 )
+from semwalk import congruences
 from semwalk.graphs import is_morphism
 from semwalk.words import words_up_to_length
 
@@ -65,10 +68,6 @@ def test_is_reset_agrees_with_reset_ideal_membership(ab, five_class, rc_a2):
         ideal = reset_code(rc)
         for w in words_up_to_length(ab, k + 2):
             assert is_reset(g, w) == ideal.code.in_ideal(w)
-
-
-def test_resets_wrapper(five_class):
-    assert resets(five_class) == reset_code(five_class)
 
 
 def test_zeta_inverts_cayley_everywhere(rc_a2, rc_a3):
@@ -176,3 +175,47 @@ def test_graph_json_mirrors_enumeration_order(ab):
     assert payload["vertices"] == ["{" + str(w) + "}" for w in words_of_length(ab, 2)]
     assert payload["transitions"] == [[0, 1], [2, 3], [0, 1], [2, 3]]
     assert payload["alphabet"] == "ab"
+
+
+def test_zeta_inverts_cayley_on_the_lattice_of_two_letters_at_k4(ab, monkeypatch):
+    # Every one of the 1,247 congruences of RC(ab, 4), the largest A^k whose
+    # lattice the suite enumerates: a 4-reset graph that zeta reads back.
+    monkeypatch.setattr(congruences, "HARD_CARRIER_BOUND", 16)
+    elements = enumerate_rc(ab, 4, carrier_bound=16)
+    assert len(elements) == 1247
+    words = words_of_length(ab, 4)
+    for rc in elements:
+        g = cayley(rc)
+        assert g.is_k_reset(4)
+        assert zeta(g, 4) == rc
+        assert g.images(4) == [g.image(w) for w in words]
+
+
+@st.composite
+def total_tables(draw):
+    g = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * g), min_size=n, max_size=n))
+    return AGraph(Alphabet("abc"[:g]), tuple(f"v{i}" for i in range(n)), tuple(rows))
+
+
+@given(total_tables(), st.integers(0, 4))
+@example(AGraph(Alphabet("ab"), ("p", "q"), ((0, 0), (1, 1))), 2)  # not strongly connected
+@settings(max_examples=100, deadline=None)
+def test_images_are_the_images_of_the_words_in_carrier_order(graph, k):
+    expected = [graph.image(w) for w in words_of_length(graph.alphabet, k)]
+    assert graph.images(k) == expected
+    assert graph.is_k_reset(k) == all(len(img) == 1 for img in expected)
+
+
+def test_image_rejects_a_word_over_another_alphabet(ab):
+    g = debruijn(ab, 2)
+    with pytest.raises(GraphError, match="different alphabets"):
+        is_reset(g, Alphabet("abc").word("c"))
+    with pytest.raises(GraphError, match="different alphabets"):
+        is_reset(g, Alphabet("xy").word("xx"))
+
+
+def test_agraph_rejects_the_empty_graph(ab):
+    with pytest.raises(GraphError, match="at least one vertex"):
+        AGraph(ab, (), ())

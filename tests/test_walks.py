@@ -19,9 +19,11 @@ from semwalk import (
     congruence_transition_matrix,
     debruijn_stationary,
     enumerate_ideals,
+    enumerate_rc,
     from_generators,
     identity,
     is_reset,
+    product,
     lower_approx,
     lumped,
     polynomial_identity_holds,
@@ -379,3 +381,34 @@ def test_profile_monotonicity_property(pa_num):
         assert prof.cumulative[-1] == 1
         assert all(p >= 0 for p in prof.increments)
         assert 1 <= prof.hitting_time <= 3
+
+
+def test_transition_matrix_rejects_the_empty_chain():
+    with pytest.raises(WalkError, match="at least one state"):
+        TransitionMatrix((), ())
+
+
+def test_irreducibility_fails_on_a_reducible_chain():
+    one, zero = F(1), F(0)
+    assert not TransitionMatrix(("x", "y"), ((one, zero), (zero, one))).irreducible()
+    assert not TransitionMatrix(("x", "y"), ((one, zero), (F(1, 2), F(1, 2)))).irreducible()
+    assert TransitionMatrix(("x", "y"), ((zero, one), (one, zero))).irreducible()
+
+
+def test_class_walk_matrix_against_word_products_on_all_of_rc_abc_2():
+    # Oracle: block b sends pi(a) to the block of (least word of b)*a,
+    # truncated to length k, and its label lists its words.
+    abc, k = Alphabet("abc"), 2
+    pi = LetterDistribution(abc, (F(1, 2), F(1, 3), F(1, 6)))
+    elements = enumerate_rc(abc, k, carrier_bound=9)
+    assert len(elements) == 192
+    for rc in elements:
+        n = len(rc.blocks)
+        rows = [[F(0)] * n for _ in range(n)]
+        for b, blk in enumerate(rc.blocks):
+            for i, a in enumerate(abc):
+                rows[b][rc.block_of[product(blk[0], a, k)]] += pi.probs[i]
+        labels = tuple("{" + ",".join(str(w) for w in blk) + "}" for blk in rc.blocks)
+        assert congruence_transition_matrix(rc, pi) == TransitionMatrix(labels, tuple(map(tuple, rows)))
+    with pytest.raises(WalkError, match="different alphabets"):
+        congruence_transition_matrix(elements[0], LetterDistribution.uniform(Alphabet("ab")))
