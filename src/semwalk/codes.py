@@ -10,29 +10,22 @@ are the special right congruences, and every right congruence is sandwiched
 between a best special refinement (from its reset ideal) and a best special
 coarsening (from the longest common suffixes of its blocks).
 
-The scans below run on integers, as the congruence kernel does: a word of
-length n is the key (n, x), x its letters read in base g, so that its
-suffix of length j is (j, x mod g^j), and the word of A^k with integer x
-followed by the word of length n with integer w is x*g^n + w.  ``Word``
-objects are built only for the codes, blocks and lcs sets returned.
+Every lookup below runs on integers, as the congruence kernel does: a
+word of length n is the key (n, x), x its letters read in base g, so that
+its suffix of length j is (j, x mod g^j), and the word of A^k with integer
+x followed by the word of length n with integer w is x*g^n + w.  A code
+stores the key of each word once, with its position; a suffix lookup reads
+a word's suffixes longest first and stops at the first hit.  ``Word``
+objects are built only for the codes, blocks and lcs sets returned and for
+messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .congruences import RightCongruence, _blocks, _carrier, _code, validate
-from .words import (
-    Alphabet,
-    Word,
-    epsilon,
-    is_factor,
-    is_suffix,
-    suffixes,
-    words_of_length,
-    words_up_to_length,
-)
+from .congruences import RightCongruence, _blocks, _carrier, _code, _congruence
+from .words import Alphabet, Word, epsilon, is_suffix, words_up_to_length
 
 
 class CodeError(ValueError):
@@ -69,10 +62,11 @@ class SemaphoreCode:
     infinite_tail: bool = False
 
     def __post_init__(self) -> None:
-        words = tuple(sorted(set(self.words)))
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "_members", frozenset(words))
-        object.__setattr__(self, "_indices", frozenset(w.indices for w in words))
+        # Keys sort as their words do, shortlex.
+        keyed = sorted({_key(w): w for w in self.words}.items())
+        object.__setattr__(self, "words", tuple(w for _, w in keyed))
+        # The key of each word to its position in ``words``, in that order.
+        object.__setattr__(self, "_index", {key: i for i, (key, _) in enumerate(keyed)})
 
     @property
     def max_len(self) -> int:
@@ -83,11 +77,11 @@ class SemaphoreCode:
         return self.words == (epsilon(self.alphabet),)
 
     def __contains__(self, w: Word) -> bool:
-        return w in self._members
+        return w.alphabet == self.alphabet and _key(w) in self._index
 
     def in_ideal(self, w: Word) -> bool:
         """Membership in the left ideal A*S: does w have a suffix in S?"""
-        return _has_suffix_in(w.indices, self._indices)
+        return any(_suffix_keys(self._index, self.alphabet.size, *_key(w)))
 
     def __str__(self) -> str:
         return "{" + ",".join(str(w) if len(w) else "eps" for w in self.words) + "}"
@@ -110,17 +104,15 @@ class IdealRep:
             raise CodeError("an ideal representation requires the full finite code")
         if self.code.max_len > self.k:
             raise CodeError(f"code word longer than k={self.k}")
-        present = self.code._indices
-        if len(self.code.words) > 1:
-            # Linear in the total length: look up each word's proper suffixes,
-            # epsilon included, which is a suffix of every other word.
-            for v in self.code.words:
-                for i in range(1, len(v) + 1):
-                    if v.indices[i:] in present:
-                        u = Word(self.alphabet, v.indices[i:])
-                        raise CodeError(f"not a suffix code: {u} is a suffix of {v}")
-        for w in _carrier(self.code.alphabet, self.k):
-            if not _has_suffix_in(w.indices, present):
+        words, index, g = self.code.words, self.code._index, self.alphabet.size
+        # Linear in the total length: look up each word's proper suffixes,
+        # epsilon included, which is a suffix of every other word.
+        for v, (n, x) in zip(words, index):
+            u = next(_suffix_keys(index, g, n - 1, x), None)
+            if u is not None:
+                raise CodeError(f"not a suffix code: {words[index[u]]} is a suffix of {v}")
+        for x, w in enumerate(_carrier(self.alphabet, self.k)):
+            if not any(_suffix_keys(index, g, self.k, x)):
                 raise CodeError(f"word {w} of A^{self.k} has no suffix in the code")
 
     @property
@@ -133,18 +125,24 @@ class IdealRep:
 
     def members_below_k(self) -> set[Word]:
         """The finite determining part: members of length < k (epsilon included)."""
-        g = self.alphabet.size
-        code = {_key(s) for s in self.code.words}
-        return {
-            _word(self.alphabet, n, x)
-            for n in range(self.k)
-            for x in range(g**n)
-            if any((j, x % g**j) in code for j in range(n + 1))
-        }
+        return {_word(self.alphabet, n, x) for n, x in self._keys_below_k()}
+
+    def _keys_below_k(self) -> set[tuple[int, int]]:
+        g, index = self.alphabet.size, self.code._index
+        return {(n, x) for n in range(self.k) for x in range(g**n) if any(_suffix_keys(index, g, n, x))}
 
 
 def _key(w: Word) -> tuple[int, int]:
     return len(w), _code(w)
+
+
+def _suffix_keys(keys, g: int, n: int, x: int):
+    """The keys (j, x mod g^j) in ``keys``, j from n down to 0: the suffixes
+    of the word (n, x mod g^n) that are in the key set, longest first."""
+    for j in range(n, -1, -1):
+        x %= g**j
+        if (j, x) in keys:
+            yield j, x
 
 
 def _word(alphabet: Alphabet, length: int, x: int) -> Word:
@@ -160,11 +158,6 @@ def _ideal(alphabet: Alphabet, k: int, keys) -> IdealRep:
     return IdealRep(SemaphoreCode(alphabet, tuple(_word(alphabet, n, x) for n, x in keys)), k)
 
 
-def _has_suffix_in(indices: tuple[int, ...], present: set[tuple[int, ...]]) -> bool:
-    """Whether some suffix of the word, epsilon included, is in ``present``."""
-    return any(indices[j:] in present for j in range(len(indices) + 1))
-
-
 def is_semaphore(alphabet: Alphabet, words: list[Word] | set[Word]) -> SemaphoreCheck:
     """Test the two defining properties, reporting a witness on failure."""
     ws = sorted(set(words))
@@ -172,15 +165,17 @@ def is_semaphore(alphabet: Alphabet, words: list[Word] | set[Word]) -> Semaphore
         return SemaphoreCheck(True)
     if any(w.is_empty for w in ws):
         return SemaphoreCheck(False, comparable=(epsilon(alphabet), next(w for w in ws if len(w))))
-    for u, v in combinations(ws, 2):
-        if is_suffix(u, v) or is_suffix(v, u):
-            return SemaphoreCheck(False, comparable=(u, v))
-    wset = set(ws)
-    for s in ws:
-        for a in alphabet:
-            sa = s.concat(a)
-            if not any(t in wset for t in suffixes(sa) if len(t)):
-                return SemaphoreCheck(False, stuck=(s, a))
+    g, index = alphabet.size, {_key(w): i for i, w in enumerate(ws)}
+    # In shortlex order a comparable pair is (proper suffix, word); the
+    # first such pair in pair order has the least suffix position first.
+    pairs = [(index[u], j) for j, (n, x) in enumerate(index) for u in _suffix_keys(index, g, n - 1, x)]
+    if pairs:
+        i, j = min(pairs)
+        return SemaphoreCheck(False, comparable=(ws[i], ws[j]))
+    for s, (n, x) in zip(ws, index):
+        for a in range(g):
+            if not any(_suffix_keys(index, g, n + 1, x * g + a)):
+                return SemaphoreCheck(False, stuck=(s, Word(alphabet, (a,))))
     return SemaphoreCheck(True)
 
 
@@ -247,8 +242,9 @@ def restrict_k(code: SemaphoreCode, k: int) -> IdealRep:
     if code.infinite_tail and code.max_len < k:
         raise CodeError(f"truncated code is only known up to length {code.max_len} < k")
     short = [w for w in code.words if len(w) <= k]
-    present = {w.indices for w in short}
-    added = [w for w in words_of_length(code.alphabet, k) if not _has_suffix_in(w.indices, present)]
+    present = {key for key in code._index if key[0] <= k}
+    g = code.alphabet.size
+    added = [w for x, w in enumerate(_carrier(code.alphabet, k)) if not any(_suffix_keys(present, g, k, x))]
     return IdealRep(SemaphoreCode(code.alphabet, tuple(short + added)), k)
 
 
@@ -269,60 +265,57 @@ def action_table(code: SemaphoreCode) -> list[list[int]]:
     """The right action on state numbers: ``nxt[i][a]`` is the position in
     ``code.words`` of ``code_action(code, code.words[i], letter a)``.
 
-    Each suffix of s+a is looked up in a dict, longest first, so the table
-    costs O(n*g*k) instead of a scan of the code per entry.  The first pair
-    (s, a) without a code suffix, in row-major order, raises the same error
-    as ``code_action``.
+    Each suffix of s+a is looked up in the code's key index, longest first,
+    so the table costs O(n*g*k) instead of a scan of the code per entry.
+    The first pair (s, a) without a code suffix, in row-major order, raises
+    the same error as ``code_action``.
     """
     if code.words and code.words[0].is_empty:
         raise CodeError("the action is not defined on the epsilon code")
-    index = {w.indices: i for i, w in enumerate(code.words)}
-    letters = range(code.alphabet.size)
+    index, g = code._index, code.alphabet.size
     nxt = []
-    for s in code.words:
+    for n, x in index:
         row = []
-        for a in letters:
-            sa = s.indices + (a,)
-            for j in range(len(sa)):
-                t = index.get(sa[j:])
-                if t is not None:
-                    row.append(t)
-                    break
-            else:
+        for sa in range(x * g, x * g + g):
+            t = next(_suffix_keys(index, g, n + 1, sa), None)
+            if t is None:
                 raise CodeError(
-                    f"no suffix of {Word(code.alphabet, sa)} in the code; code is not semaphore or is truncated"
+                    f"no suffix of {_word(code.alphabet, n + 1, sa)} in the code; code is not semaphore or is truncated"
                 )
+            row.append(index[t])
         nxt.append(row)
     return nxt
 
 
 def _suffix_minimal(keys: set[tuple[int, int]], g: int) -> list[tuple[int, int]]:
     """The keys none of whose proper suffixes is a key, in shortlex order."""
-    return sorted((n, x) for n, x in keys if not any((j, x % g**j) in keys for j in range(n)))
+    return sorted((n, x) for n, x in keys if not any(_suffix_keys(keys, g, n - 1, x)))
 
 
 def ideal_from_members(alphabet: Alphabet, k: int, short_members: set[Word]) -> IdealRep:
     """Ideal A^{>=k} union short_members, given by its suffix-minimal code."""
-    if epsilon(alphabet) in short_members:
-        return IdealRep(SemaphoreCode(alphabet, (epsilon(alphabet),)), k)
-    keys = {_key(w) for w in short_members}
-    keys.update((k, x) for x in range(len(_carrier(alphabet, k))))
+    return _ideal_from_keys(alphabet, k, {_key(w) for w in short_members})
+
+
+def _ideal_from_keys(alphabet: Alphabet, k: int, keys: set[tuple[int, int]]) -> IdealRep:
+    # With epsilon among the keys, the suffix-minimal code is {epsilon}.
+    keys = keys | {(k, x) for x in range(len(_carrier(alphabet, k)))}
     return _ideal(alphabet, k, _suffix_minimal(keys, alphabet.size))
 
 
 def ideal_meet(i1: IdealRep, i2: IdealRep) -> IdealRep:
     _require_same_k(i1, i2)
-    return ideal_from_members(i1.alphabet, i1.k, i1.members_below_k() & i2.members_below_k())
+    return _ideal_from_keys(i1.alphabet, i1.k, i1._keys_below_k() & i2._keys_below_k())
 
 
 def ideal_join(i1: IdealRep, i2: IdealRep) -> IdealRep:
     _require_same_k(i1, i2)
-    return ideal_from_members(i1.alphabet, i1.k, i1.members_below_k() | i2.members_below_k())
+    return _ideal_from_keys(i1.alphabet, i1.k, i1._keys_below_k() | i2._keys_below_k())
 
 
 def ideal_leq(i1: IdealRep, i2: IdealRep) -> bool:
     _require_same_k(i1, i2)
-    return i1.members_below_k() <= i2.members_below_k()
+    return i1._keys_below_k() <= i2._keys_below_k()
 
 
 def _require_same_k(i1: IdealRep, i2: IdealRep) -> None:
@@ -336,11 +329,9 @@ def suffix_classes(alphabet: Alphabet, k: int, code: SemaphoreCode) -> list[list
     Defined for any suffix code covering A^k, semaphore or not; the result
     is a right congruence exactly when the code's left ideal is two-sided.
     """
-    g = alphabet.size
-    keys = {_key(s) for s in code.words}
     buckets: dict[tuple[int, int], list[Word]] = {}
     for x, u in enumerate(_carrier(alphabet, k)):
-        hits = [(j, x % g**j) for j in range(k + 1) if (j, x % g**j) in keys]
+        hits = list(_suffix_keys(code._index, alphabet.size, k, x))
         if len(hits) != 1:
             raise CodeError(f"{u} has {len(hits)} suffixes in the code, expected exactly 1")
         buckets.setdefault(hits[0], []).append(u)
@@ -349,8 +340,8 @@ def suffix_classes(alphabet: Alphabet, k: int, code: SemaphoreCode) -> list[list
 
 def tau_of(ideal: IdealRep) -> RightCongruence:
     """The right congruence of an ideal: u ~ v iff they share a suffix in it."""
-    blocks = suffix_classes(ideal.alphabet, ideal.k, ideal.code)
-    return validate(ideal.alphabet, ideal.k, blocks)
+    g, k, index = ideal.alphabet.size, ideal.k, ideal.code._index
+    return _congruence(ideal.alphabet, k, (next(_suffix_keys(index, g, k, x)) for x in range(g**k)))
 
 
 @dataclass(frozen=True)
@@ -404,7 +395,7 @@ def reset_code(rc: RightCongruence) -> IdealRep:
     for length in range(1, rc.k + 1):
         m = g**length
         for w in range(m):
-            if any((j, w % g**j) in keys for j in range(1, length)):
+            if any(_suffix_keys(keys, g, length - 1, w)):
                 continue
             # The words of A^k ending in w are x*m + w.
             if all(labels[y] == labels[w] for y in range(m + w, n, m)):
@@ -417,16 +408,14 @@ def is_special(rc: RightCongruence) -> bool:
     """Whether the congruence arises from an ideal containing A^k.
 
     Checked definitionally: lcs must be injective on blocks and the block
-    lcs set must be a suffix code.  Cross-checked against the independent
-    characterization "equal to the congruence of its own reset ideal"; the
-    two must agree.
+    lcs set must be a suffix code, that is, its suffix-minimal part (the
+    code of the lcs ideal) has one word per block.  Cross-checked against
+    the independent characterization "equal to the congruence of its own
+    reset ideal"; the two must agree.
     """
     _require_nontrivial_alphabet(rc)
     lam = lambda_of(rc)
-    present = {w.indices for w in lam.per_block}
-    injective = len(present) == len(lam.per_block)
-    antichain = not any(w.indices and _has_suffix_in(w.indices[1:], present) for w in lam.per_block)
-    by_lcs = injective and antichain
+    by_lcs = len(lam.ideal.code.words) == len(lam.per_block)
     by_resets = tau_of(reset_code(rc)) == rc
     assert by_lcs == by_resets, f"special-congruence criteria disagree on {rc}"
     return by_lcs
@@ -459,15 +448,22 @@ def enumerate_ideals(alphabet: Alphabet, k: int) -> list[IdealRep]:
     up-closed sets are found by closing the up-sets of single words under
     union.
     """
-    short = words_up_to_length(alphabet, k - 1)
+    g = alphabet.size
+    short = [_key(w) for w in words_up_to_length(alphabet, k - 1)]
+
+    def occurs_in(u: tuple[int, int], w: tuple[int, int]) -> bool:
+        """Whether u is a factor of w: w with i letters cut from its end ends in u."""
+        (n, x), (m, y) = u, w
+        return any(y // g**i % g**n == x for i in range(m - n + 1))
+
     # The up-set of each short word, as a bit mask over ``short``.
-    ups = [sum(1 << j for j, w in enumerate(short) if is_factor(u, w)) for u in short]
+    ups = [sum(1 << j for j, w in enumerate(short) if occurs_in(u, w)) for u in short]
     masks = {0}
     for up in ups:
         masks |= {mask | up for mask in masks}
     upsets = [{w for i, w in enumerate(short) if mask >> i & 1} for mask in masks]
-    out = [ideal_from_members(alphabet, k, up) for up in sorted(upsets, key=lambda s: (len(s), sorted(s)))]
-    out.append(ideal_from_members(alphabet, k, {epsilon(alphabet)}))
+    out = [_ideal_from_keys(alphabet, k, up) for up in sorted(upsets, key=lambda s: (len(s), sorted(s)))]
+    out.append(_ideal_from_keys(alphabet, k, {(0, 0)}))
     return out
 
 

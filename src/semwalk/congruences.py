@@ -11,9 +11,10 @@ modularity, atomisticity, equal maximal chain lengths).
 
 Internally A^k is the integers 0..g^k-1 in the lexicographic order of
 ``words_of_length``: a word is its letter indices read in base g, and
-appending letter a sends x to (x*g + a) mod g^k.  A partition is held as
-its canonical labels, the block index of each integer; ``Word`` objects
-appear only at the boundary (parsing, blocks, rendering, witnesses).
+appending letter a sends x to (x*g + a) mod g^k.  A congruence is stored
+as its canonical labels, the block index of each integer, and nothing
+else; ``Word`` objects are built only for parsed input, the ``blocks``
+rendering and witnesses in messages.
 """
 
 from __future__ import annotations
@@ -201,27 +202,21 @@ def _closure_witness(nxt, labels: tuple[int, ...]) -> tuple[int, int, int] | Non
 class RightCongruence:
     """A partition of A^k closed under the right action, in canonical form.
 
-    Canonical form: every block sorted, blocks sorted by least element.
-    Equality of congruences is equality of canonical forms.
+    ``labels`` is the block index of each word of A^k, in carrier order,
+    as a restricted-growth string: blocks are numbered by their least word,
+    so the largest label is the number of blocks minus one.  It is a
+    canonical key, so equality and hashing compare labels.
     """
 
     alphabet: Alphabet
     k: int
-    blocks: tuple[tuple[Word, ...], ...]
+    labels: tuple[int, ...]
 
     @cached_property
-    def labels(self) -> tuple[int, ...]:
-        """Block index of each word of A^k, in carrier order.
-
-        Blocks are canonical, so this is a restricted-growth string and a
-        canonical key: two congruences on one A^k are equal iff their labels
-        are.
-        """
-        out = [0] * self.alphabet.size**self.k
-        for b, blk in enumerate(self.blocks):
-            for w in blk:
-                out[_code(w)] = b
-        return tuple(out)
+    def blocks(self) -> tuple[tuple[Word, ...], ...]:
+        """The blocks as sorted words, blocks ordered by their least word."""
+        words = self.carrier
+        return tuple(tuple(words[x] for x in blk) for blk in _blocks(self.labels))
 
     @cached_property
     def block_of(self) -> dict[Word, int]:
@@ -263,16 +258,16 @@ class RightCongruence:
 
     @property
     def is_identity(self) -> bool:
-        return all(len(blk) == 1 for blk in self.blocks)
+        return max(self.labels) == len(self.labels) - 1
 
     @property
     def is_universal(self) -> bool:
-        return len(self.blocks) == 1
+        return max(self.labels) == 0
 
     def refines(self, other: "RightCongruence") -> bool:
         """Relation inclusion: every block of self lies inside a block of other."""
         _require_same_setting(self, other)
-        return len(set(zip(self.labels, other.labels))) == len(self.blocks)
+        return len(set(zip(self.labels, other.labels))) == max(self.labels) + 1
 
     def __str__(self) -> str:
         return " | ".join(self.block_labels)
@@ -283,24 +278,28 @@ def _require_same_setting(r1: RightCongruence, r2: RightCongruence) -> None:
         raise CongruenceError("congruences live on different A^k")
 
 
-def _from_labels(alphabet: Alphabet, k: int, labels: tuple[int, ...]) -> RightCongruence:
-    """The congruence with the given canonical labels."""
-    words = _carrier(alphabet, k)
-    blocks = tuple(tuple(words[x] for x in blk) for blk in _blocks(labels))
-    rc = RightCongruence(alphabet, k, blocks)
-    rc.__dict__["labels"] = labels  # fill the cached_property
-    return rc
+def _congruence(alphabet: Alphabet, k: int, keys) -> RightCongruence:
+    """The partition of A^k into points x with equal keys[x], checked to be
+    a right congruence.
 
-
-def validate(alphabet: Alphabet, k: int, blocks: list[list[Word]]) -> RightCongruence:
-    """Canonicalize a partition of A^k and check closure under the action.
-
-    Raises NotAPartitionError when the blocks do not cover A^k exactly once,
-    and ClosureViolation with a witness (u, v, a) when they do but the
-    right action does not preserve them.
+    Raises CongruenceError when k < 1, and ClosureViolation with a witness
+    (u, v, a) when the right action does not preserve the partition.  The
+    keys are read after the k check, so a lazy parse raises after it too.
     """
     if k < 1:
         raise CongruenceError("k must be >= 1")
+    labels = _canonical(keys)
+    witness = _closure_witness(_action(alphabet.size, k), labels)
+    if witness is not None:
+        carrier = _carrier(alphabet, k)
+        u, v, a = witness
+        raise ClosureViolation(carrier[u], carrier[v], Word(alphabet, (a,)))
+    return RightCongruence(alphabet, k, labels)
+
+
+def _parse_blocks(alphabet: Alphabet, k: int, blocks: list[list[Word]]):
+    """Yields the index of each word's block, in carrier order, once the
+    blocks are known to cover A^k exactly once."""
     carrier = _carrier(alphabet, k)
     raw = [-1] * len(carrier)
     for b, blk in enumerate(blocks):
@@ -315,21 +314,25 @@ def validate(alphabet: Alphabet, k: int, blocks: list[list[Word]]) -> RightCongr
             raw[x] = b
     if -1 in raw:
         raise NotAPartitionError(f"word {carrier[raw.index(-1)]} is not covered")
+    yield from raw
 
-    labels = _canonical(raw)
-    witness = _closure_witness(_action(alphabet.size, k), labels)
-    if witness is not None:
-        u, v, a = witness
-        raise ClosureViolation(carrier[u], carrier[v], Word(alphabet, (a,)))
-    return _from_labels(alphabet, k, labels)
+
+def validate(alphabet: Alphabet, k: int, blocks: list[list[Word]]) -> RightCongruence:
+    """Canonicalize a partition of A^k and check closure under the action.
+
+    Raises NotAPartitionError when the blocks do not cover A^k exactly once,
+    and ClosureViolation with a witness (u, v, a) when they do but the
+    right action does not preserve them.
+    """
+    return _congruence(alphabet, k, _parse_blocks(alphabet, k, blocks))
 
 
 def identity(alphabet: Alphabet, k: int) -> RightCongruence:
-    return RightCongruence(alphabet, k, tuple((w,) for w in _carrier(alphabet, k)))
+    return RightCongruence(alphabet, k, tuple(range(len(_carrier(alphabet, k)))))
 
 
 def universal(alphabet: Alphabet, k: int) -> RightCongruence:
-    return RightCongruence(alphabet, k, (_carrier(alphabet, k),))
+    return RightCongruence(alphabet, k, (0,) * len(_carrier(alphabet, k)))
 
 
 def generate(
@@ -351,20 +354,20 @@ def generate(
         if not (_in_carrier(u, alphabet, k) and _in_carrier(v, alphabet, k)):
             raise CongruenceError(f"pair ({u}, {v}) is not in A^{k} x A^{k}")
     work = [(_code(u), _code(v)) for u, v in pairs]
-    return _from_labels(alphabet, k, _close(_action(alphabet.size, k), range(n), work))
+    return RightCongruence(alphabet, k, _close(_action(alphabet.size, k), range(n), work))
 
 
 def meet(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
     """Common refinement: u ~ v iff related in both."""
     _require_same_setting(r1, r2)
-    return _from_labels(r1.alphabet, r1.k, _canonical(zip(r1.labels, r2.labels)))
+    return RightCongruence(r1.alphabet, r1.k, _canonical(zip(r1.labels, r2.labels)))
 
 
 def join(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
     """Smallest right congruence containing both relations."""
     _require_same_setting(r1, r2)
     star = _join_star(_star(r1.labels), _star_pairs(_star(r2.labels)))
-    return _from_labels(r1.alphabet, r1.k, _canonical(star))
+    return RightCongruence(r1.alphabet, r1.k, _canonical(star))
 
 
 def _set_partitions(items):
@@ -387,6 +390,18 @@ def _set_partitions(items):
     yield from rec(1, 0)
 
 
+def _enumerable_size(alphabet: Alphabet, k: int, carrier_bound: int) -> int:
+    """The size of A^k, once it is known that both enumerations may run."""
+    if k < 1:
+        raise CongruenceError("k must be >= 1")
+    n = len(_carrier(alphabet, k))
+    if n > HARD_CARRIER_BOUND:
+        raise BoundExceeded(f"carrier size {n} exceeds hard bound {HARD_CARRIER_BOUND}")
+    if n > carrier_bound:
+        raise BoundExceeded(f"carrier size {n} exceeds bound {carrier_bound}")
+    return n
+
+
 def enumerate_all(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIER_BOUND) -> list[RightCongruence]:
     """Every right congruence on A^k, by filtering all set partitions.
 
@@ -394,17 +409,11 @@ def enumerate_all(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRI
     checked against, so it must stay definitional.  Each partition goes
     through the same closure check as ``validate``.
     """
-    if k < 1:
-        raise CongruenceError("k must be >= 1")
-    carrier = _carrier(alphabet, k)
-    if len(carrier) > HARD_CARRIER_BOUND:
-        raise BoundExceeded(f"carrier size {len(carrier)} exceeds hard bound {HARD_CARRIER_BOUND}")
-    if len(carrier) > carrier_bound:
-        raise BoundExceeded(f"carrier size {len(carrier)} exceeds bound {carrier_bound}")
+    n = _enumerable_size(alphabet, k, carrier_bound)
     nxt = _action(alphabet.size, k)
-    kept = [s for s in _set_partitions(range(len(carrier))) if _closure_witness(nxt, s) is None]
+    kept = [s for s in _set_partitions(range(n)) if _closure_witness(nxt, s) is None]
     kept.sort(key=_blocks)
-    return [_from_labels(alphabet, k, s) for s in kept]
+    return [RightCongruence(alphabet, k, s) for s in kept]
 
 
 def enumerate_rc(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIER_BOUND) -> list[RightCongruence]:
@@ -416,14 +425,7 @@ def enumerate_rc(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIE
     instead of a closure check per set partition.  Same list, order and
     refusals as ``enumerate_all``.
     """
-    if k < 1:
-        raise CongruenceError("k must be >= 1")
-    carrier = _carrier(alphabet, k)
-    if len(carrier) > HARD_CARRIER_BOUND:
-        raise BoundExceeded(f"carrier size {len(carrier)} exceeds hard bound {HARD_CARRIER_BOUND}")
-    if len(carrier) > carrier_bound:
-        raise BoundExceeded(f"carrier size {len(carrier)} exceeds bound {carrier_bound}")
-    n = len(carrier)
+    n = _enumerable_size(alphabet, k, carrier_bound)
     nxt = _action(alphabet.size, k)
     principal: dict[tuple[int, ...], tuple[int, int]] = {}
     for u in range(n):
@@ -441,7 +443,7 @@ def enumerate_rc(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIE
                     seen.add(y)
                     todo.append(y)
     kept = sorted(map(_canonical, seen), key=_blocks)
-    return [_from_labels(alphabet, k, s) for s in kept]
+    return [RightCongruence(alphabet, k, s) for s in kept]
 
 
 @dataclass

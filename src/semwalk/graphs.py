@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .congruences import RightCongruence, _carrier, identity, validate
+from .congruences import RightCongruence, _carrier, _congruence, identity
 from .words import Alphabet, Word
 
 MAX_MORPHISM_VERTICES = 10_000
@@ -125,12 +125,11 @@ def zeta(graph: AGraph, k: int) -> RightCongruence:
     """
     if not graph.strongly_connected:
         raise GraphError("zeta requires a strongly connected graph")
-    buckets: dict[frozenset[int], list[Word]] = {}
-    for w, img in zip(_carrier(graph.alphabet, k), graph.images(k)):
+    images = graph.images(k)
+    for w, img in zip(_carrier(graph.alphabet, k), images):
         if len(img) != 1:
             raise GraphError(f"not a {k}-reset graph: {w} has image of size {len(img)}")
-        buckets.setdefault(img, []).append(w)
-    return validate(graph.alphabet, k, list(buckets.values()))
+    return _congruence(graph.alphabet, k, images)
 
 
 def morphism(source: AGraph, target: AGraph) -> tuple[int, ...] | None:

@@ -15,7 +15,8 @@ from typing import Iterable, Iterator
 
 LETTER_POOL = "abcdefghijklmnopqrstuvwxyz"
 
-# Guard for words_of_length: refuse to materialize more than this many words.
+# Guard for words_of_length: refuse to materialize more than this many words,
+# or a word longer than this.
 DEFAULT_ENUMERATION_LIMIT = 1 << 16
 
 
@@ -98,9 +99,6 @@ class Word:
     def concat(self, other: "Word") -> "Word":
         _require_same_alphabet(self, other)
         return Word(self.alphabet, self.indices + other.indices)
-
-    def append(self, letter: "Word") -> "Word":
-        return self.concat(letter)
 
 
 def epsilon(alphabet: Alphabet) -> Word:
@@ -192,6 +190,9 @@ def words_of_length(alphabet: Alphabet, length: int, limit: int = DEFAULT_ENUMER
         # g^length > 2^bit_length > limit; a count this large is not worth
         # computing, nor printable past a few thousand digits.
         raise WordLimitExceeded(f"refusing to enumerate {alphabet.size}^{length} words (limit {limit})")
+    if length > limit:
+        # Reached with one letter only: a single word, no longer than the limit.
+        raise WordLimitExceeded(f"refusing to build a word of length {length} (limit {limit})")
     count = alphabet.size**length
     if count > limit:
         raise WordLimitExceeded(f"refusing to enumerate {count} words (limit {limit})")

@@ -338,6 +338,13 @@ def test_lattice_census_word_limit_is_a_bound_refusal(capsys):
     assert json.loads(err) == {"error": "bound", "message": "refusing to enumerate 131072 words (limit 65536)"}
 
 
+def test_lattice_census_one_letter_word_length_is_a_bound_refusal(capsys):
+    code, out, err = run(capsys, "lattice", "census", "-g", "1", "-k", "100000")
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "bound", "message": "refusing to build a word of length 100000 (limit 65536)"}
+    assert run_json(capsys, "lattice", "census", "-g", "1", "-k", "3")["count"] == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -10,8 +10,10 @@ the sparse walk step against the dense transition matrix and the Gaussian
 solver, the simulator against the buffer-slicing loop it replaced, and its
 blocked letter stream against one ``randrange`` draw per letter.  The
 integer reset, suffix-class, lcs and ideal scans of ``codes`` against the
-Word-level scans they replaced, copied below, and the integer ``word_prob``
-and sparse ``left_apply`` against their Fraction loops.
+Word-level scans they replaced, copied below; its keyed semaphore test,
+``IdealRep`` checks, ``restrict_k``, ``in_ideal``, ``tau_of`` and ideal
+meet, join and order against pairwise ``is_suffix`` scans; and the integer
+``word_prob`` and sparse ``left_apply`` against their Fraction loops.
 
 Lattice order: ``enumerate_rc`` (join closure of the principal
 congruences) against ``enumerate_all``, the equivalence join against the
@@ -51,8 +53,12 @@ from semwalk import (
     epsilon,
     from_generators,
     generate,
+    ideal_join,
+    ideal_leq,
+    ideal_meet,
     identity,
     is_factor,
+    is_semaphore,
     is_special,
     is_suffix,
     join,
@@ -68,14 +74,15 @@ from semwalk import (
     solve_stationary,
     stationary,
     suffix_classes,
+    tau_of,
     transition_matrix,
     universal,
     validate,
     words_of_length,
 )
 from semwalk import congruences, walks
-from semwalk.codes import ideal_from_members
-from semwalk.words import words_up_to_length
+from semwalk.codes import SemaphoreCheck, ideal_from_members
+from semwalk.words import suffixes, words_up_to_length
 
 SETTINGS = [(2, 2), (2, 3), (3, 1), (3, 2)]
 
@@ -201,6 +208,15 @@ def test_enumerate_all_counts_and_every_element_validates():
         assert len({rc.labels for rc in elements}) == count
         for rc in elements:
             assert validate(alphabet, k, [list(blk) for blk in rc.blocks]) == rc
+
+
+@pytest.mark.parametrize("letters, k", [("ab", 3), ("abc", 2)])
+def test_labels_and_blocks_are_the_same_key(letters, k):
+    alphabet = Alphabet(letters)
+    rcs = enumerate_rc(alphabet, k, carrier_bound=9)
+    assert len(set(rcs)) == len({rc.blocks for rc in rcs}) == len(rcs)
+    for rc in rcs:
+        assert validate(alphabet, k, rc.blocks) == rc
 
 
 # ------------------------------------------------------------ codes, walks
@@ -544,6 +560,104 @@ def test_suffix_classes_raises_the_word_level_error(words, k):
 def test_enumerate_ideals_matches_the_subset_filter(g, k):
     alphabet = Alphabet.of_size(g)
     assert enumerate_ideals(alphabet, k) == word_enumerate_ideals(alphabet, k)
+
+
+# The keyed constructors and lookups of ``codes`` against pairwise Word scans.
+
+
+def word_is_semaphore(alphabet, words):
+    ws = sorted(set(words))
+    if ws == [epsilon(alphabet)]:
+        return SemaphoreCheck(True)
+    if any(w.is_empty for w in ws):
+        return SemaphoreCheck(False, comparable=(epsilon(alphabet), next(w for w in ws if len(w))))
+    for u, v in itertools.combinations(ws, 2):
+        if is_suffix(u, v) or is_suffix(v, u):
+            return SemaphoreCheck(False, comparable=(u, v))
+    for s in ws:
+        for a in alphabet:
+            if not any(t in ws for t in suffixes(s.concat(a)) if len(t)):
+                return SemaphoreCheck(False, stuck=(s, a))
+    return SemaphoreCheck(True)
+
+
+def word_ideal_refusal(code, k):
+    """The message IdealRep(code, k) raises for a finite code of words of
+    length <= k: the longest proper code suffix of the first code word that
+    has one, else the first word of A^k without a code suffix; or None."""
+    for v in code.words:
+        below = [u for u in code.words if len(u) < len(v) and is_suffix(u, v)]
+        if below:
+            return f"not a suffix code: {max(below, key=len)} is a suffix of {v}"
+    for w in words_of_length(code.alphabet, k):
+        if not any(is_suffix(s, w) for s in code.words):
+            return f"word {w} of A^{k} has no suffix in the code"
+    return None
+
+
+def word_restricted_words(code, k):
+    short = [w for w in code.words if len(w) <= k]
+    return short + [w for w in words_of_length(code.alphabet, k) if not any(is_suffix(s, w) for s in short)]
+
+
+def value_or_message(fn, *args):
+    """The value of fn(*args), or the message of the CodeError it raises."""
+    try:
+        return fn(*args)
+    except CodeError as e:
+        return str(e)
+
+
+def assert_restrict_k_matches(code):
+    for k in range(1, 4):
+        restricted = SemaphoreCode(code.alphabet, tuple(word_restricted_words(code, k)))
+        assert value_or_message(restrict_k, code, k) == (word_ideal_refusal(restricted, k) or IdealRep(restricted, k))
+
+
+def assert_ideal_scans_match(ideal):
+    alphabet, k, code = ideal.alphabet, ideal.k, ideal.code
+    assert tau_of(ideal) == validate(alphabet, k, word_suffix_classes(alphabet, k, code))
+    for w in [epsilon(alphabet)] + words_up_to_length(alphabet, k + 1):
+        assert code.in_ideal(w) == any(is_suffix(s, w) for s in code.words)
+
+
+@st.composite
+def word_sets(draw):
+    g = draw(st.integers(1, 3))
+    alphabet = Alphabet.of_size(g)
+    word = st.lists(st.integers(0, g - 1), max_size=3).map(lambda idx: Word(alphabet, idx))
+    return alphabet, draw(st.sets(word, max_size=5))
+
+
+@given(word_sets(), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_keyed_code_checks_match_the_word_level_scans(case, extra):
+    alphabet, words = case
+    assert is_semaphore(alphabet, words) == word_is_semaphore(alphabet, words)
+    code = SemaphoreCode(alphabet, tuple(words))
+    if epsilon(alphabet) not in code:
+        assert_restrict_k_matches(code)
+    k = min(code.max_len + extra, 3)
+    ideal = value_or_message(IdealRep, code, k)
+    expected = word_ideal_refusal(code, k)
+    assert ideal == (expected or IdealRep(code, k))
+    if expected is None and k >= 1:
+        assert_ideal_scans_match(ideal)
+
+
+@pytest.mark.parametrize("g, k", [(2, 3), (3, 2)])
+def test_keyed_ideal_operations_match_on_every_enumerated_ideal(enumerated_ideals, g, k):
+    ideals = enumerated_ideals[(g, k)]
+    members = [word_members_below_k(ideal) for ideal in ideals]
+    for ideal in ideals:
+        assert word_ideal_refusal(ideal.code, k) is None
+        assert_ideal_scans_match(ideal)
+        if not ideal.code.is_epsilon:
+            assert_restrict_k_matches(ideal.code)
+    for (i1, m1), (i2, m2) in itertools.product(zip(ideals, members), repeat=2):
+        assert ideal_meet(i1, i2) == word_ideal_from_members(i1.alphabet, k, m1 & m2)
+        assert ideal_join(i1, i2) == word_ideal_from_members(i1.alphabet, k, m1 | m2)
+        assert ideal_leq(i1, i2) == (m1 <= m2)
 
 
 @given(st.data())

@@ -19,7 +19,7 @@ from semwalk import (
     truncate_suffix,
     words_of_length,
 )
-from semwalk.words import suffixes, words_up_to_length
+from semwalk.words import DEFAULT_ENUMERATION_LIMIT, WordLimitExceeded, suffixes, words_up_to_length
 
 
 @pytest.fixture
@@ -153,6 +153,15 @@ def test_words_of_length_order_and_counts(ab):
 def test_words_of_length_overflow_guard(ab):
     with pytest.raises(WordError):
         words_of_length(ab, 20, limit=1000)
+
+
+def test_words_of_length_bounds_the_length_of_a_one_letter_word():
+    a = Alphabet("a")
+    with pytest.raises(WordLimitExceeded, match="refusing to build a word of length 65537"):
+        words_of_length(a, DEFAULT_ENUMERATION_LIMIT + 1)
+    with pytest.raises(WordLimitExceeded):
+        words_of_length(a, 11, limit=10)
+    assert [len(w) for w in words_of_length(a, 10, limit=10)] == [10]
 
 
 def test_word_ordering_is_shortlex(ab):
