@@ -62,6 +62,10 @@ class SemaphoreCode:
     infinite_tail: bool = False
 
     def __post_init__(self) -> None:
+        letters = self.alphabet.letters  # equal letters are equal alphabets, and cheaper to compare
+        stray = next((w for w in self.words if w.alphabet.letters != letters), None)
+        if stray is not None:
+            raise CodeError(f"code word {stray} is not over the alphabet {letters!r}")
         # Keys sort as their words do, shortlex.
         keyed = sorted({_key(w): w for w in self.words}.items())
         object.__setattr__(self, "words", tuple(w for _, w in keyed))
@@ -111,9 +115,13 @@ class IdealRep:
             u = next(_suffix_keys(index, g, n - 1, x), None)
             if u is not None:
                 raise CodeError(f"not a suffix code: {words[index[u]]} is a suffix of {v}")
-        for x, w in enumerate(_carrier(self.alphabet, self.k)):
-            if not any(_suffix_keys(index, g, self.k, x)):
-                raise CodeError(f"word {w} of A^{self.k} has no suffix in the code")
+        carrier = _carrier(self.alphabet, self.k)  # refuses an A^k too large to list
+        # A suffix code covers the g^(k-|s|) words of A^k ending in each s,
+        # and no word twice, so it covers A^k iff these counts sum to g^k.
+        if sum(g ** (self.k - n) for n, _ in index) < len(carrier):
+            for x, w in enumerate(carrier):
+                if not any(_suffix_keys(index, g, self.k, x)):
+                    raise CodeError(f"word {w} of A^{self.k} has no suffix in the code")
 
     @property
     def alphabet(self) -> Alphabet:

@@ -14,8 +14,8 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from math import lcm
+from itertools import accumulate, chain
+from math import lcm, prod
 
 from .codes import CodeError, IdealRep, action_table, lower_approx, reset_code
 # code_action is unused here but stays importable as walks.code_action for callers.
@@ -163,6 +163,20 @@ def transition_matrix(ideal: IdealRep, pi: LetterDistribution) -> TransitionMatr
     return _matrix(tuple(str(w) for w in ideal.code.words), _code_table(ideal, pi), pi)
 
 
+def _is_fixpoint(nxt: list[list[int]], pi: LetterDistribution, weights: list[int]) -> bool:
+    """Whether the vector ``weights`` / c, for any c > 0, is fixed by one
+    walk step: ``advance`` on integers, with the letter probabilities as
+    numerators over their common denominator d.  The step sends weight
+    w_i * num_a to state nxt[i][a], and the vector is fixed iff every state
+    then holds d times its own weight."""
+    out = [0] * len(nxt)
+    for x, succ in zip(weights, nxt):
+        for p, j in zip(pi._numerators, succ):
+            out[j] += x * p
+    d = pi._denominator
+    return all(y == d * x for x, y in zip(weights, out))
+
+
 def advance(nxt: list[list[int]], pi: LetterDistribution, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """One step of the walk on a distribution: ``vec`` times the transition
     matrix, read off the action table in O(n*g) exact operations."""
@@ -184,20 +198,22 @@ def stationary(ideal: IdealRep, pi: LetterDistribution) -> StationaryVector:
     """Closed-form stationary distribution: the word probabilities.
 
     The result is asserted to be an exact fixpoint of one walk step, taken
-    through the action table.  A non-positive distribution still satisfies
-    the equations but loses the uniqueness argument, hence the warning.
+    through the action table on integers: with d the common denominator and
+    L the longest code word, word w has probability N_w / d^L, where
+    N_w = d^(L-|w|) times the numerators of its letters.  A non-positive
+    distribution still satisfies the equations but loses the uniqueness
+    argument, hence the warning.
     """
     if not pi.positive:
         warnings.warn("non-positive letter distribution: stationary vector may not be unique")
     code = ideal.code
     if code.is_epsilon:
         raise CodeError("the one-word code has no action; its chain is the 1x1 identity")
-    vec = StationaryVector(
-        tuple(str(w) for w in code.words), tuple(pi.word_prob(w) for w in code.words)
-    )
-    if advance(_code_table(ideal, pi), pi, vec.values) != vec.values:
+    d, top = pi._denominator, code.max_len
+    weights = [d ** (top - len(w)) * prod(pi._numerators[i] for i in w.indices) for w in code.words]
+    if not _is_fixpoint(_code_table(ideal, pi), pi, weights):
         raise AssertionError("closed-form stationary vector is not a fixpoint")
-    return vec
+    return StationaryVector(tuple(str(w) for w in code.words), tuple(Fraction(x, d**top) for x in weights))
 
 
 def solve_stationary(matrix: TransitionMatrix) -> StationaryVector:
@@ -423,18 +439,38 @@ def _letter_blocks(rng: random.Random, denom: int, cuts: list[int], steps: int):
         buffer = buffer[size:]
 
 
+def _chunk_length(g: int, states: int, steps: int) -> int:
+    """Letters per chunk: the largest m with g^m <= 256 whose table of
+    states * g^m entries is at most steps / 16, and at least 1.  Building
+    the table and spreading its counts cost a few operations per entry,
+    against one loop pass per m letters, so set-up stays a small share."""
+    return max((m for m in range(2, 9) if g**m <= 256 and 16 * states * g**m <= steps), default=1)
+
+
 def simulate(ideal: IdealRep, pi: LetterDistribution, steps: int, seed: int) -> SimulationResult:
     """Seeded Monte-Carlo walk on the code words of an ideal.
 
-    One letter stream drives both statistics: the chain state is updated
-    every step for the visit counts, and the same stream is chopped into
-    reset episodes (an episode ends as soon as the letters read since its
-    start have a suffix in the code).  Letters are drawn by exact cumulative
-    inversion over a common denominator, so the sampler honours pi exactly.
-    They are drawn in blocks from the generator's 32-bit outputs: like
-    ``randrange(denom)``, each letter reads the top bits of one output and
-    skips outputs whose bits reach denom, so a seed gives the same walk as
-    one ``randrange`` per step (see ``_letter_blocks``).
+    One letter stream drives both statistics: the visit counts of the chain
+    and the reset episodes (an episode ends as soon as the letters read
+    since its start have a suffix in the code).  Letters are drawn by exact
+    cumulative inversion over a common denominator, so the sampler honours
+    pi exactly.  They are drawn in blocks from the generator's 32-bit
+    outputs: like ``randrange(denom)``, each letter reads the top bits of
+    one output and skips outputs whose bits reach denom, so a seed gives
+    the same walk as one ``randrange`` per step (see ``_letter_blocks``).
+
+    The walk runs on augmented states (since, s): s is the code word
+    reached, since the number of letters read in the current episode, in
+    [0, len(s)).  The state is the unique code suffix of all letters read,
+    so the episode's letters have a suffix in the code iff s fits in them,
+    and a step to s' lands on since 0 when len(s') <= since + 1: an episode
+    ends exactly on a visit to a since-0 state.  The walk reads m letters
+    at a time, one byte per chunk computed from the block in C, through a
+    table of the state after each of the g^m chunks from each state; the
+    loop only counts (state, chunk) pairs, and each count is spread along
+    its chunk's path into the visits at the end.  m comes from the sizes
+    (``_chunk_length``), and the last letters of the stream, fewer than m,
+    take single steps.
     """
     if type(steps) is not int or steps < 1:
         raise WalkError("steps must be an integer >= 1")
@@ -449,27 +485,66 @@ def simulate(ideal: IdealRep, pi: LetterDistribution, steps: int, seed: int) -> 
     cuts = list(accumulate(pi._numerators))
 
     nxt = _code_table(ideal, pi)
-    lengths = [len(w) for w in code.words]
+    g, lengths = len(cuts), [len(w) for w in code.words]
+    # (since, s) is the augmented state offset[s] + since; cols[l][a] is
+    # the state after letter l from a.  Their entries share the ints of ``ids``.
+    offset = [0, *accumulate(lengths)]
+    ids = list(range(offset[-1]))
+    cols = tuple(zip(*(
+        [ids[offset[t] + (since + 1 if since + 1 < lengths[t] else 0)] for t in succ]
+        for succ, n in zip(nxt, lengths)
+        for since in range(n)
+    )))
 
-    state = 0
-    since = 0  # letters read in the current episode
-    visits = [0] * len(nxt)
-    episodes = 0
-    for letters in _letter_blocks(random.Random(seed), denom, cuts, steps):
-        for letter in letters:
-            state = nxt[state][letter]
-            visits[state] += 1
-            since += 1
-            # The state is the unique code suffix of all letters read (a covering
-            # suffix code), so the episode's letters have one iff it fits in them.
-            if lengths[state] <= since:
-                episodes += 1
-                since = 0
+    def extend(path):
+        """The states one letter further along each path, letters in order."""
+        return chain.from_iterable(zip(*(map(col.__getitem__, path) for col in cols)))
 
-    mean = (steps - since) / episodes if episodes else float("nan")
+    m = _chunk_length(g, len(ids), steps)
+    # paths[j][a*g^j + p]: the state reached from a by the j letters p.
+    paths = [ids]
+    for _ in range(m - 1):
+        paths.append(list(extend(paths[-1])))
+    # The loop holds its state times g^m, so state + chunk indexes the table.
+    scaled = [a * g**m for a in ids]
+    table = list(map(scaled.__getitem__, extend(paths[-1])))
+    pairs = [0] * len(table)
+    # Chunk l_0..l_{m-1} is the byte sum of l_j * g^(m-1-j), below g^m <= 256.
+    place = [bytes(l * g ** (m - 1 - j) for l in range(g)).ljust(256, b"\0") for j in range(m)]
+
+    a, rest = 0, b""
+    for block in _letter_blocks(random.Random(seed), denom, cuts, steps):
+        letters = rest + block
+        q = len(letters) // m
+        rest = letters[q * m :]
+        chunks = sum(int.from_bytes(letters[j : q * m : m].translate(place[j]), "little") for j in range(m))
+        for c in chunks.to_bytes(q, "little"):
+            i = a + c
+            a = table[i]
+            pairs[i] += 1
+
+    a //= g**m
+    aug = [0] * len(ids)  # visits of each augmented state
+    # The visits after each chunk's last letter: the chunk starts, counted
+    # below through paths[0], less the first one, plus the last end.
+    aug[a] += 1
+    aug[0] -= 1
+    for letter in rest:
+        a = cols[letter][a]
+        aug[a] += 1
+    counts = pairs
+    for path in reversed(paths):
+        # The counts of the chunk prefixes one letter shorter.
+        counts = list(map(sum, zip(*[iter(counts)] * g)))
+        for t, c in zip(path, counts):
+            aug[t] += c
+
+    episodes = sum(aug[i] for i in offset[:-1])
+    unfinished = a - offset[bisect_right(offset, a) - 1]  # letters of the last, open episode
+    mean = (steps - unfinished) / episodes if episodes else float("nan")
     return SimulationResult(
         labels=tuple(str(w) for w in code.words),
-        visits=tuple(visits),
+        visits=tuple(sum(aug[i:j]) for i, j in zip(offset, offset[1:])),
         steps=steps,
         seed=seed,
         episodes=episodes,

@@ -164,6 +164,17 @@ def test_ideal_rep_requires_a_suffix_code(ab):
     assert IdealRep(mkcode(ab, [""]), 2).code.is_epsilon
 
 
+def test_code_words_must_be_over_the_code_alphabet(ab):
+    abc = Alphabet("abc")
+    with pytest.raises(CodeError, match="^code word c is not over the alphabet 'ab'$"):
+        SemaphoreCode(ab, (abc.word("c"),))
+    # The first stray word in the given order is named, also when its letters are in ab.
+    with pytest.raises(CodeError, match="^code word b is not over the alphabet 'ab'$"):
+        SemaphoreCode(ab, (ab.word("a"), abc.word("b"), abc.word("c")))
+    with pytest.raises(CodeError, match="^code word  is not over the alphabet 'abc'$"):
+        SemaphoreCode(abc, (epsilon(ab),))
+
+
 def test_tau_of_running_code(ab, five_class):
     rc = tau_of(IdealRep(mkcode(ab, EQ3_CODE), 3))
     assert [[str(w) for w in blk] for blk in rc.blocks] == [

@@ -7,13 +7,15 @@ closure is a fixpoint of symmetry, transitivity and (u, v) -> (u*a, v*a).
 
 Codes and walks: the action table against ``code_action`` entry by entry,
 the sparse walk step against the dense transition matrix and the Gaussian
-solver, the simulator against the buffer-slicing loop it replaced, and its
-blocked letter stream against one ``randrange`` draw per letter.  The
+solver, the integer fixpoint check against ``advance``, the simulator at
+every chunk length against the buffer-slicing loop of an earlier version,
+and its blocked letter stream against one ``randrange`` draw per letter.  The
 integer reset, suffix-class, lcs and ideal scans of ``codes`` against the
 Word-level scans they replaced, copied below; its keyed semaphore test,
-``IdealRep`` checks, ``restrict_k``, ``in_ideal``, ``tau_of`` and ideal
-meet, join and order against pairwise ``is_suffix`` scans; and the integer
-``word_prob`` and sparse ``left_apply`` against their Fraction loops.
+``IdealRep`` checks (the cover sum included), ``restrict_k``,
+``in_ideal``, ``tau_of`` and ideal meet, join and order against pairwise
+``is_suffix`` scans; and the integer ``word_prob`` and sparse
+``left_apply`` against their Fraction loops.
 
 Lattice order: ``enumerate_rc`` (join closure of the principal
 congruences) against ``enumerate_all``, the equivalence join against the
@@ -422,6 +424,107 @@ def test_simulate_matches_the_buffer_slicing_loop_on_wide_and_rejecting_draws(en
             assert (got.visits, got.episodes, got.mean_reset_time) == buffer_slicing_simulate(ideal, pi, steps, i)
 
 
+# The chunked loop at every chunk length m a code allows, forced through
+# ``_chunk_length``: step counts below, at and just past m, and past one
+# and two letter blocks, so that chunks straddle the block boundary and a
+# tail shorter than m is left at the end.
+@lru_cache(maxsize=None)
+def chunk_cases():
+    ab, abc, abcd = (Alphabet.of_size(g) for g in (2, 3, 4))
+    five = validate(ab, 3, [[ab.word(w) for w in blk.split()] for blk in ["aaa baa aba", "bba", "aab bab", "abb", "bbb"]])
+    g3 = restrict_k(from_generators(abc, {abc.word("ab"), abc.word("cc")}, 3), 3)
+    g4 = restrict_k(from_generators(abcd, {abcd.word("ad"), abcd.word("c"), abcd.word("bdb")}, 3), 3)
+    a = Alphabet("a")
+    return (
+        (reset_code(five), distribution(ab, [1, 2])),
+        (reset_code(five), distribution(ab, [200, 313])),  # 9-bit denominator: one randrange per letter
+        (g3, distribution(abc, [2, 3, 4])),
+        (g3, distribution(abc, [100, 150, 263])),
+        (g4, distribution(abcd, [1, 2, 3, 4])),
+        (IdealRep(SemaphoreCode(a, (a.word("aa"),)), 2), LetterDistribution.uniform(a)),  # one word
+    )
+
+
+def exact(visits, episodes, mean):
+    """The outcome with the mean as its repr, so that nan equals nan."""
+    return visits, episodes, repr(mean)
+
+
+@lru_cache(maxsize=None)
+def chunk_oracle(case, steps):
+    ideal, pi = chunk_cases()[case]
+    return exact(*buffer_slicing_simulate(ideal, pi, steps, case))
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_the_chunked_loop_matches_the_buffer_slicing_loop_at_every_chunk_length(monkeypatch, case):
+    ideal, pi = chunk_cases()[case]
+    g, block = ideal.alphabet.size, walks._BLOCK
+    for m in [m for m in range(1, 9) if g**m <= 256]:
+        monkeypatch.setattr(walks, "_chunk_length", lambda g, states, steps: m)
+        for steps in sorted({1, 2, 3, max(m - 1, 1), m, m + 1, block - 1, block + 1 + m // 2, 2 * block + m - 1}):
+            got = simulate(ideal, pi, steps=steps, seed=case)
+            assert exact(got.visits, got.episodes, got.mean_reset_time) == chunk_oracle(case, steps), (m, steps)
+
+
+def test_chunk_length_follows_the_alphabet_and_the_table_size():
+    assert walks._chunk_length(2, 2048, 10**6) == 4  # the 256-word code of identity(ab, 8)
+    assert walks._chunk_length(2, 16, 10**6) == 8  # the five-class reset code
+    assert walks._chunk_length(3, 1, 10**9) == 5
+    assert walks._chunk_length(4, 1, 10**9) == 4
+    assert walks._chunk_length(1, 2, 10**6) == 8
+    assert walks._chunk_length(17, 1, 10**9) == 1
+    assert walks._chunk_length(2, 16, 16 * 16 * 4 - 1) == 1
+    assert walks._chunk_length(2, 16, 16 * 16 * 4) == 2
+
+
+def test_a_code_large_against_the_steps_walks_a_letter_at_a_time(enumerated_ideals):
+    ideal, pi = enumerated_ideals[2, 4][200], distribution(Alphabet("ab"), [2, 5])
+    states = sum(len(w) for w in ideal.code.words)
+    for steps in (1, 2, 3, 16 * states * 4 - 1):
+        assert walks._chunk_length(2, states, steps) == 1
+        got = simulate(ideal, pi, steps=steps, seed=steps)
+        assert exact(got.visits, got.episodes, got.mean_reset_time) == exact(*buffer_slicing_simulate(ideal, pi, steps, steps))
+    assert walks._chunk_length(2, states, 16 * states * 4) == 2
+
+
+def test_the_epsilon_code_has_no_chain_to_simulate():
+    ab = Alphabet("ab")
+    ideal = IdealRep(SemaphoreCode(ab, (epsilon(ab),)), 2)
+    with pytest.raises(CodeError, match="no chain to simulate"):
+        simulate(ideal, LetterDistribution.uniform(ab), steps=10, seed=1)
+
+
+@pytest.mark.parametrize("g, k", [(2, 3), (3, 2)])
+def test_the_integer_fixpoint_check_agrees_with_advance(enumerated_ideals, g, k):
+    alphabet = Alphabet.of_size(g)
+    pi = distribution(alphabet, [3, 4, 6][:g])
+    for ideal in enumerated_ideals[g, k]:
+        if ideal.code.is_epsilon:
+            continue
+        nxt, fixed = action_table(ideal.code), stationary(ideal, pi).values
+        assert advance(nxt, pi, fixed) == fixed
+        scale = lcm(*(v.denominator for v in fixed))
+        weights = [v.numerator * (scale // v.denominator) for v in fixed]
+        assert walks._is_fixpoint(nxt, pi, weights)
+        assert walks._is_fixpoint(nxt, pi, [7 * x for x in weights])
+        if len(weights) > 1:
+            moved = [weights[0] + 1, weights[1] - 1, *weights[2:]]
+            vec = tuple(Fraction(x, scale) for x in moved)
+            assert not walks._is_fixpoint(nxt, pi, moved)
+            assert advance(nxt, pi, vec) != vec
+
+
+def test_stationary_raises_when_the_table_does_not_fix_the_word_probabilities(monkeypatch, five_class):
+    ideal, pi = reset_code(five_class), distribution(Alphabet("ab"), [1, 2])
+    vec = stationary(ideal, pi).values
+    wrong = [row[::-1] for row in action_table(ideal.code)]  # each letter acts as the other
+    assert advance(wrong, pi, vec) != vec
+    monkeypatch.setattr(walks, "_code_table", lambda ideal, pi: wrong)
+    with pytest.raises(AssertionError, match="not a fixpoint"):
+        stationary(ideal, pi)
+
+
 # ------------------------------------------------- Word-level code scans
 
 # The scans of ``codes`` as they were before they moved onto integers.
@@ -643,6 +746,19 @@ def test_keyed_code_checks_match_the_word_level_scans(case, extra):
     assert ideal == (expected or IdealRep(code, k))
     if expected is None and k >= 1:
         assert_ideal_scans_match(ideal)
+
+
+@given(generated_ideals(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_cover_sum_matches_the_scan(ideal, data):
+    # Any subset of a covering suffix code is a suffix code; it covers A^k
+    # iff the words of A^k below its words number g^k.
+    alphabet, k, g = ideal.alphabet, ideal.k, ideal.alphabet.size
+    kept = data.draw(st.lists(st.sampled_from(ideal.code.words), unique=True, max_size=len(ideal.code.words)))
+    code = SemaphoreCode(alphabet, tuple(kept))
+    covered = all(any(is_suffix(s, w) for s in kept) for w in words_of_length(alphabet, k))
+    assert (sum(g ** (k - len(s)) for s in kept) == g**k) == covered
+    assert value_or_message(IdealRep, code, k) == (word_ideal_refusal(code, k) or IdealRep(code, k))
 
 
 @pytest.mark.parametrize("g, k", [(2, 3), (3, 2)])
