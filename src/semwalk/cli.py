@@ -18,10 +18,10 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
+from math import gcd
 
 from . import codes, congruences, graphs, walks
-from .words import Alphabet, Word, WordError, WordLimitExceeded
+from .words import Alphabet, WordError, WordLimitExceeded
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -79,31 +79,18 @@ def _as_list(value) -> list:
     return value
 
 
-def _parse_congruence_file(path: str) -> tuple[Alphabet, int, list[list[Word]]]:
-    """Returns the raw block lists in file order; canonicalization is the
-    caller's concern so that output can be aligned back to the input."""
+def _parse_code_file(path: str) -> tuple[codes.IdealRep, list[str], list[tuple[int, int]]]:
+    """Returns the ideal, and the code words as written in the file with
+    their keys, so that output can be aligned back to the input."""
     data = _load_json(path)
     alphabet = _alphabet_of(data, path)
     try:
-        k = _k_of(data["k"])
-        blocks = [[alphabet.word(str(w)) for w in _as_list(blk)] for blk in _as_list(data["blocks"])]
-    except _FIELD_ERRORS as e:
-        raise ParseFailure(f"{path}: malformed congruence: {e}") from e
-    return alphabet, k, blocks
-
-
-def _parse_code_file(path: str) -> tuple[codes.IdealRep, list[str]]:
-    """Returns the ideal and the code words as written in the file, so that
-    output can be aligned back to the input."""
-    data = _load_json(path)
-    alphabet = _alphabet_of(data, path)
-    try:
-        word_list = [alphabet.word(str(w)) for w in _as_list(data["code"])]
-        k = _k_of(data["k"]) if "k" in data else max((len(w) for w in word_list), default=1)
+        order = [str(w) for w in _as_list(data["code"])]
+        keys = alphabet.keys_of(order)
+        k = _k_of(data["k"]) if "k" in data else max((n for n, _ in keys), default=1)
     except _FIELD_ERRORS as e:
         raise ParseFailure(f"{path}: malformed code: {e}") from e
-    code = codes.SemaphoreCode(alphabet, tuple(word_list))
-    return codes.IdealRep(code, k), [str(w) for w in word_list]
+    return codes.IdealRep(codes.SemaphoreCode.from_keys(alphabet, keys), k), order, keys
 
 
 def _pi_arg(alphabet: Alphabet, text: str) -> walks.LetterDistribution:
@@ -111,6 +98,13 @@ def _pi_arg(alphabet: Alphabet, text: str) -> walks.LetterDistribution:
         return walks.LetterDistribution.parse(alphabet, text)
     except (ValueError, ZeroDivisionError) as e:
         raise ParseFailure(f"bad --pi value: {e}") from e
+
+
+def _ratio(num: int, den: int) -> str:
+    """num/den in ``str(Fraction(num, den))`` form: reduced, and a bare
+    integer when the denominator is 1."""
+    common = gcd(num, den)
+    return f"{num // common}/{den // common}" if common != den else str(num // common)
 
 
 def _congruence_json(rc: congruences.RightCongruence) -> dict:
@@ -128,7 +122,7 @@ def _code_json(ideal: codes.IdealRep) -> dict:
         "k": ideal.k,
         "infinite_tail": ideal.code.infinite_tail,
     }
-    if any(w.is_empty for w in ideal.code.words):
+    if ideal.code.keys[:1] == ((0, 0),):
         # The empty word renders as ""; flag it so the payload is unambiguous.
         payload["epsilon"] = True
     return payload
@@ -147,12 +141,23 @@ def _emit(payload: dict, args) -> None:
 # ---------------------------------------------------------------- rc group
 
 
-def _read_congruence(args) -> congruences.RightCongruence:
-    return congruences.validate(*_parse_congruence_file(args.infile))
+def _read_congruence(args) -> tuple[congruences.RightCongruence, list[int]]:
+    """The congruence in the --in file, and the canonical index of each of
+    the file's blocks, so that output can be aligned back to the input."""
+    path = args.infile
+    data = _load_json(path)
+    alphabet = _alphabet_of(data, path)
+    try:
+        k = _k_of(data["k"])
+        blocks = [alphabet.keys_of([str(w) for w in _as_list(blk)]) for blk in _as_list(data["blocks"])]
+    except _FIELD_ERRORS as e:
+        raise ParseFailure(f"{path}: malformed congruence: {e}") from e
+    rc = congruences.validate_keys(alphabet, k, blocks)
+    return rc, [rc.labels[blk[0][1]] for blk in blocks]
 
 
 def _cmd_rc(args) -> int:
-    rc = _read_congruence(args)
+    rc, _ = _read_congruence(args)
     if args.action == "validate":
         payload = {"valid": True, "congruence": _congruence_json(rc)}
     elif args.action == "lower":
@@ -190,15 +195,16 @@ def _cmd_rc_generate(args) -> int:
 
 def _cmd_walk(args) -> int:
     if args.action == "stationary":
-        ideal, order = _parse_code_file(args.code)
+        ideal, order, keys = _parse_code_file(args.code)
         pi = _pi_arg(ideal.alphabet, args.pi)
-        by_word = walks.stationary(ideal, pi).as_dict()
+        weights, total = walks._stationary_weights(ideal, pi)
         # Align output to the code order given in the input file.
-        _emit({"states": order, "stationary": [str(by_word[w]) for w in order]}, args)
+        at = ideal.code._index
+        _emit({"states": order, "stationary": [_ratio(weights[at[key]], total) for key in keys]}, args)
         return EXIT_OK
 
     if args.action == "profile":
-        rc = _read_congruence(args)
+        rc, _ = _read_congruence(args)
         pi = _pi_arg(rc.alphabet, args.pi)
         prof = walks.reset_profile(rc, pi)
         _emit(
@@ -212,12 +218,10 @@ def _cmd_walk(args) -> int:
         return EXIT_OK
 
     if args.action == "lumped":
-        alphabet, k, raw_blocks = _parse_congruence_file(args.infile)
-        rc = congruences.validate(alphabet, k, raw_blocks)
-        pi = _pi_arg(alphabet, args.pi)
+        rc, order = _read_congruence(args)
+        pi = _pi_arg(rc.alphabet, args.pi)
         lw = walks.lumped(rc, pi)
         # Align output to the block order given in the input file.
-        order = [rc.block_of[blk[0]] for blk in raw_blocks]
         _emit(
             {
                 "blocks": [[str(w) for w in rc.blocks[b]] for b in order],
@@ -232,9 +236,9 @@ def _cmd_walk(args) -> int:
         if (args.code is None) == (args.infile is None):
             raise ParseFailure("walk simulate needs exactly one of --in FILE and --code FILE")
         if args.code is not None:
-            ideal, _ = _parse_code_file(args.code)
+            ideal, _, _ = _parse_code_file(args.code)
         else:
-            ideal = codes.reset_code(_read_congruence(args))
+            ideal = codes.reset_code(_read_congruence(args)[0])
         pi = _pi_arg(ideal.alphabet, args.pi)
         result = walks.simulate(ideal, pi, steps=args.steps, seed=args.seed)
         _emit(
@@ -288,7 +292,7 @@ def _cmd_lattice_census(args) -> int:
 
 
 def _cmd_graph_dot(args) -> int:
-    rc = _read_congruence(args)
+    rc, _ = _read_congruence(args)
     text = graphs.to_dot(graphs.cayley(rc))
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:

@@ -14,18 +14,20 @@ Every lookup below runs on integers, as the congruence kernel does: a
 word of length n is the key (n, x), x its letters read in base g, so that
 its suffix of length j is (j, x mod g^j), and the word of A^k with integer
 x followed by the word of length n with integer w is x*g^n + w.  A code
-stores the key of each word once, with its position; a suffix lookup reads
-a word's suffixes longest first and stops at the first hit.  ``Word``
-objects are built only for the codes, blocks and lcs sets returned and for
-messages.
+is its sorted keys, read from text by ``Alphabet.keys_of`` or from words;
+a suffix lookup reads a word's suffixes longest first and stops at the
+first hit.  ``Word`` objects are built only for a code's ``words``, on
+first use, for the blocks and lcs sets returned and for messages.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
-from .congruences import RightCongruence, _blocks, _carrier, _code, _congruence
-from .words import Alphabet, Word, epsilon, is_suffix, words_up_to_length
+from .congruences import RightCongruence, _blocks, _carrier, _congruence
+from .words import Alphabet, Word, count_of_length, epsilon, is_suffix, words_up_to_length
 
 
 class CodeError(ValueError):
@@ -49,43 +51,62 @@ class SemaphoreCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SemaphoreCode:
     """A finite semaphore code, or the finite prefix of an infinite one.
 
-    Words are kept in shortlex order.  ``infinite_tail`` marks a code that
-    was truncated at some maximal length and continues beyond it.
+    Given by its words or, through ``from_keys``, their keys, it holds the
+    keys sorted, that is its words in shortlex order, and refuses a repeated
+    word.  ``infinite_tail`` marks a code that was truncated at some maximal
+    length and continues beyond it.
     """
 
     alphabet: Alphabet
-    words: tuple[Word, ...]
+    keys: tuple[tuple[int, int], ...]
     infinite_tail: bool = False
 
-    def __post_init__(self) -> None:
-        letters = self.alphabet.letters  # equal letters are equal alphabets, and cheaper to compare
-        stray = next((w for w in self.words if w.alphabet.letters != letters), None)
+    def __init__(self, alphabet: Alphabet, words: Iterable[Word], infinite_tail: bool = False):
+        words, letters = tuple(words), alphabet.letters  # equal letters are equal alphabets, and cheaper to compare
+        stray = next((w for w in words if w.alphabet.letters != letters), None)
         if stray is not None:
             raise CodeError(f"code word {stray} is not over the alphabet {letters!r}")
-        # Keys sort as their words do, shortlex.
-        keyed = sorted({_key(w): w for w in self.words}.items())
-        object.__setattr__(self, "words", tuple(w for _, w in keyed))
-        # The key of each word to its position in ``words``, in that order.
-        object.__setattr__(self, "_index", {key: i for i, (key, _) in enumerate(keyed)})
+        self._set_keys(alphabet, [w.key for w in words], infinite_tail)
+
+    @classmethod
+    def from_keys(cls, alphabet: Alphabet, keys: Iterable[tuple[int, int]], infinite_tail: bool = False) -> "SemaphoreCode":
+        """The code of the words with the given keys (length, x), 0 <= x < g^length."""
+        code = cls.__new__(cls)
+        code._set_keys(alphabet, keys, infinite_tail)
+        return code
+
+    def _set_keys(self, alphabet: Alphabet, keys: Iterable[tuple[int, int]], infinite_tail: bool) -> None:
+        keys = sorted(keys)
+        index = {key: i for i, key in enumerate(keys)}  # each key to its position, in key order
+        if len(index) < len(keys):
+            n, x = next(u for u, v in zip(keys, keys[1:]) if u == v)
+            raise CodeError(f"repeated code word {str(alphabet.word_at(n, x))!r}")
+        # A frozen dataclass: set the fields past its __setattr__.
+        self.__dict__.update(alphabet=alphabet, keys=tuple(keys), infinite_tail=infinite_tail, _index=index)
+
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        """The code words in shortlex order."""
+        return tuple(self.alphabet.word_at(n, x) for n, x in self.keys)
 
     @property
     def max_len(self) -> int:
-        return max((len(w) for w in self.words), default=0)
+        return self.keys[-1][0] if self.keys else 0
 
     @property
     def is_epsilon(self) -> bool:
-        return self.words == (epsilon(self.alphabet),)
+        return self.keys == ((0, 0),)
 
     def __contains__(self, w: Word) -> bool:
-        return w.alphabet == self.alphabet and _key(w) in self._index
+        return w.alphabet == self.alphabet and w.key in self._index
 
     def in_ideal(self, w: Word) -> bool:
         """Membership in the left ideal A*S: does w have a suffix in S?"""
-        return any(_suffix_keys(self._index, self.alphabet.size, *_key(w)))
+        return any(_suffix_keys(self._index, self.alphabet.size, *w.key))
 
     def __str__(self) -> str:
         return "{" + ",".join(str(w) if len(w) else "eps" for w in self.words) + "}"
@@ -108,20 +129,21 @@ class IdealRep:
             raise CodeError("an ideal representation requires the full finite code")
         if self.code.max_len > self.k:
             raise CodeError(f"code word longer than k={self.k}")
-        words, index, g = self.code.words, self.code._index, self.alphabet.size
-        # Linear in the total length: look up each word's proper suffixes,
-        # epsilon included, which is a suffix of every other word.
-        for v, (n, x) in zip(words, index):
-            u = next(_suffix_keys(index, g, n - 1, x), None)
-            if u is not None:
-                raise CodeError(f"not a suffix code: {words[index[u]]} is a suffix of {v}")
-        carrier = _carrier(self.alphabet, self.k)  # refuses an A^k too large to list
+        alphabet, index, g = self.alphabet, self.code._index, self.alphabet.size
+        # The suffixes of each length j of the longer words, epsilon included,
+        # looked up at once; a hit is named by looking up each word's own.
+        if any(index.keys() & {(j, x % g**j) for n, x in index if n > j} for j in {n for n, _ in index}):
+            for n, x in index:
+                u = next(_suffix_keys(index, g, n - 1, x), None)
+                if u is not None:
+                    raise CodeError(f"not a suffix code: {alphabet.word_at(*u)} is a suffix of {alphabet.word_at(n, x)}")
+        count = count_of_length(alphabet, self.k)  # refuses an A^k too large to list
         # A suffix code covers the g^(k-|s|) words of A^k ending in each s,
         # and no word twice, so it covers A^k iff these counts sum to g^k.
-        if sum(g ** (self.k - n) for n, _ in index) < len(carrier):
-            for x, w in enumerate(carrier):
+        if sum(g ** (self.k - n) for n, _ in index) < count:
+            for x in range(count):
                 if not any(_suffix_keys(index, g, self.k, x)):
-                    raise CodeError(f"word {w} of A^{self.k} has no suffix in the code")
+                    raise CodeError(f"word {alphabet.word_at(self.k, x)} of A^{self.k} has no suffix in the code")
 
     @property
     def alphabet(self) -> Alphabet:
@@ -133,15 +155,11 @@ class IdealRep:
 
     def members_below_k(self) -> set[Word]:
         """The finite determining part: members of length < k (epsilon included)."""
-        return {_word(self.alphabet, n, x) for n, x in self._keys_below_k()}
+        return {self.alphabet.word_at(n, x) for n, x in self._keys_below_k()}
 
     def _keys_below_k(self) -> set[tuple[int, int]]:
         g, index = self.alphabet.size, self.code._index
         return {(n, x) for n in range(self.k) for x in range(g**n) if any(_suffix_keys(index, g, n, x))}
-
-
-def _key(w: Word) -> tuple[int, int]:
-    return len(w), _code(w)
 
 
 def _suffix_keys(keys, g: int, n: int, x: int):
@@ -153,17 +171,8 @@ def _suffix_keys(keys, g: int, n: int, x: int):
             yield j, x
 
 
-def _word(alphabet: Alphabet, length: int, x: int) -> Word:
-    """The word with key (length, x)."""
-    indices = []
-    for _ in range(length):
-        x, a = divmod(x, alphabet.size)
-        indices.append(a)
-    return Word(alphabet, reversed(indices))
-
-
 def _ideal(alphabet: Alphabet, k: int, keys) -> IdealRep:
-    return IdealRep(SemaphoreCode(alphabet, tuple(_word(alphabet, n, x) for n, x in keys)), k)
+    return IdealRep(SemaphoreCode.from_keys(alphabet, keys), k)
 
 
 def is_semaphore(alphabet: Alphabet, words: list[Word] | set[Word]) -> SemaphoreCheck:
@@ -173,7 +182,7 @@ def is_semaphore(alphabet: Alphabet, words: list[Word] | set[Word]) -> Semaphore
         return SemaphoreCheck(True)
     if any(w.is_empty for w in ws):
         return SemaphoreCheck(False, comparable=(epsilon(alphabet), next(w for w in ws if len(w))))
-    g, index = alphabet.size, {_key(w): i for i, w in enumerate(ws)}
+    g, index = alphabet.size, {w.key: i for i, w in enumerate(ws)}
     # In shortlex order a comparable pair is (proper suffix, word); the
     # first such pair in pair order has the least suffix position first.
     pairs = [(index[u], j) for j, (n, x) in enumerate(index) for u in _suffix_keys(index, g, n - 1, x)]
@@ -245,15 +254,14 @@ def restrict_k(code: SemaphoreCode, k: int) -> IdealRep:
     Keeps the code words of length at most k and adds every word of A^k
     that has no suffix among them; the result covers A^k.
     """
-    if code.is_epsilon or any(w.is_empty for w in code.words):
+    if code.keys[:1] == ((0, 0),):
         raise CodeError("restriction requires a code of nonempty words")
     if code.infinite_tail and code.max_len < k:
         raise CodeError(f"truncated code is only known up to length {code.max_len} < k")
-    short = [w for w in code.words if len(w) <= k]
-    present = {key for key in code._index if key[0] <= k}
+    short = {key for key in code.keys if key[0] <= k}
     g = code.alphabet.size
-    added = [w for x, w in enumerate(_carrier(code.alphabet, k)) if not any(_suffix_keys(present, g, k, x))]
-    return IdealRep(SemaphoreCode(code.alphabet, tuple(short + added)), k)
+    added = [(k, x) for x in range(count_of_length(code.alphabet, k)) if not any(_suffix_keys(short, g, k, x))]
+    return _ideal(code.alphabet, k, [*short, *added])
 
 
 def code_action(code: SemaphoreCode, s: Word, a: Word) -> Word:
@@ -278,19 +286,22 @@ def action_table(code: SemaphoreCode) -> list[list[int]]:
     The first pair (s, a) without a code suffix, in row-major order, raises
     the same error as ``code_action``.
     """
-    if code.words and code.words[0].is_empty:
+    if code.keys[:1] == ((0, 0),):
         raise CodeError("the action is not defined on the epsilon code")
     index, g = code._index, code.alphabet.size
+    powers = [g**j for j in range(code.max_len + 2)]
     nxt = []
     for n, x in index:
         row = []
         for sa in range(x * g, x * g + g):
-            t = next(_suffix_keys(index, g, n + 1, sa), None)
-            if t is None:
-                raise CodeError(
-                    f"no suffix of {_word(code.alphabet, n + 1, sa)} in the code; code is not semaphore or is truncated"
-                )
-            row.append(index[t])
+            j = n + 1  # the suffix (j, sa mod g^j) of s+a, from j = |s+a| down
+            while (j, sa % powers[j]) not in index:
+                j -= 1
+                if j < 0:
+                    raise CodeError(
+                        f"no suffix of {code.alphabet.word_at(n + 1, sa)} in the code; code is not semaphore or is truncated"
+                    )
+            row.append(index[j, sa % powers[j]])
         nxt.append(row)
     return nxt
 
@@ -302,12 +313,12 @@ def _suffix_minimal(keys: set[tuple[int, int]], g: int) -> list[tuple[int, int]]
 
 def ideal_from_members(alphabet: Alphabet, k: int, short_members: set[Word]) -> IdealRep:
     """Ideal A^{>=k} union short_members, given by its suffix-minimal code."""
-    return _ideal_from_keys(alphabet, k, {_key(w) for w in short_members})
+    return _ideal_from_keys(alphabet, k, {w.key for w in short_members})
 
 
 def _ideal_from_keys(alphabet: Alphabet, k: int, keys: set[tuple[int, int]]) -> IdealRep:
     # With epsilon among the keys, the suffix-minimal code is {epsilon}.
-    keys = keys | {(k, x) for x in range(len(_carrier(alphabet, k)))}
+    keys = keys | {(k, x) for x in range(count_of_length(alphabet, k))}
     return _ideal(alphabet, k, _suffix_minimal(keys, alphabet.size))
 
 
@@ -378,12 +389,12 @@ def lambda_of(rc: RightCongruence) -> LambdaResult:
             before: dict[int, set[int]] = {}
             for x in xs:
                 before.setdefault(x % g**j, set()).add(x % g ** (j + 1))
-            per_pair.update(_word(rc.alphabet, j, r) for r, seen in before.items() if len(seen) > 1)
+            per_pair.update(rc.alphabet.word_at(j, r) for r, seen in before.items() if len(seen) > 1)
     # Every word of A^k has its block's lcs as a suffix, so the lcs set
     # generates an ideal containing A^k; its code is the lcs set's
     # suffix-minimal part, the epsilon code when some block mixes last letters.
     ideal = _ideal(rc.alphabet, k, _suffix_minimal(set(per_block), g))
-    return LambdaResult(tuple(_word(rc.alphabet, n, x) for n, x in per_block), frozenset(per_pair), ideal)
+    return LambdaResult(tuple(rc.alphabet.word_at(n, x) for n, x in per_block), frozenset(per_pair), ideal)
 
 
 def reset_code(rc: RightCongruence) -> IdealRep:
@@ -396,7 +407,7 @@ def reset_code(rc: RightCongruence) -> IdealRep:
     """
     if rc.is_universal:
         # Every word resets a one-vertex graph, epsilon included.
-        return IdealRep(SemaphoreCode(rc.alphabet, (epsilon(rc.alphabet),)), rc.k)
+        return _ideal(rc.alphabet, rc.k, [(0, 0)])
     g, n, labels = rc.alphabet.size, len(rc.labels), rc.labels
     found: list[tuple[int, int]] = []
     keys: set[tuple[int, int]] = set()
@@ -423,7 +434,7 @@ def is_special(rc: RightCongruence) -> bool:
     """
     _require_nontrivial_alphabet(rc)
     lam = lambda_of(rc)
-    by_lcs = len(lam.ideal.code.words) == len(lam.per_block)
+    by_lcs = len(lam.ideal.code.keys) == len(lam.per_block)
     by_resets = tau_of(reset_code(rc)) == rc
     assert by_lcs == by_resets, f"special-congruence criteria disagree on {rc}"
     return by_lcs
@@ -457,7 +468,7 @@ def enumerate_ideals(alphabet: Alphabet, k: int) -> list[IdealRep]:
     union.
     """
     g = alphabet.size
-    short = [_key(w) for w in words_up_to_length(alphabet, k - 1)]
+    short = [(n, x) for n in range(1, k) for x in range(count_of_length(alphabet, n))]
 
     def occurs_in(u: tuple[int, int], w: tuple[int, int]) -> bool:
         """Whether u is a factor of w: w with i letters cut from its end ends in u."""

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 
 # product is unused here but stays importable as congruences.product for callers.
-from .words import Alphabet, Word, product, words_of_length  # noqa: F401
+from .words import Alphabet, Word, count_of_length, product, words_of_length  # noqa: F401
 
 # The oracle enumeration is a Bell-number filter.  Both enumerations refuse
 # carriers of more than 12 points outright, and more than 8 requires an
@@ -78,17 +78,6 @@ def _action(g: int, k: int) -> tuple[tuple[int, ...], ...]:
 def _carrier(alphabet: Alphabet, k: int) -> tuple[Word, ...]:
     """A^k as words; position x holds the word whose integer is x."""
     return tuple(words_of_length(alphabet, k))
-
-
-def _code(w: Word) -> int:
-    g, x = w.alphabet.size, 0
-    for i in w.indices:
-        x = x * g + i
-    return x
-
-
-def _in_carrier(w: Word, alphabet: Alphabet, k: int) -> bool:
-    return w.alphabet == alphabet and len(w) == k
 
 
 def _canonical(keys) -> tuple[int, ...]:
@@ -291,30 +280,33 @@ def _congruence(alphabet: Alphabet, k: int, keys) -> RightCongruence:
     labels = _canonical(keys)
     witness = _closure_witness(_action(alphabet.size, k), labels)
     if witness is not None:
-        carrier = _carrier(alphabet, k)
         u, v, a = witness
-        raise ClosureViolation(carrier[u], carrier[v], Word(alphabet, (a,)))
+        raise ClosureViolation(alphabet.word_at(k, u), alphabet.word_at(k, v), Word(alphabet, (a,)))
     return RightCongruence(alphabet, k, labels)
 
 
-def _parse_blocks(alphabet: Alphabet, k: int, blocks: list[list[Word]]):
+def _parse_blocks(alphabet: Alphabet, k: int, blocks):
     """Yields the index of each word's block, in carrier order, once the
-    blocks are known to cover A^k exactly once."""
-    carrier = _carrier(alphabet, k)
-    raw = [-1] * len(carrier)
+    blocks of keys (length, x) are known to cover A^k exactly once."""
+    raw = [-1] * count_of_length(alphabet, k)
     for b, blk in enumerate(blocks):
         if not blk:
             raise NotAPartitionError("empty block")
-        for w in blk:
-            if not _in_carrier(w, alphabet, k):
-                raise NotAPartitionError(f"word {w} is not in A^{k}")
-            x = _code(w)
+        for n, x in blk:
+            if n != k:
+                raise NotAPartitionError(f"word {alphabet.word_at(n, x)} is not in A^{k}")
             if raw[x] >= 0:
-                raise NotAPartitionError(f"word {w} appears in two blocks")
+                raise NotAPartitionError(f"word {alphabet.word_at(n, x)} appears in two blocks")
             raw[x] = b
     if -1 in raw:
-        raise NotAPartitionError(f"word {carrier[raw.index(-1)]} is not covered")
+        raise NotAPartitionError(f"word {alphabet.word_at(k, raw.index(-1))} is not covered")
     yield from raw
+
+
+def validate_keys(alphabet: Alphabet, k: int, blocks) -> RightCongruence:
+    """``validate`` on blocks of word keys (length, x), as read by
+    ``Alphabet.keys_of``: the same checks, messages and result."""
+    return _congruence(alphabet, k, _parse_blocks(alphabet, k, blocks))
 
 
 def validate(alphabet: Alphabet, k: int, blocks: list[list[Word]]) -> RightCongruence:
@@ -324,15 +316,22 @@ def validate(alphabet: Alphabet, k: int, blocks: list[list[Word]]) -> RightCongr
     and ClosureViolation with a witness (u, v, a) when they do but the
     right action does not preserve them.
     """
-    return _congruence(alphabet, k, _parse_blocks(alphabet, k, blocks))
+
+    def keys(blk):
+        for w in blk:
+            if w.alphabet != alphabet:
+                raise NotAPartitionError(f"word {w} is not in A^{k}")
+            yield w.key
+
+    return validate_keys(alphabet, k, (list(keys(blk)) for blk in blocks))
 
 
 def identity(alphabet: Alphabet, k: int) -> RightCongruence:
-    return RightCongruence(alphabet, k, tuple(range(len(_carrier(alphabet, k)))))
+    return RightCongruence(alphabet, k, tuple(range(count_of_length(alphabet, k))))
 
 
 def universal(alphabet: Alphabet, k: int) -> RightCongruence:
-    return RightCongruence(alphabet, k, (0,) * len(_carrier(alphabet, k)))
+    return RightCongruence(alphabet, k, (0,) * count_of_length(alphabet, k))
 
 
 def generate(
@@ -349,11 +348,11 @@ def generate(
     """
     if k < 1:
         raise CongruenceError("k must be >= 1")
-    n = len(_carrier(alphabet, k))
+    n = count_of_length(alphabet, k)
     for u, v in pairs:
-        if not (_in_carrier(u, alphabet, k) and _in_carrier(v, alphabet, k)):
+        if not all(w.alphabet == alphabet and len(w) == k for w in (u, v)):
             raise CongruenceError(f"pair ({u}, {v}) is not in A^{k} x A^{k}")
-    work = [(_code(u), _code(v)) for u, v in pairs]
+    work = [(u.key[1], v.key[1]) for u, v in pairs]
     return RightCongruence(alphabet, k, _close(_action(alphabet.size, k), range(n), work))
 
 
@@ -394,7 +393,7 @@ def _enumerable_size(alphabet: Alphabet, k: int, carrier_bound: int) -> int:
     """The size of A^k, once it is known that both enumerations may run."""
     if k < 1:
         raise CongruenceError("k must be >= 1")
-    n = len(_carrier(alphabet, k))
+    n = count_of_length(alphabet, k)
     if n > HARD_CARRIER_BOUND:
         raise BoundExceeded(f"carrier size {n} exceeds hard bound {HARD_CARRIER_BOUND}")
     if n > carrier_bound:

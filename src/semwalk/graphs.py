@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .congruences import RightCongruence, _carrier, _congruence, identity
-from .words import Alphabet, Word
+from .congruences import RightCongruence, _congruence, identity
+from .words import Alphabet, Word, count_of_length
 
 MAX_MORPHISM_VERTICES = 10_000
 
@@ -87,7 +87,7 @@ class AGraph:
     def images(self, k: int) -> list[frozenset[int]]:
         """Q.w for every word w of length k, in carrier order (the order of
         ``words_of_length``), each extended from its prefix's image."""
-        _carrier(self.alphabet, k)  # refuses g^k beyond the enumeration limit
+        count_of_length(self.alphabet, k)  # refuses g^k beyond the enumeration limit
         table, letters = self.transitions, range(self.alphabet.size)
         level = [frozenset(range(self.vertex_count))]
         for _ in range(k):
@@ -126,9 +126,9 @@ def zeta(graph: AGraph, k: int) -> RightCongruence:
     if not graph.strongly_connected:
         raise GraphError("zeta requires a strongly connected graph")
     images = graph.images(k)
-    for w, img in zip(_carrier(graph.alphabet, k), images):
+    for x, img in enumerate(images):
         if len(img) != 1:
-            raise GraphError(f"not a {k}-reset graph: {w} has image of size {len(img)}")
+            raise GraphError(f"not a {k}-reset graph: {graph.alphabet.word_at(k, x)} has image of size {len(img)}")
     return _congruence(graph.alphabet, k, images)
 
 

@@ -15,12 +15,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import lcm, prod
+from math import lcm
 
 from .codes import CodeError, IdealRep, action_table, lower_approx, reset_code
 # code_action is unused here but stays importable as walks.code_action for callers.
 from .codes import code_action  # noqa: F401
-from .congruences import RightCongruence, _code
+from .congruences import RightCongruence
 from .graphs import _strongly_connected
 from .words import Alphabet, Word, words_of_length
 
@@ -163,6 +163,28 @@ def transition_matrix(ideal: IdealRep, pi: LetterDistribution) -> TransitionMatr
     return _matrix(tuple(str(w) for w in ideal.code.words), _code_table(ideal, pi), pi)
 
 
+def _weights(pi: LetterDistribution, g: int, keys: list[tuple[int, int]], top: int) -> list[int]:
+    """The probability of each word, given by its key (n, x) over g letters,
+    as an integer over d^top, for d the common denominator of ``pi`` and top
+    at least every n: d^(top-n) times the numerators of the word's letters.
+    ``prods[j][x]`` is that product for the word (j, x), for j up to the
+    largest m <= top with g^m at most the number of keys; a longer word is
+    read off its key m letters at a time."""
+    nums, d = pi._numerators, pi._denominator
+    prods = [(1,), nums]
+    while len(prods) <= top and g * len(prods[-1]) <= len(keys):
+        prods.append([p * q for p in prods[-1] for q in nums])
+    m, out = len(prods) - 1, []
+    for n, x in keys:
+        num = d ** (top - n)
+        while n > m:
+            x, c = divmod(x, g**m)
+            num *= prods[m][c]
+            n -= m
+        out.append(num * prods[n][x])
+    return out
+
+
 def _is_fixpoint(nxt: list[list[int]], pi: LetterDistribution, weights: list[int]) -> bool:
     """Whether the vector ``weights`` / c, for any c > 0, is fixed by one
     walk step: ``advance`` on integers, with the letter probabilities as
@@ -194,26 +216,36 @@ def congruence_transition_matrix(rc: RightCongruence, pi: LetterDistribution) ->
     return _matrix(rc.block_labels, rc.block_action, pi)
 
 
+def _stationary_weights(ideal: IdealRep, pi: LetterDistribution) -> tuple[list[int], int]:
+    """The stationary vector of ``stationary`` as integers: the weight N_w
+    of each code word, in the code's key order, and their sum d^L."""
+    if not pi.positive:
+        warnings.warn("non-positive letter distribution: stationary vector may not be unique")
+    code = ideal.code
+    if code.is_epsilon:
+        raise CodeError("the one-word code has no action; its chain is the 1x1 identity")
+    nxt, top = _code_table(ideal, pi), code.max_len
+    weights = _weights(pi, ideal.alphabet.size, code.keys, top)
+    if not _is_fixpoint(nxt, pi, weights):
+        raise AssertionError("closed-form stationary vector is not a fixpoint")
+    total = pi._denominator**top
+    if sum(weights) != total:
+        raise WalkError("stationary vector must sum to 1")
+    return weights, total
+
+
 def stationary(ideal: IdealRep, pi: LetterDistribution) -> StationaryVector:
     """Closed-form stationary distribution: the word probabilities.
 
     The result is asserted to be an exact fixpoint of one walk step, taken
     through the action table on integers: with d the common denominator and
     L the longest code word, word w has probability N_w / d^L, where
-    N_w = d^(L-|w|) times the numerators of its letters.  A non-positive
-    distribution still satisfies the equations but loses the uniqueness
-    argument, hence the warning.
+    N_w = d^(L-|w|) times the numerators of its letters, and the N_w must
+    sum to d^L.  A non-positive distribution still satisfies the equations
+    but loses the uniqueness argument, hence the warning.
     """
-    if not pi.positive:
-        warnings.warn("non-positive letter distribution: stationary vector may not be unique")
-    code = ideal.code
-    if code.is_epsilon:
-        raise CodeError("the one-word code has no action; its chain is the 1x1 identity")
-    d, top = pi._denominator, code.max_len
-    weights = [d ** (top - len(w)) * prod(pi._numerators[i] for i in w.indices) for w in code.words]
-    if not _is_fixpoint(_code_table(ideal, pi), pi, weights):
-        raise AssertionError("closed-form stationary vector is not a fixpoint")
-    return StationaryVector(tuple(str(w) for w in code.words), tuple(Fraction(x, d**top) for x in weights))
+    weights, total = _stationary_weights(ideal, pi)
+    return StationaryVector(tuple(str(w) for w in ideal.code.words), tuple(Fraction(x, total) for x in weights))
 
 
 def solve_stationary(matrix: TransitionMatrix) -> StationaryVector:
@@ -274,10 +306,11 @@ def profile_of_ideal(ideal: IdealRep, pi: LetterDistribution) -> ResetProfile:
     """The reset profile of the ideal's code: P(l) sums code words of
     length at most l; P(0) counts as 0, so the epsilon code resets at the
     first step."""
-    k = ideal.k
-    P = []
-    for length in range(1, k + 1):
-        P.append(sum((pi.word_prob(s) for s in ideal.code.words if len(s) <= length), Fraction(0)))
+    k, keys = ideal.k, ideal.code.keys
+    by_length = [0] * (k + 1)
+    for (n, _), weight in zip(keys, _weights(pi, ideal.alphabet.size, keys, k)):
+        by_length[n] += weight
+    P = [Fraction(x, pi._denominator**k) for x in accumulate(by_length)][1:]
     inc = [P[0]] + [P[i] - P[i - 1] for i in range(1, k)]
     t = sum((Fraction(length + 1) * p for length, p in enumerate(inc)), Fraction(0))
     return ResetProfile(tuple(P), tuple(inc), t)
@@ -318,11 +351,8 @@ def polynomial_identity_holds(ideal: IdealRep) -> bool:
     P(k) - 1 has degree at most k in each letter probability, so vanishing
     on a grid of k+2 values per free variable proves the identity.
     """
-    for pi in _grid_distributions(ideal.alphabet, ideal.k + 2):
-        total = sum((pi.word_prob(s) for s in ideal.code.words), Fraction(0))
-        if total != 1:
-            return False
-    return True
+    g, keys, k = ideal.alphabet.size, ideal.code.keys, ideal.k
+    return all(sum(_weights(pi, g, keys, k)) == pi._denominator**k for pi in _grid_distributions(ideal.alphabet, k + 2))
 
 
 def check_polynomial_identity(rc: RightCongruence) -> bool:
@@ -346,12 +376,12 @@ def lumped(rc: RightCongruence, pi: LetterDistribution) -> LumpedWalk:
     Verifies the lumpability condition exactly: merged-column row sums must
     agree across states whose classes coincide.  The stationary vector is
     computed both from code-word probabilities and by summing the product
-    distribution over each class; the two must agree exactly.
+    distribution over each class, as integers over d^k; the two must agree
+    exactly.
     """
     if rc.alphabet.size < 2:
         raise WalkError("lumping requires at least two letters")
     labels = rc.block_labels
-    by_debruijn = tuple(sum((pi.word_prob(w) for w in blk), Fraction(0)) for blk in rc.blocks)
 
     if rc.is_universal:
         matrix = TransitionMatrix(labels, ((Fraction(1),),))
@@ -363,11 +393,11 @@ def lumped(rc: RightCongruence, pi: LetterDistribution) -> LumpedWalk:
     nxt = _code_table(ideal, pi)
     # Each code word's bucket of A^k words lies inside one class of rc; the
     # code word padded on the left with letter 0 is in it and has its integer.
-    cls = [rc.labels[_code(s)] for s in code.words]
+    cls = [rc.labels[x] for _, x in code.keys]
 
-    n = len(rc.blocks)
+    n = len(labels)
     merged: list[list[Fraction] | None] = [None] * n
-    for i, s in enumerate(code.words):
+    for i, key in enumerate(code.keys):
         sums = [Fraction(0)] * n
         for p, j in zip(pi.probs, nxt[i]):
             sums[cls[j]] += p
@@ -375,16 +405,20 @@ def lumped(rc: RightCongruence, pi: LetterDistribution) -> LumpedWalk:
             merged[cls[i]] = sums
         elif merged[cls[i]] != sums:
             raise AssertionError(
-                f"lumpability violated at code word {s}: {merged[cls[i]]} vs {sums}"
+                f"lumpability violated at code word {rc.alphabet.word_at(*key)}: {merged[cls[i]]} vs {sums}"
             )
     matrix = TransitionMatrix(labels, tuple(tuple(row) for row in merged))  # type: ignore[misc]
 
-    by_code = [Fraction(0)] * n
-    for i, s in enumerate(code.words):
-        by_code[cls[i]] += pi.word_prob(s)
-    if tuple(by_code) != by_debruijn:
+    g, k = rc.alphabet.size, rc.k
+    by_debruijn = [0] * n
+    for b, weight in zip(rc.labels, _weights(pi, g, [(k, x) for x in range(len(rc.labels))], k)):
+        by_debruijn[b] += weight
+    by_code = [0] * n
+    for b, weight in zip(cls, _weights(pi, g, code.keys, k)):
+        by_code[b] += weight
+    if by_code != by_debruijn:
         raise AssertionError("code-word and de Bruijn lumped stationary vectors differ")
-    vec = StationaryVector(labels, tuple(by_code))
+    vec = StationaryVector(labels, tuple(Fraction(x, pi._denominator**k) for x in by_code))
     if matrix.left_apply(vec.values) != vec.values:
         raise AssertionError("lumped stationary vector is not a fixpoint")
     return LumpedWalk(matrix, vec)
@@ -485,7 +519,7 @@ def simulate(ideal: IdealRep, pi: LetterDistribution, steps: int, seed: int) -> 
     cuts = list(accumulate(pi._numerators))
 
     nxt = _code_table(ideal, pi)
-    g, lengths = len(cuts), [len(w) for w in code.words]
+    g, lengths = len(cuts), [n for n, _ in code.keys]
     # (since, s) is the augmented state offset[s] + since; cols[l][a] is
     # the state after letter l from a.  Their entries share the ints of ``ids``.
     offset = [0, *accumulate(lengths)]

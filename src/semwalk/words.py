@@ -10,10 +10,13 @@ rendering uses ``a..z``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Iterable, Iterator
 
 LETTER_POOL = "abcdefghijklmnopqrstuvwxyz"
+# The digits of int() in bases up to 26, one per letter position.
+_DIGITS = "0123456789abcdefghijklmnop"
 
 # Guard for words_of_length: refuse to materialize more than this many words,
 # or a word longer than this.
@@ -60,6 +63,30 @@ class Alphabet:
         """Parse a rendered word; the empty string parses to epsilon."""
         return Word(self, tuple(self.index(c) for c in text))
 
+    @cached_property
+    def _to_digits(self) -> dict[int, str]:
+        return str.maketrans(self.letters, _DIGITS[: self.size])
+
+    def keys_of(self, texts: list[str]) -> list[tuple[int, int]]:
+        """The key (length, letters read in base g) of each rendered word, as
+        ``word`` parses and raises, without building the words: the letters
+        are checked by one ``strip`` and read by ``int`` in C."""
+        if "".join(texts).strip(self.letters):
+            for text in texts:
+                self.word(text)  # raises at the first character that is not a letter
+        try:
+            return [(len(text), int(text.translate(self._to_digits), self.size)) for text in texts]
+        except ValueError:  # int() has no base 1, no empty string, no digit string past the str->int limit
+            return [self.word(text).key for text in texts]
+
+    def word_at(self, length: int, x: int) -> "Word":
+        """The word with key (length, x), the inverse of ``Word.key``."""
+        indices = []
+        for _ in range(length):
+            x, a = divmod(x, self.size)
+            indices.append(a)
+        return Word(self, reversed(indices))
+
     def __iter__(self) -> Iterator["Word"]:
         for i in range(self.size):
             yield Word(self, (i,))
@@ -95,6 +122,14 @@ class Word:
     @property
     def is_empty(self) -> bool:
         return not self.indices
+
+    @property
+    def key(self) -> tuple[int, int]:
+        """(length, letters read in base g), which sorts as the words do, shortlex."""
+        x = 0
+        for i in self.indices:
+            x = x * self.alphabet.size + i
+        return len(self.indices), x
 
     def concat(self, other: "Word") -> "Word":
         _require_same_alphabet(self, other)
@@ -178,12 +213,9 @@ def suffixes(u: Word) -> Iterator[Word]:
         yield Word(u.alphabet, u.indices[len(u) - n :])
 
 
-def words_of_length(alphabet: Alphabet, length: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Word]:
-    """All words of the given length in lexicographic order.
-
-    The order is part of the public contract: matrix rows and partition
-    canonical forms downstream rely on it.
-    """
+def count_of_length(alphabet: Alphabet, length: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
+    """The number g^length of words of the given length, refused with
+    WordLimitExceeded past the limit, as an enumeration of them would be."""
     if length < 0:
         raise WordError("length must be >= 0")
     if alphabet.size > 1 and length > limit.bit_length():
@@ -196,6 +228,16 @@ def words_of_length(alphabet: Alphabet, length: int, limit: int = DEFAULT_ENUMER
     count = alphabet.size**length
     if count > limit:
         raise WordLimitExceeded(f"refusing to enumerate {count} words (limit {limit})")
+    return count
+
+
+def words_of_length(alphabet: Alphabet, length: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Word]:
+    """All words of the given length in lexicographic order.
+
+    The order is part of the public contract: matrix rows and partition
+    canonical forms downstream rely on it.
+    """
+    count_of_length(alphabet, length, limit)
     return [Word(alphabet, idx) for idx in iter_product(range(alphabet.size), repeat=length)]
 
 

@@ -437,6 +437,99 @@ def test_the_parser_is_built_once_and_not_at_import(files, capsys):
     assert cli._build_parser.cache_info().misses == 1
 
 
+# ------------------------------------------------------ the parse boundary
+
+# Code and congruence files are read straight to word keys; every word must
+# still be checked letter by letter, as ``Alphabet.word`` checks it, and end
+# in the same exit code and message.
+
+CODE_COMMANDS = [["walk", "stationary"], ["walk", "simulate", "--steps", "10"]]
+CONGRUENCE_COMMANDS = [["rc", "validate"], ["walk", "lumped", "--pi", "a=1/2,b=1/2"], ["graph", "dot"]]
+
+
+def run_file(capsys, command, flag, path, pi="a=1/2,b=1/2"):
+    pi_args = [] if command[0] != "walk" or "--pi" in command else ["--pi", pi]
+    return run(capsys, *command, *pi_args, flag, path)
+
+
+@pytest.mark.parametrize("stray, bad", [(" b", " "), ("+b", "+"), ("b_", "_"), ("1", "1"), ("bA", "A"), (1, "1"), (None, "N")])
+def test_characters_int_would_accept_are_parse_errors(files, capsys, stray, bad):
+    message = f"letter {bad!r} not in alphabet 'ab'"
+    path = files("code.json", {"alphabet": "ab", "code": ["a", stray], "k": 2})
+    for command in CODE_COMMANDS:
+        code, out, err = run_file(capsys, command, "--code", path)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "parse", "message": f"{path}: malformed code: {message}"}
+    path = files("rc.json", {"alphabet": "ab", "k": 1, "blocks": [["a"], [stray]]})
+    for command in CONGRUENCE_COMMANDS:
+        code, out, err = run_file(capsys, command, "--in", path)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "parse", "message": f"{path}: malformed congruence: {message}"}
+
+
+@pytest.mark.parametrize(
+    "words, stationary, simulate",
+    [
+        ([""], "the one-word code has no action; its chain is the 1x1 identity", "the one-word code has no chain to simulate"),
+        (["a", "", "b"], "not a suffix code:  is a suffix of a", "not a suffix code:  is a suffix of a"),
+    ],
+)
+def test_the_empty_code_word_is_a_validation_error(files, capsys, words, stationary, simulate):
+    path = files("code.json", {"alphabet": "ab", "code": words, "k": 1})
+    for command, message in zip(CODE_COMMANDS, [stationary, simulate]):
+        code, out, err = run_file(capsys, command, "--code", path)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": "validation", "message": message}
+
+
+@pytest.mark.parametrize("blocks", [[[""]], [["a", "b"], [""]], [["a"], ["", "b"]]])
+def test_the_empty_word_is_not_in_a_congruence_carrier(files, capsys, blocks):
+    path = files("rc.json", {"alphabet": "ab", "k": 1, "blocks": blocks})
+    for command in CONGRUENCE_COMMANDS:
+        code, out, err = run_file(capsys, command, "--in", path)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": "validation", "message": "word  is not in A^1"}
+
+
+def test_a_one_letter_alphabet(files, capsys):
+    path = files("code.json", {"alphabet": "a", "code": ["aaa"]})
+    assert run_json(capsys, "walk", "stationary", "--code", path, "--pi", "a=1") == {"states": ["aaa"], "stationary": ["1"]}
+    sim = run_json(capsys, "walk", "simulate", "--code", path, "--pi", "a=1", "--steps", "7")
+    assert (sim["states"], sim["visits"], sim["episodes"]) == (["aaa"], [7], 2)
+    path = files("rc.json", {"alphabet": "a", "k": 3, "blocks": [["aaa"]]})
+    assert run_json(capsys, "rc", "validate", "--in", path)["congruence"] == {"alphabet": "a", "k": 3, "blocks": [["aaa"]]}
+    code, out, _ = run(capsys, "walk", "lumped", "--in", path, "--pi", "a=1")
+    assert code == 1
+    assert json.loads(out) == {"error": "validation", "message": "lumping requires at least two letters"}
+    code, out, _ = run(capsys, "walk", "stationary", "--code", files("bad.json", {"alphabet": "a", "code": ["aa", "a"]}), "--pi", "a=1")
+    assert code == 1
+    assert json.loads(out) == {"error": "validation", "message": "not a suffix code: a is a suffix of aa"}
+
+
+def test_a_twenty_six_letter_alphabet(files, capsys):
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    pi = ",".join(f"{c}=1/26" for c in letters)
+    words = [c + "z" for c in letters[::-1]] + list(letters[:-1])
+    got = run_json(capsys, "walk", "stationary", "--code", files("code.json", {"alphabet": letters, "code": words}), "--pi", pi)
+    assert got == {"states": words, "stationary": ["1/676"] * 26 + ["1/26"] * 25}
+    code, out, _ = run(capsys, "walk", "stationary", "--code", files("bad.json", {"alphabet": letters, "code": ["p", "zp"]}), "--pi", pi)
+    assert code == 1
+    assert json.loads(out) == {"error": "validation", "message": "not a suffix code: p is a suffix of zp"}
+    blocks = [list(letters[13:]), list(letters[:13])]
+    path = files("rc.json", {"alphabet": letters, "k": 1, "blocks": blocks})
+    assert run_json(capsys, "rc", "validate", "--in", path)["congruence"]["blocks"] == blocks[::-1]
+    lumped = run_json(capsys, "walk", "lumped", "--in", path, "--pi", pi)
+    assert (lumped["blocks"], lumped["stationary"]) == (blocks, ["1/2", "1/2"])
+
+
+def test_a_repeated_code_word_is_refused(files, capsys):
+    path = files("code.json", {"alphabet": "ab", "code": ["a", "b", "a"], "k": 2})
+    for command in CODE_COMMANDS:
+        code, out, err = run_file(capsys, command, "--code", path)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": "validation", "message": "repeated code word 'a'"}
+
+
 # ------------------------------------------------- random argv and payloads
 
 # Every call must end in a documented exit code with JSON on the documented

@@ -175,6 +175,23 @@ def test_code_words_must_be_over_the_code_alphabet(ab):
         SemaphoreCode(abc, (epsilon(ab),))
 
 
+def test_a_code_holds_its_words_as_sorted_keys(ab):
+    words = [ab.word(x) for x in ["b", "ba", "baa", "aaa"]]
+    code = SemaphoreCode(ab, iter(words))
+    assert code.keys == ((1, 1), (2, 2), (3, 0), (3, 4))
+    assert [str(w) for w in code.words] == ["b", "ba", "aaa", "baa"]
+    assert code == SemaphoreCode.from_keys(ab, [(3, 4), (1, 1), (3, 0), (2, 2)]) == SemaphoreCode(ab, words[::-1])
+    assert hash(code) == hash(SemaphoreCode(ab, words[::-1]))
+    assert code.max_len == 3 and not code.is_epsilon and SemaphoreCode(ab, [epsilon(ab)]).is_epsilon
+
+
+def test_a_repeated_code_word_is_refused(ab):
+    with pytest.raises(CodeError, match="^repeated code word 'ab'$"):
+        SemaphoreCode(ab, [ab.word(x) for x in ["ab", "b", "ab", "aa"]])
+    with pytest.raises(CodeError, match="^repeated code word ''$"):
+        SemaphoreCode.from_keys(ab, [(0, 0), (0, 0)])
+
+
 def test_tau_of_running_code(ab, five_class):
     rc = tau_of(IdealRep(mkcode(ab, EQ3_CODE), 3))
     assert [[str(w) for w in blk] for blk in rc.blocks] == [

@@ -48,6 +48,11 @@ def test_validate_reports_closure_witness(ab):
     assert (str(witness.u), str(witness.v), str(witness.letter)) == ("aaa", "aab", "a")
 
 
+def test_validate_names_a_word_over_another_alphabet(ab):
+    with pytest.raises(NotAPartitionError, match="^word c is not in A\\^1$"):
+        validate(ab, 1, [[ab.word("a")], [Alphabet("abc").word("c"), ab.word("b")]])
+
+
 def test_validate_rejects_non_partitions(ab):
     W = ab.word
     with pytest.raises(NotAPartitionError):

@@ -25,12 +25,16 @@ cubic report it replaced, on the enumerable lattices and on sublattices of
 RC(abc, 2); the (2,4) lattice against the public meet, join and refines.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import random
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +87,7 @@ from semwalk import (
     words_of_length,
 )
 from semwalk import congruences, walks
+from semwalk.cli import main
 from semwalk.codes import SemaphoreCheck, ideal_from_members
 from semwalk.words import suffixes, words_up_to_length
 
@@ -513,6 +518,63 @@ def test_the_integer_fixpoint_check_agrees_with_advance(enumerated_ideals, g, k)
             vec = tuple(Fraction(x, scale) for x in moved)
             assert not walks._is_fixpoint(nxt, pi, moved)
             assert advance(nxt, pi, vec) != vec
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def word_route_stationary(alphabet, k, texts, pi):
+    """``walk stationary`` at the Word level: each word parsed, the code
+    built from words, and the vector's Fractions summed to 1."""
+    vec = stationary(IdealRep(SemaphoreCode(alphabet, tuple(alphabet.word(t) for t in texts)), k), pi).as_dict()
+    assert sum(vec.values(), Fraction(0)) == 1
+    return [str(vec[t]) for t in texts]
+
+
+def key_route_stationary(tmp_path, payload, pi_text):
+    """``walk stationary`` through the CLI, which reads the file to keys."""
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(payload))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["walk", "stationary", "--code", str(path), "--pi", pi_text]) == 0
+    got = json.loads(out.getvalue())
+    assert got["states"] == payload["code"]
+    return got["stationary"]
+
+
+@pytest.mark.parametrize("name, pi_text", [("code_g2.json", "a=2/7,b=5/7"), ("code_g3.json", "a=1/6,b=1/3,c=1/2")])
+def test_the_key_route_matches_the_word_route_on_the_golden_codes(tmp_path, name, pi_text):
+    payload = json.loads((GOLDEN / name).read_text())
+    alphabet = Alphabet(payload["alphabet"])
+    expected = word_route_stationary(alphabet, payload["k"], payload["code"], LetterDistribution.parse(alphabet, pi_text))
+    assert key_route_stationary(tmp_path, payload, pi_text) == expected
+
+
+@pytest.mark.parametrize("g, k", [(2, 3), (3, 2)])
+def test_the_key_route_matches_the_word_route_on_every_enumerated_code(tmp_path, enumerated_ideals, g, k):
+    alphabet, rng = Alphabet.of_size(g), random.Random(g * 10 + k)
+    pi = distribution(alphabet, [3, 4, 6][:g])
+    pi_text = ",".join(f"{c}={p}" for c, p in zip(alphabet.letters, pi.probs))
+    for ideal in enumerated_ideals[g, k]:
+        if ideal.code.is_epsilon:
+            continue
+        texts = rng.sample([str(w) for w in ideal.code.words], len(ideal.code.words))
+        payload = {"alphabet": alphabet.letters, "code": texts, "k": k}
+        assert key_route_stationary(tmp_path, payload, pi_text) == word_route_stationary(alphabet, k, texts, pi)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_integer_weights_match_word_prob(data):
+    g = data.draw(st.integers(1, 4))
+    alphabet = Alphabet.of_size(g)
+    pi = distribution(alphabet, data.draw(st.lists(st.integers(1, 9), min_size=g, max_size=g)))
+    lengths = data.draw(st.lists(st.integers(0, 14), max_size=40))
+    keys = [(n, data.draw(st.integers(0, g**n - 1))) for n in lengths]
+    top = max(lengths, default=0) + data.draw(st.integers(0, 2))
+    scale = pi._denominator**top
+    assert walks._weights(pi, g, keys, top) == [pi.word_prob(alphabet.word_at(n, x)) * scale for n, x in keys]
 
 
 def test_stationary_raises_when_the_table_does_not_fix_the_word_probabilities(monkeypatch, five_class):

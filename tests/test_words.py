@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product as iproduct
 
 import pytest
@@ -19,7 +20,7 @@ from semwalk import (
     truncate_suffix,
     words_of_length,
 )
-from semwalk.words import DEFAULT_ENUMERATION_LIMIT, WordLimitExceeded, suffixes, words_up_to_length
+from semwalk.words import DEFAULT_ENUMERATION_LIMIT, WordLimitExceeded, count_of_length, suffixes, words_up_to_length
 
 
 @pytest.fixture
@@ -182,3 +183,62 @@ def test_alphabet_of_size_rejects_sizes_outside_the_letter_pool():
     for g in (0, -1, 27):
         with pytest.raises(WordError):
             Alphabet.of_size(g)
+
+
+# ``Alphabet.keys_of`` reads rendered words straight to their keys; it must
+# agree with ``word`` on every string, valid or not.
+
+ALPHABETS = st.one_of(st.integers(1, 26).map(Alphabet.of_size), st.sampled_from([Alphabet("ba"), Alphabet("+1"), Alphabet(" _z")]))
+STRAY = " +-_01Ap\n\u00e9"
+
+
+def parsed(alphabet, text):
+    """The key of ``alphabet.word(text)``, or the message it raises."""
+    try:
+        return alphabet.word(text).key
+    except WordError as e:
+        return str(e)
+
+
+def keys_or_message(alphabet, texts):
+    try:
+        return alphabet.keys_of(texts)
+    except WordError as e:
+        return str(e)
+
+
+@given(ALPHABETS, st.data())
+@settings(max_examples=300, deadline=None)
+def test_keys_of_parses_and_raises_as_word(alphabet, data):
+    texts = data.draw(st.lists(st.text(alphabet=alphabet.letters + STRAY, max_size=12), max_size=5))
+    expected = [parsed(alphabet, t) for t in texts]
+    first_error = next((e for e in expected if isinstance(e, str)), None)
+    assert keys_or_message(alphabet, texts) == (expected if first_error is None else first_error)
+    for text, key in zip(texts, expected):
+        assert keys_or_message(alphabet, [text]) == ([key] if isinstance(key, tuple) else key)
+
+
+def test_keys_of_reads_words_past_the_int_digit_limit():
+    abc = Alphabet("abc")
+    text = "cab" * 2000  # 6000 base-3 digits, more than int() reads by default
+    assert abc.keys_of(["a", text]) == [(1, 0), abc.word(text).key]
+    assert abc.keys_of([text])[0][1] == sum(abc.index(c) * 3**i for i, c in enumerate(reversed(text)))
+
+
+@given(ALPHABETS, st.integers(0, 12), st.data())
+def test_word_at_inverts_the_key(alphabet, length, data):
+    x = data.draw(st.integers(0, alphabet.size**length - 1))
+    w = alphabet.word_at(length, x)
+    assert w.key == (length, x) and alphabet.keys_of([str(w)]) == [(length, x)]
+
+
+@pytest.mark.parametrize("g, length, limit", [(2, 16, DEFAULT_ENUMERATION_LIMIT), (2, 17, DEFAULT_ENUMERATION_LIMIT), (2, 30, 1000), (3, 7, 1000), (1, 11, 10), (1, 65537, DEFAULT_ENUMERATION_LIMIT), (2, -1, 10)])
+def test_count_of_length_refuses_as_words_of_length(g, length, limit):
+    alphabet = Alphabet.of_size(g)
+    try:
+        expected = len(words_of_length(alphabet, length, limit=limit))
+    except WordError as e:
+        with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+            count_of_length(alphabet, length, limit=limit)
+    else:
+        assert count_of_length(alphabet, length, limit=limit) == expected
