@@ -70,23 +70,20 @@ class SemaphoreCode:
         stray = next((w for w in words if w.alphabet.letters != letters), None)
         if stray is not None:
             raise CodeError(f"code word {stray} is not over the alphabet {letters!r}")
-        self._set_keys(alphabet, [w.key for w in words], infinite_tail)
+        # A frozen dataclass: its fields are set past its __setattr__.
+        self.__dict__.update(SemaphoreCode.from_keys(alphabet, [w.key for w in words], infinite_tail).__dict__)
 
     @classmethod
     def from_keys(cls, alphabet: Alphabet, keys: Iterable[tuple[int, int]], infinite_tail: bool = False) -> "SemaphoreCode":
         """The code of the words with the given keys (length, x), 0 <= x < g^length."""
-        code = cls.__new__(cls)
-        code._set_keys(alphabet, keys, infinite_tail)
-        return code
-
-    def _set_keys(self, alphabet: Alphabet, keys: Iterable[tuple[int, int]], infinite_tail: bool) -> None:
         keys = sorted(keys)
         index = {key: i for i, key in enumerate(keys)}  # each key to its position, in key order
         if len(index) < len(keys):
             n, x = next(u for u, v in zip(keys, keys[1:]) if u == v)
             raise CodeError(f"repeated code word {str(alphabet.word_at(n, x))!r}")
-        # A frozen dataclass: set the fields past its __setattr__.
-        self.__dict__.update(alphabet=alphabet, keys=tuple(keys), infinite_tail=infinite_tail, _index=index)
+        code = cls.__new__(cls)
+        code.__dict__.update(alphabet=alphabet, keys=tuple(keys), infinite_tail=infinite_tail, _index=index)
+        return code
 
     @cached_property
     def words(self) -> tuple[Word, ...]:

@@ -126,7 +126,8 @@ class StationaryVector:
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.values):
             raise WalkError("one value per state required")
-        if sum(self.values) != 1:
+        den = lcm(*(v.denominator for v in self.values))  # the sum on integers, over one denominator
+        if sum(v.numerator * (den // v.denominator) for v in self.values) != den:
             raise WalkError("stationary vector must sum to 1")
 
     def as_dict(self) -> dict[str, Fraction]:

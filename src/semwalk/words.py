@@ -10,7 +10,6 @@ rendering uses ``a..z``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product as iter_product
 from typing import Iterable, Iterator
 
@@ -63,10 +62,6 @@ class Alphabet:
         """Parse a rendered word; the empty string parses to epsilon."""
         return Word(self, tuple(self.index(c) for c in text))
 
-    @cached_property
-    def _to_digits(self) -> dict[int, str]:
-        return str.maketrans(self.letters, _DIGITS[: self.size])
-
     def keys_of(self, texts: list[str]) -> list[tuple[int, int]]:
         """The key (length, letters read in base g) of each rendered word, as
         ``word`` parses and raises, without building the words: the letters
@@ -74,8 +69,9 @@ class Alphabet:
         if "".join(texts).strip(self.letters):
             for text in texts:
                 self.word(text)  # raises at the first character that is not a letter
+        digits = str.maketrans(self.letters, _DIGITS[: self.size])
         try:
-            return [(len(text), int(text.translate(self._to_digits), self.size)) for text in texts]
+            return [(len(text), int(text.translate(digits), self.size)) for text in texts]
         except ValueError:  # int() has no base 1, no empty string, no digit string past the str->int limit
             return [self.word(text).key for text in texts]
 
