@@ -199,7 +199,7 @@ def _cmd_walk(args) -> int:
     if args.action == "stationary":
         ideal, order, keys = _parse_code_file(args.code)
         pi = _pi_arg(ideal.alphabet, args.pi)
-        weights, total = walks._stationary_weights(ideal, pi)
+        weights, total = walks.stationary_weights(ideal, pi)
         # Align output to the code order given in the input file.
         at = ideal.code._index
         _emit({"states": order, "stationary": [_ratio(weights[at[key]], total) for key in keys]}, args)

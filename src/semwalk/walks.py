@@ -217,7 +217,7 @@ def congruence_transition_matrix(rc: RightCongruence, pi: LetterDistribution) ->
     return _matrix(rc.block_labels, rc.block_action, pi)
 
 
-def _stationary_weights(ideal: IdealRep, pi: LetterDistribution) -> tuple[list[int], int]:
+def stationary_weights(ideal: IdealRep, pi: LetterDistribution) -> tuple[list[int], int]:
     """The stationary vector of ``stationary`` as integers: the weight N_w
     of each code word, in the code's key order, and their sum d^L."""
     if not pi.positive:
@@ -245,7 +245,7 @@ def stationary(ideal: IdealRep, pi: LetterDistribution) -> StationaryVector:
     sum to d^L.  A non-positive distribution still satisfies the equations
     but loses the uniqueness argument, hence the warning.
     """
-    weights, total = _stationary_weights(ideal, pi)
+    weights, total = stationary_weights(ideal, pi)
     return StationaryVector(tuple(str(w) for w in ideal.code.words), tuple(Fraction(x, total) for x in weights))
 
 
