@@ -23,7 +23,7 @@ from semwalk import (
 )
 from semwalk import congruences
 from semwalk.graphs import is_morphism
-from semwalk.words import words_up_to_length
+from semwalk.words import WordLimitExceeded, words_up_to_length
 
 
 def test_cayley_edge_set_of_running_example(five_class):
@@ -206,6 +206,14 @@ def test_images_are_the_images_of_the_words_in_carrier_order(graph, k):
     expected = [graph.image(w) for w in words_of_length(graph.alphabet, k)]
     assert graph.images(k) == expected
     assert graph.is_k_reset(k) == all(len(img) == 1 for img in expected)
+
+
+def test_images_refuse_a_carrier_past_the_enumeration_limit(ab):
+    g = debruijn(ab, 2)
+    with pytest.raises(WordLimitExceeded, match=r"^refusing to enumerate 131072 words \(limit 65536\)$"):
+        g.images(17)
+    with pytest.raises(WordLimitExceeded, match=r"^refusing to enumerate 2\^40 words \(limit 65536\)$"):
+        g.is_k_reset(40)
 
 
 def test_image_rejects_a_word_over_another_alphabet(ab):

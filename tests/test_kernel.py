@@ -49,6 +49,7 @@ from semwalk import (
     LatticeReport,
     LetterDistribution,
     SemaphoreCode,
+    WalkError,
     Word,
     action_table,
     advance,
@@ -575,6 +576,16 @@ def test_the_integer_weights_match_word_prob(data):
     top = max(lengths, default=0) + data.draw(st.integers(0, 2))
     scale = pi._denominator**top
     assert walks._weights(pi, g, keys, top) == [pi.word_prob(alphabet.word_at(n, x)) * scale for n, x in keys]
+
+
+@pytest.mark.parametrize("scale", [0, 2])
+def test_stationary_raises_when_the_weights_do_not_sum_to_one(monkeypatch, five_class, scale):
+    # Any multiple of the weights is a fixpoint too; only the sum rejects it.
+    ideal, pi = reset_code(five_class), distribution(Alphabet("ab"), [1, 2])
+    weights = walks._weights
+    monkeypatch.setattr(walks, "_weights", lambda *args: [scale * w for w in weights(*args)])
+    with pytest.raises(WalkError, match="must sum to 1"):
+        walks.stationary_weights(ideal, pi)
 
 
 def test_stationary_raises_when_the_table_does_not_fix_the_word_probabilities(monkeypatch, five_class):
