@@ -149,11 +149,9 @@ def _read_congruence(args) -> tuple[congruences.RightCongruence, list[int]]:
     alphabet = _alphabet_of(data, path)
     try:
         k = _k_of(data["k"])
-        texts = [[str(w) for w in _as_list(blk)] for blk in _as_list(data["blocks"])]
-        keys = iter(alphabet.keys_of([text for blk in texts for text in blk]))
+        blocks = [alphabet.keys_of([str(w) for w in _as_list(blk)]) for blk in _as_list(data["blocks"])]
     except _FIELD_ERRORS as e:
         raise ParseFailure(f"{path}: malformed congruence: {e}") from e
-    blocks = [[next(keys) for _ in blk] for blk in texts]
     rc = congruences.validate_keys(alphabet, k, blocks)
     return rc, [rc.labels[blk[0][1]] for blk in blocks]
 

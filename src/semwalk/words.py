@@ -41,6 +41,7 @@ class Alphabet:
             raise WordError(f"alphabet size must be in 1..{len(LETTER_POOL)}")
         if len(set(self.letters)) != len(self.letters):
             raise WordError(f"alphabet letters must be distinct: {self.letters!r}")
+        object.__setattr__(self, "_digits", str.maketrans(self.letters, _DIGITS[: len(self.letters)]))
 
     @classmethod
     def of_size(cls, g: int) -> "Alphabet":
@@ -69,9 +70,8 @@ class Alphabet:
         if "".join(texts).strip(self.letters):
             for text in texts:
                 self.word(text)  # raises at the first character that is not a letter
-        digits = str.maketrans(self.letters, _DIGITS[: self.size])
         try:
-            return [(len(text), int(text.translate(digits), self.size)) for text in texts]
+            return [(len(text), int(text.translate(self._digits), self.size)) for text in texts]
         except ValueError:  # int() has no base 1, no empty string, no digit string past the str->int limit
             return [self.word(text).key for text in texts]
 

@@ -460,7 +460,8 @@ def test_characters_int_would_accept_are_parse_errors(files, capsys, stray, bad)
         code, out, err = run_file(capsys, command, "--code", path)
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "parse", "message": f"{path}: malformed code: {message}"}
-    path = files("rc.json", {"alphabet": "ab", "k": 1, "blocks": [["a"], [stray]]})
+    # The first fault in file order is reported, here before the block that is not a list.
+    path = files("rc.json", {"alphabet": "ab", "k": 1, "blocks": [["a"], [stray], "b"]})
     for command in CONGRUENCE_COMMANDS:
         code, out, err = run_file(capsys, command, "--in", path)
         assert (code, out) == (2, "")
