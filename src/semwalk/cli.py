@@ -179,10 +179,13 @@ def _cmd_rc_generate(args) -> int:
     alphabet = _alphabet_of(data, args.infile)
     try:
         k = _k_of(data["k"])
-        pairs = {
-            (alphabet.word(str(u)), alphabet.word(str(v)))
-            for u, v in map(_as_list, _as_list(data["pairs"]))
-        }
+        # Deduplicated in file order, so a refusal names the first bad pair.
+        pairs = list(
+            dict.fromkeys(
+                (alphabet.word(str(u)), alphabet.word(str(v)))
+                for u, v in map(_as_list, _as_list(data["pairs"]))
+            )
+        )
     except _FIELD_ERRORS as e:
         raise ParseFailure(f"{args.infile}: malformed pair set: {e}") from e
     rc = congruences.generate(pairs, alphabet, k)

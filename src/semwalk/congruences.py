@@ -14,7 +14,11 @@ Internally A^k is the integers 0..g^k-1 in the lexicographic order of
 appending letter a sends x to (x*g + a) mod g^k.  A congruence is stored
 as its canonical labels, the block index of each integer, and nothing
 else; ``Word`` objects are built only for parsed input, the ``blocks``
-rendering and witnesses in messages.
+rendering and witnesses in messages.  The lattice enumeration and the join
+certificate of the lattice report work on stars instead: the string whose
+character x is ``chr`` of the least point of x's block.  Joining a
+principal or join-irreducible congruence into a star is one C-level
+``str.replace`` per pair of blocks it merges.
 """
 
 from __future__ import annotations
@@ -93,19 +97,20 @@ def _blocks(labels: tuple[int, ...]) -> list[list[int]]:
     return out
 
 
-def _star(labels: tuple[int, ...]) -> tuple[int, ...]:
-    """Each point mapped to the least point of its block: a canonical key
-    like the labels, a union-find forest of depth one whose roots are the
-    block minima, and, read as pairs (x, star[x]), a generating set."""
-    first: list[int] = []
+def _star(labels: tuple[int, ...]) -> str:
+    """Each point mapped to the least point of its block, as the string of
+    ``chr`` of those minima: a canonical key like the labels, and, read as
+    pairs (x, star[x]), a generating set.  Two blocks merge by one
+    ``str.replace`` of the larger minimum by the smaller, a C-level pass."""
+    first: list[str] = []
     for x, b in enumerate(labels):
         if b == len(first):
-            first.append(x)
-    return tuple(first[b] for b in labels)
+            first.append(chr(x))
+    return "".join(map(first.__getitem__, labels))
 
 
-def _star_pairs(star: tuple[int, ...]) -> list[tuple[int, int]]:
-    return [(x, p) for x, p in enumerate(star) if x != p]
+def _star_pairs(star: str) -> list[tuple[int, int]]:
+    return [(x, p) for x, p in enumerate(map(ord, star)) if x != p]
 
 
 def _block_masks(labels: tuple[int, ...]) -> tuple[int, ...]:
@@ -121,9 +126,9 @@ def _close(nxt, parent, pairs) -> tuple[int, ...]:
     """Union-find closure under the action, returned as canonical labels.
 
     ``parent`` is a union-find forest of a right-closed partition (identity
-    or ``_star`` of a congruence); it is copied, not changed.  Each pair is
-    merged, and every pair that joins two classes queues its images under
-    every letter, until fixpoint.
+    or the ``ord`` of a congruence's ``_star``); it is copied, not changed.
+    Each pair is merged, and every pair that joins two classes queues its
+    images under every letter, until fixpoint.
     """
     parent = list(parent)
     work = list(pairs)
@@ -143,32 +148,26 @@ def _close(nxt, parent, pairs) -> tuple[int, ...]:
     return _canonical(find(x) for x in range(len(parent)))
 
 
-def _join_star(star1: tuple[int, ...], pairs2: list[tuple[int, int]]) -> tuple[int, ...]:
+def _join_star(star: str, pairs: list[tuple[int, int]]) -> str:
     """Star of the join of two right congruences, the first given by its
     ``_star``, the second by its ``_star_pairs``.
 
     The join is the equivalence generated by the union; it needs no closure
     under the action, because a chain u = w0 ~ w1 ~ ... ~ wm = v of steps in
     either congruence maps letter by letter to the chain w0*a ~ ... ~ wm*a.
-    The larger root always goes under the smaller, so every pointer goes
-    down and the roots are the class minima; one pass in point order then
-    flattens the forest into the star.
+    Each pair whose points have different minima merges their blocks: the
+    larger minimum is replaced by the smaller, so the result is the star
+    again.  The cost is one C pass over the star per merge, which is meant
+    for a second operand with few blocks to merge, such as a principal or
+    join-irreducible congruence; ``join`` takes the union-find ``_close``.
     """
-    parent = list(star1)
-    for x, p in pairs2:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        if x < p:
-            parent[p] = x
-        elif p < x:
-            parent[x] = p
-    for x, p in enumerate(parent):
-        parent[x] = parent[p]
-    return tuple(parent)
+    for x, p in pairs:
+        a, b = star[x], star[p]
+        if a < b:
+            star = star.replace(b, a)
+        elif b < a:
+            star = star.replace(a, b)
+    return star
 
 
 def _closure_witness(nxt, labels: tuple[int, ...]) -> tuple[int, int, int] | None:
@@ -363,10 +362,21 @@ def meet(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
 
 
 def join(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
-    """Smallest right congruence containing both relations."""
+    """Smallest right congruence containing both relations.
+
+    The pairs of the finer operand are merged into the star of the coarser
+    by the union-find ``_close``, near-linear in |A^k| whatever the
+    operands; the image pairs it queues are already related, since the join
+    is right-closed.  The ``str.replace`` kernel ``_join_star`` would pay
+    one pass over A^k per merged block, quadratic when the second operand
+    merges many blocks of the first.
+    """
     _require_same_setting(r1, r2)
-    star = _join_star(_star(r1.labels), _star_pairs(_star(r2.labels)))
-    return RightCongruence(r1.alphabet, r1.k, _canonical(star))
+    if max(r1.labels) > max(r2.labels):
+        r1, r2 = r2, r1
+    parent = map(ord, _star(r1.labels))
+    labels = _close(_action(r1.alphabet.size, r1.k), parent, _star_pairs(_star(r2.labels)))
+    return RightCongruence(r1.alphabet, r1.k, labels)
 
 
 def _set_partitions(items):
@@ -421,8 +431,10 @@ def enumerate_rc(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIE
     A right congruence is the join of the principal congruences theta(u, v)
     of its pairs, so joining the identity with one theta(u, v) at a time
     reaches every element: one join per element and principal congruence
-    instead of a closure check per set partition.  Same list, order and
-    refusals as ``enumerate_all``.
+    instead of a closure check per set partition.  Elements are held as
+    ``_star`` strings, so the seen set hashes and compares strings and each
+    join is ``_join_star``, one ``str.replace`` per merged block.  Same
+    list, order and refusals as ``enumerate_all``.
     """
     n = _enumerable_size(alphabet, k, carrier_bound)
     nxt = _action(alphabet.size, k)
@@ -431,7 +443,7 @@ def enumerate_rc(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIE
         for v in range(u + 1, n):
             principal.setdefault(_star(_close(nxt, range(n), [(u, v)])), (u, v))
     gens = [(u, v, _star_pairs(star)) for star, (u, v) in principal.items()]
-    seen = {tuple(range(n))}
+    seen = {_star(range(n))}
     todo = list(seen)
     while todo:
         x = todo.pop()
@@ -519,8 +531,9 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
     up(x) & up(y) (a meet, down-set down(x) & down(y)).  It is closed under
     the join of right congruences if x v a is in it for every x and every
     join-irreducible a (one lower cover), since every y is the join of the
-    join-irreducibles below it; only those joins are computed, each
-    compared with the up-set join.  On a failed check the first failing
+    join-irreducibles below it; only those joins are computed, each by
+    ``_join_star`` on the element's star (one ``str.replace`` per merged
+    block) and compared with the star of the up-set join.  On a failed check the first failing
     pair, meet before join, is raised.  The flags rest on two theorems:
 
     - Upper semimodularity (if a and b cover a meet b, then a join b covers
@@ -561,7 +574,17 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
             elif m is None:
                 raise CongruenceError(_first_unclosed(rel, by_rel, stars))
 
-    covers = [(i, j) for i in range(n) for j in _bits(up[i] ^ (1 << i)) if up[i] & down[j] == (1 << i) | (1 << j)]
+    covers = []
+    for i, up_i in enumerate(up):
+        bit = 1 << i
+        rest = up_i ^ bit
+        while rest:  # the bits j of rest, highest first
+            j = rest.bit_length() - 1
+            low = 1 << j
+            rest ^= low
+            if up_i & down[j] == bit | low:
+                covers.append((i, j))
+    covers.sort()
     upper: list[list[int]] = [[] for _ in range(n)]
     lower: list[list[int]] = [[] for _ in range(n)]
     for i, j in covers:
@@ -574,11 +597,14 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
     by_down = {d: i for i, d in enumerate(down)}
     irreducible = {a: _star_pairs(stars[a]) for a in range(n) if len(lower[a]) == 1}
     top = by_down.get(everything)
-    if top is None or not all(
-        _join_star(stars[x], pairs) == stars[by_up[up[x] & up[a]]]
-        for a, pairs in irreducible.items()
-        for x in _bits(everything & ~(up[a] | down[a]))
-    ):
+    closed = top is not None
+    for a, pairs in irreducible.items():
+        rest = everything & ~(up[a] | down[a])  # the elements incomparable to a
+        while closed and rest:
+            x = rest.bit_length() - 1
+            rest ^= 1 << x
+            closed = _join_star(stars[x], pairs) == stars[by_up[up[x] & up[a]]]
+    if not closed:
         raise CongruenceError(_first_unclosed(rel, by_rel, stars))
     bottom = by_up[everything]
     atoms = upper[bottom]

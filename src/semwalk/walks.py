@@ -307,6 +307,8 @@ def profile_of_ideal(ideal: IdealRep, pi: LetterDistribution) -> ResetProfile:
     """The reset profile of the ideal's code: P(l) sums code words of
     length at most l; P(0) counts as 0, so the epsilon code resets at the
     first step."""
+    if pi.alphabet != ideal.alphabet:
+        raise WalkError("the letter distribution and the code are over different alphabets")
     k, keys = ideal.k, ideal.code.keys
     by_length = [0] * (k + 1)
     for (n, _), weight in zip(keys, _weights(pi, ideal.alphabet.size, keys, k)):

@@ -133,6 +133,22 @@ def test_rc_generate(files, capsys):
     ]
 
 
+@pytest.mark.parametrize("hash_seed", ["1", "2", "4"])
+def test_rc_generate_names_the_first_bad_pair_in_file_order(files, hash_seed):
+    # Under a set of pairs these seeds named (aaa, b), (b, bb) and (a, ab).
+    pairs = [["aa", "ab"], ["a", "ab"], ["ab", "bab"], ["b", "bb"], ["aaa", "b"], ["a", "ab"]]
+    infile = files("pairs.json", {"alphabet": "ab", "k": 2, "pairs": pairs})
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": hash_seed,
+        "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+    }
+    argv = [sys.executable, "-m", "semwalk", "rc", "generate", "--in", infile]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert done.returncode == 1 and done.stderr == ""
+    assert json.loads(done.stdout) == {"error": "validation", "message": "pair (a, ab) is not in A^2 x A^2"}
+
+
 def test_walk_profile_four_class(files, capsys):
     data = run_json(
         capsys, "walk", "profile", "--in", files("fc.json", FOUR_CLASS), "--pi", "a=1/2,b=1/2"

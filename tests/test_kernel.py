@@ -19,7 +19,8 @@ Word-level scans they replaced, copied below; its keyed semaphore test,
 
 Lattice order: ``enumerate_rc`` (join closure of the principal
 congruences) against ``enumerate_all``, the equivalence join against the
-action-closure join, and ``lattice_report`` (order bitsets, local cover
+action-closure join, the star-string kernel ``_join_star`` against ``join``
+and the census join counts, and ``lattice_report`` (order bitsets, local cover
 checks, a join-irreducible closure certificate) against a copy of the
 cubic report it replaced, on the enumerable lattices and on sublattices of
 RC(abc, 2); the (2,4) lattice against the public meet, join and refines.
@@ -1093,6 +1094,46 @@ def test_equivalence_join_matches_on_enumerated_pairs(g, k):
     pairs = [(x, y) for x in elements for y in elements]
     for x, y in rng.sample(pairs, min(len(pairs), 2000)):
         assert join(x, y).labels == action_closure_join(nxt, x.labels, y.labels)
+
+
+@given(setting_and_pairs())
+@settings(max_examples=60, deadline=None)
+def test_the_star_string_join_matches_join(case):
+    alphabet, k, (p1, p2) = case
+    r1, r2 = congruence_of(alphabet, k, p1), congruence_of(alphabet, k, p2)
+    star, pairs = congruences._star(r1.labels), congruences._star_pairs(congruences._star(r2.labels))
+    assert congruences._canonical(congruences._join_star(star, pairs)) == join(r1, r2).labels
+
+
+def test_join_at_2_16_is_generate_of_both_pairs():
+    # The join merges 32,767 pairs of blocks: one pass over A^16 per merge
+    # would be quadratic, so join must take the union-find closure.
+    ab = Alphabet("ab")
+    first = (ab.word("a" * 16), ab.word("b" + "a" * 15))
+    second = (ab.word("ab" * 8), ab.word("bb" * 8))
+    r1, r2 = generate([first], ab, 16), generate([second], ab, 16)
+    joined = join(r1, r2)
+    assert joined == join(r2, r1) == generate([first, second], ab, 16)
+    assert (max(r1.labels), max(r2.labels), max(joined.labels)) == (65534, 32768, 32767)
+
+
+def test_the_census_join_counts(monkeypatch):
+    # The work of `lattice census -g 3 -k 2`: one join per element and
+    # principal congruence not below it, and one per join-irreducible a and
+    # element incomparable to a.
+    calls = []
+    join_star = congruences._join_star
+
+    def counted(star, pairs):
+        calls.append(None)
+        return join_star(star, pairs)
+
+    monkeypatch.setattr(congruences, "_join_star", counted)
+    elements = enumerate_rc(Alphabet("abc"), 2, carrier_bound=9)
+    assert len(calls) == 3105
+    calls.clear()
+    lattice_report(elements)
+    assert len(calls) == 3000
 
 
 @pytest.mark.parametrize("g, k", ENUMERABLE)

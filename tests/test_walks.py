@@ -237,6 +237,19 @@ def test_profile_universal_congruence(ab, uniform):
     assert prof.hitting_time == F(1)
 
 
+def test_profile_refuses_a_distribution_over_another_alphabet(ab):
+    # Read by letter position, pi over "ba" would give the code word b the
+    # probability of a: P = (2/3, 1).  stationary refuses it the same way.
+    ideal = IdealRep(SemaphoreCode(ab, tuple(map(ab.word, ["b", "aa", "ba"]))), 2)
+    pi = LetterDistribution(Alphabet("ba"), (F(1, 3), F(2, 3)))
+    message = "^the letter distribution and the code are over different alphabets$"
+    with pytest.raises(WalkError, match=message):
+        profile_of_ideal(ideal, pi)
+    with pytest.raises(WalkError, match=message):
+        stationary(ideal, pi)
+    assert profile_of_ideal(ideal, LetterDistribution(ab, (F(2, 3), F(1, 3)))).cumulative == (F(1, 3), F(1))
+
+
 def test_code_probabilities_sum_to_one(ab):
     # Total code probability is exactly 1 for every ideal code and pi.
     for k in (1, 2, 3):
