@@ -438,7 +438,7 @@ def enumerate_rc(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIE
     """
     n = _enumerable_size(alphabet, k, carrier_bound)
     nxt = _action(alphabet.size, k)
-    principal: dict[tuple[int, ...], tuple[int, int]] = {}
+    principal: dict[str, tuple[int, int]] = {}
     for u in range(n):
         for v in range(u + 1, n):
             principal.setdefault(_star(_close(nxt, range(n), [(u, v)])), (u, v))
@@ -578,13 +578,11 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
     for i, up_i in enumerate(up):
         bit = 1 << i
         rest = up_i ^ bit
-        while rest:  # the bits j of rest, highest first
-            j = rest.bit_length() - 1
-            low = 1 << j
+        while rest:  # the bits of rest, lowest first, without a _bits generator step each
+            low = rest & -rest
             rest ^= low
-            if up_i & down[j] == bit | low:
-                covers.append((i, j))
-    covers.sort()
+            if up_i & down[low.bit_length() - 1] == bit | low:
+                covers.append((i, low.bit_length() - 1))
     upper: list[list[int]] = [[] for _ in range(n)]
     lower: list[list[int]] = [[] for _ in range(n)]
     for i, j in covers:
@@ -597,14 +595,11 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
     by_down = {d: i for i, d in enumerate(down)}
     irreducible = {a: _star_pairs(stars[a]) for a in range(n) if len(lower[a]) == 1}
     top = by_down.get(everything)
-    closed = top is not None
-    for a, pairs in irreducible.items():
-        rest = everything & ~(up[a] | down[a])  # the elements incomparable to a
-        while closed and rest:
-            x = rest.bit_length() - 1
-            rest ^= 1 << x
-            closed = _join_star(stars[x], pairs) == stars[by_up[up[x] & up[a]]]
-    if not closed:
+    if top is None or not all(
+        _join_star(stars[x], pairs) == stars[by_up[up[x] & up[a]]]
+        for a, pairs in irreducible.items()
+        for x in _bits(everything & ~(up[a] | down[a]))
+    ):
         raise CongruenceError(_first_unclosed(rel, by_rel, stars))
     bottom = by_up[everything]
     atoms = upper[bottom]
