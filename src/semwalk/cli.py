@@ -128,14 +128,17 @@ def _code_json(ideal: codes.IdealRep) -> dict:
     return payload
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+def _write(text: str, args) -> None:
+    """``text`` to the ``--out`` file if one is given, else to stdout."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(payload: dict, args) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
 
 
 # ---------------------------------------------------------------- rc group
@@ -296,12 +299,7 @@ def _cmd_lattice_census(args) -> int:
 
 def _cmd_graph_dot(args) -> int:
     rc, _ = _read_congruence(args)
-    text = graphs.to_dot(graphs.cayley(rc))
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(graphs.to_dot(graphs.cayley(rc)), args)
     return EXIT_OK
 
 

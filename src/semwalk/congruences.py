@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 
-# product is unused here but stays importable as congruences.product for callers.
+# Unused here: perfbench/test_perfbench.py::test_tracer_restores_the_program
+# reads congruences.product to check that its tracer restores the binding.
 from .words import Alphabet, Word, count_of_length, product, words_of_length  # noqa: F401
 
 # The oracle enumeration is a Bell-number filter.  Both enumerations refuse
@@ -366,16 +367,17 @@ def join(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
 
     The pairs of the finer operand are merged into the star of the coarser
     by the union-find ``_close``, near-linear in |A^k| whatever the
-    operands; the image pairs it queues are already related, since the join
-    is right-closed.  The ``str.replace`` kernel ``_join_star`` would pay
-    one pass over A^k per merged block, quadratic when the second operand
-    merges many blocks of the first.
+    operands.  It gets an action with no letters, so it queues no image
+    pairs: the join is right-closed already (see ``_join_star``).  The
+    ``str.replace`` kernel ``_join_star`` would pay one pass over A^k per
+    merged block, quadratic when the second operand merges many blocks of
+    the first.
     """
     _require_same_setting(r1, r2)
     if max(r1.labels) > max(r2.labels):
         r1, r2 = r2, r1
     parent = map(ord, _star(r1.labels))
-    labels = _close(_action(r1.alphabet.size, r1.k), parent, _star_pairs(_star(r2.labels)))
+    labels = _close([()] * len(r1.labels), parent, _star_pairs(_star(r2.labels)))
     return RightCongruence(r1.alphabet, r1.k, labels)
 
 

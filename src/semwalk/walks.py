@@ -2,9 +2,10 @@
 
 Every analytic quantity here is an exact rational: stationary vectors are
 verified fixpoints, reset probabilities are polynomial identities checked
-on grids, and the lumped chain is computed two independent ways that must
-agree to the last bit.  Floating point appears only in the Monte-Carlo
-reporting layer.
+on grids, and the lumped chain is the class walk of the Cayley table,
+checked letter by letter against the walk on the reset code, with a
+stationary vector computed two independent ways that must agree to the
+last bit.  Floating point appears only in the Monte-Carlo reporting layer.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from math import lcm
 
-from .codes import CodeError, IdealRep, action_table, lower_approx, reset_code
-# code_action is unused here but stays importable as walks.code_action for callers.
+from .codes import CodeError, IdealRep, action_table, reset_code
+# Unused here: perfbench/test_perfbench.py::test_tracer_restores_the_program
+# reads walks.code_action to check that its tracer restores the binding.
 from .codes import code_action  # noqa: F401
 from .congruences import RightCongruence
 from .graphs import _strongly_connected
@@ -367,52 +369,42 @@ def check_polynomial_identity(rc: RightCongruence) -> bool:
 
 @dataclass(frozen=True)
 class LumpedWalk:
-    """The congruence-class chain obtained by lumping the code chain."""
+    """The walk on congruence classes, which the walk on the reset code
+    lumps onto: its Cayley-table matrix and its stationary vector."""
 
     matrix: TransitionMatrix
     stationary: StationaryVector
 
 
 def lumped(rc: RightCongruence, pi: LetterDistribution) -> LumpedWalk:
-    """Lump the lower-approximation code walk onto the congruence classes.
+    """Lump the walk on the reset code of ``rc`` onto its classes.
 
-    Verifies the lumpability condition exactly: merged-column row sums must
-    agree across states whose classes coincide.  The stationary vector is
-    computed both from code-word probabilities and by summing the product
-    distribution over each class, as integers over d^k; the two must agree
-    exactly.
+    The matrix is the class walk of ``congruence_transition_matrix``.
+    Lumpability is checked letter by letter on integers, whatever ``pi``:
+    each code word lies in one class, and the code word its letter a leads
+    to must lie in the class the Cayley table gives for that class and a.
+    The stationary vector is computed both from code-word probabilities and
+    by summing the product distribution over each class, as integers over
+    d^k; the two must agree exactly, and the result must be a fixpoint of
+    the class walk.
     """
     if rc.alphabet.size < 2:
         raise WalkError("lumping requires at least two letters")
-    labels = rc.block_labels
-
+    matrix = congruence_transition_matrix(rc, pi)
+    labels = matrix.labels
     if rc.is_universal:
-        matrix = TransitionMatrix(labels, ((Fraction(1),),))
-        vec = StationaryVector(labels, (Fraction(1),))
-        return LumpedWalk(matrix, vec)
+        # The reset code is {epsilon}: one state, and no action table.
+        return LumpedWalk(matrix, StationaryVector(labels, (Fraction(1),)))
 
-    low, ideal = lower_approx(rc)
-    code = ideal.code
-    nxt = _code_table(ideal, pi)
+    code = reset_code(rc).code
     # Each code word's bucket of A^k words lies inside one class of rc; the
     # code word padded on the left with letter 0 is in it and has its integer.
     cls = [rc.labels[x] for _, x in code.keys]
+    for key, b, succ in zip(code.keys, cls, action_table(code)):
+        if tuple(map(cls.__getitem__, succ)) != rc.block_action[b]:
+            raise AssertionError(f"lumpability violated at code word {rc.alphabet.word_at(*key)}")
 
-    n = len(labels)
-    merged: list[list[Fraction] | None] = [None] * n
-    for i, key in enumerate(code.keys):
-        sums = [Fraction(0)] * n
-        for p, j in zip(pi.probs, nxt[i]):
-            sums[cls[j]] += p
-        if merged[cls[i]] is None:
-            merged[cls[i]] = sums
-        elif merged[cls[i]] != sums:
-            raise AssertionError(
-                f"lumpability violated at code word {rc.alphabet.word_at(*key)}: {merged[cls[i]]} vs {sums}"
-            )
-    matrix = TransitionMatrix(labels, tuple(tuple(row) for row in merged))  # type: ignore[misc]
-
-    g, k = rc.alphabet.size, rc.k
+    g, k, n = rc.alphabet.size, rc.k, len(labels)
     by_debruijn = [0] * n
     for b, weight in zip(rc.labels, _weights(pi, g, [(k, x) for x in range(len(rc.labels))], k)):
         by_debruijn[b] += weight
@@ -421,10 +413,9 @@ def lumped(rc: RightCongruence, pi: LetterDistribution) -> LumpedWalk:
         by_code[b] += weight
     if by_code != by_debruijn:
         raise AssertionError("code-word and de Bruijn lumped stationary vectors differ")
-    vec = StationaryVector(labels, tuple(Fraction(x, pi._denominator**k) for x in by_code))
-    if matrix.left_apply(vec.values) != vec.values:
+    if not _is_fixpoint(rc.block_action, pi, by_code):
         raise AssertionError("lumped stationary vector is not a fixpoint")
-    return LumpedWalk(matrix, vec)
+    return LumpedWalk(matrix, StationaryVector(labels, tuple(Fraction(x, pi._denominator**k) for x in by_code)))
 
 
 @dataclass(frozen=True)

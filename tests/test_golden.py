@@ -18,6 +18,10 @@ congruence on {a,b,c}^3 generated by (acc, cac), (ccb, aab) and (ccc, cbc),
 blocks and words in shuffled order; it is not special, its reset code has 21
 words and its block lcs code has 7.
 
+``walk_lumped_g3_zero`` was recorded at commit 587318f, where ``lumped``
+still summed the rows of the code walk by class; letter a has probability
+0, so the matrix keeps the class walk's zero entries.
+
 ``walk_simulate_wide`` was recorded at commit 318eca4, where the simulator
 still drew one ``randrange`` per letter.  Its denominator, 513, is wider
 than a byte, so the simulator draws its letters one at a time.
@@ -54,6 +58,7 @@ CASES = {
     **{f"rc_{action}_g3": ["rc", action, "--in", G3] for action in ["lower", "upper", "resets", "is-special"]},
     "walk_profile_g3": ["walk", "profile", "--in", G3, *PI_G3],
     "walk_lumped_g3": ["walk", "lumped", "--in", G3, *PI_G3],
+    "walk_lumped_g3_zero": ["walk", "lumped", "--in", G3, "--pi", "a=0,b=1/3,c=2/3"],
     "graph_dot_g3": ["graph", "dot", "--in", G3],
     "walk_stationary_g2": ["walk", "stationary", *CODE_G2],
     "walk_stationary_g3": ["walk", "stationary", *CODE_G3],
@@ -73,3 +78,10 @@ CASES = {
 def test_cli_output_matches_golden(case, capsys):
     assert main(CASES[case]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{case}.out").read_bytes()
+
+
+def test_graph_dot_out_writes_the_golden_bytes(tmp_path, capsys):
+    target = tmp_path / "graph.dot"
+    assert main(["graph", "dot", "--in", FIVE_CLASS, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == (GOLDEN / "graph_dot.out").read_bytes()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semwalk import walks
 from semwalk import (
     Alphabet,
     CodeError,
@@ -309,11 +310,29 @@ def test_lumped_universal(ab, uniform):
     assert lw.matrix.rows == ((F(1),),)
 
 
+def test_lumped_universal_checks_the_alphabet(ab):
+    xy = LetterDistribution.uniform(Alphabet("xy"))
+    with pytest.raises(WalkError, match="different alphabets"):
+        lumped(universal(ab, 3), xy)
+
+
+def test_lumped_checks_each_letter_of_each_code_word(five_class, uniform, monkeypatch):
+    # At the uniform distribution, swapping the two letter columns of every
+    # code word leaves the class sums of each row unchanged, so a check on
+    # row sums misses it; the letter by letter check against the Cayley
+    # table does not.
+    table = walks.action_table
+    monkeypatch.setattr(walks, "action_table", lambda code: [row[::-1] for row in table(code)])
+    with pytest.raises(AssertionError, match="^lumpability violated at code word aa$"):
+        lumped(five_class, uniform)
+
+
 def test_lumped_two_routes_agree_everywhere(ab, rc_a2, rc_a3):
     # lumped() internally computes the stationary vector from code words
     # and from de Bruijn lumping and raises if they ever disagree; it also
-    # verifies the merged-column lumpability condition.  Running it across
-    # every enumerated congruence at three distributions is the check.
+    # checks each letter of each code word against the Cayley table.
+    # Running it across every enumerated congruence at three distributions
+    # is the check.
     for rc in rc_a2 + rc_a3:
         for pa in (F(1, 2), F(1, 3), F(2, 7)):
             lw = lumped(rc, pi_of(ab, pa))
