@@ -42,10 +42,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str) -> dict:
+    # ValueError covers malformed JSON, bytes that are not UTF-8 and an
+    # integer over the digit limit; RecursionError, nesting too deep.
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise ParseFailure(f"cannot read JSON from {path}: {e}") from e
     if not isinstance(data, dict):
         raise ParseFailure(f"{path}: expected a JSON object")
@@ -131,8 +133,11 @@ def _code_json(ideal: codes.IdealRep) -> dict:
 def _write(text: str, args) -> None:
     """``text`` to the ``--out`` file if one is given, else to stdout."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ParseFailure(f"cannot write {args.out}: {e}") from e
     else:
         sys.stdout.write(text)
 

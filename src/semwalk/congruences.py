@@ -9,16 +9,18 @@ the principal congruences, and the exhaustive partition filter that is its
 oracle), and the lattice analytics (covers, atoms, semimodularity,
 modularity, atomisticity, equal maximal chain lengths).
 
-Internally A^k is the integers 0..g^k-1 in the lexicographic order of
-``words_of_length``: a word is its letter indices read in base g, and
-appending letter a sends x to (x*g + a) mod g^k.  A congruence is stored
-as its canonical labels, the block index of each integer, and nothing
-else; ``Word`` objects are built only for parsed input, the ``blocks``
-rendering and witnesses in messages.  The lattice enumeration and the join
-certificate of the lattice report work on stars instead: the string whose
-character x is ``chr`` of the least point of x's block.  Joining a
-principal or join-irreducible congruence into a star is one C-level
-``str.replace`` per pair of blocks it merges.
+Internally A^k is the integers 0..n-1, n = g^k, in the lexicographic order
+of ``words_of_length``: a word is its letter indices read in base g, and
+appending letter a sends x to (x*g + a) mod n.  As g divides n, the images
+of x are the g integers from t = x*g mod n on, so no table of the action is
+kept: x reaches the blocks ``labels[t : t + g]``, and ``_close`` with
+g = 0 letters queues no images.  A congruence is its canonical labels, the
+block index of each integer, and nothing else; ``Word`` objects are built
+only for parsed input, the ``blocks`` rendering and witnesses in messages.
+The lattice enumeration and the join certificate of the lattice report
+work on stars instead: the string whose character x is ``chr`` of the
+least point of x's block, in which a join merges two blocks by one C-level
+``str.replace``.
 """
 
 from __future__ import annotations
@@ -73,15 +75,9 @@ class ClosureViolation(CongruenceError):
 
 
 @lru_cache(maxsize=8)
-def _action(g: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """The right action on A^k as integers: nxt[x][a] = (x*g + a) mod g^k."""
-    n = g**k
-    return tuple(tuple((x * g + a) % n for a in range(g)) for x in range(n))
-
-
-@lru_cache(maxsize=8)
 def _carrier(alphabet: Alphabet, k: int) -> tuple[Word, ...]:
-    """A^k as words; position x holds the word whose integer is x."""
+    """A^k as words; position x holds the word whose integer is x.  Cached,
+    as building them takes 13-55 us of a 0.3 ms request at g^k <= 32."""
     return tuple(words_of_length(alphabet, k))
 
 
@@ -123,15 +119,18 @@ def _block_masks(labels: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(masks[b] for b in labels)
 
 
-def _close(nxt, parent, pairs) -> tuple[int, ...]:
-    """Union-find closure under the action, returned as canonical labels.
+def _close(g: int, parent, pairs) -> tuple[int, ...]:
+    """Union-find closure under the action of g letters, as canonical labels.
 
-    ``parent`` is a union-find forest of a right-closed partition (identity
-    or the ``ord`` of a congruence's ``_star``); it is copied, not changed.
-    Each pair is merged, and every pair that joins two classes queues its
-    images under every letter, until fixpoint.
+    ``parent`` is a union-find forest of a right-closed partition of n
+    points (identity or the ``ord`` of a congruence's ``_star``); it is
+    copied, not changed.  Each pair is merged, and every pair (u, v) that
+    joins two classes queues its images (su + a, sv + a) for a < g, with
+    su = u*g mod n and sv = v*g mod n, until fixpoint.  g = 0 queues none,
+    leaving the equivalence the pairs generate on the forest (``join``).
     """
     parent = list(parent)
+    n = len(parent)
     work = list(pairs)
 
     def find(x: int) -> int:
@@ -145,8 +144,10 @@ def _close(nxt, parent, pairs) -> tuple[int, ...]:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[rv] = ru
-            work.extend(zip(nxt[u], nxt[v]))
-    return _canonical(find(x) for x in range(len(parent)))
+            su, sv = u * g % n, v * g % n
+            for a in range(g):
+                work.append((su + a, sv + a))
+    return _canonical(find(x) for x in range(n))
 
 
 def _join_star(star: str, pairs: list[tuple[int, int]]) -> str:
@@ -171,16 +172,17 @@ def _join_star(star: str, pairs: list[tuple[int, int]]) -> str:
     return star
 
 
-def _closure_witness(nxt, labels: tuple[int, ...]) -> tuple[int, int, int] | None:
+def _closure_witness(g: int, labels: tuple[int, ...]) -> tuple[int, int, int] | None:
     """First (u, v, a) in canonical block order such that u and v share a
     block but u*a and v*a do not; None when the partition is right-closed."""
-    for blk in _blocks(labels):
-        u = blk[0]
-        image = [labels[y] for y in nxt[u]]
-        for v in blk[1:]:
-            for a, y in enumerate(nxt[v]):
-                if labels[y] != image[a]:
-                    return u, v, a
+    n = len(labels)
+    for u, *rest in _blocks(labels):
+        t = u * g % n
+        image = labels[t : t + g]
+        for v in rest:
+            t = v * g % n
+            if labels[t : t + g] != image:
+                return u, v, next(a for a, y in enumerate(labels[t : t + g]) if y != image[a])
     return None
 
 
@@ -236,8 +238,8 @@ class RightCongruence:
     def block_action(self) -> tuple[tuple[int, ...], ...]:
         """The Cayley table: ``block_action[b][a]`` is the block reached from
         block b by appending letter a, read off the block's least word."""
-        nxt, labels = _action(self.alphabet.size, self.k), self.labels
-        return tuple(tuple(labels[y] for y in nxt[blk[0]]) for blk in _blocks(labels))
+        g, labels, n = self.alphabet.size, self.labels, len(self.labels)
+        return tuple(labels[t : t + g] for t in (blk[0] * g % n for blk in _blocks(labels)))
 
     def step(self, block_index: int, letter: Word) -> int:
         """Index of the block reached from a block by appending a letter."""
@@ -278,7 +280,7 @@ def _congruence(alphabet: Alphabet, k: int, keys) -> RightCongruence:
     if k < 1:
         raise CongruenceError("k must be >= 1")
     labels = _canonical(keys)
-    witness = _closure_witness(_action(alphabet.size, k), labels)
+    witness = _closure_witness(alphabet.size, labels)
     if witness is not None:
         u, v, a = witness
         raise ClosureViolation(alphabet.word_at(k, u), alphabet.word_at(k, v), Word(alphabet, (a,)))
@@ -353,7 +355,7 @@ def generate(
         if not all(w.alphabet == alphabet and len(w) == k for w in (u, v)):
             raise CongruenceError(f"pair ({u}, {v}) is not in A^{k} x A^{k}")
     work = [(u.key[1], v.key[1]) for u, v in pairs]
-    return RightCongruence(alphabet, k, _close(_action(alphabet.size, k), range(n), work))
+    return RightCongruence(alphabet, k, _close(alphabet.size, range(n), work))
 
 
 def meet(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
@@ -367,17 +369,16 @@ def join(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
 
     The pairs of the finer operand are merged into the star of the coarser
     by the union-find ``_close``, near-linear in |A^k| whatever the
-    operands.  It gets an action with no letters, so it queues no image
-    pairs: the join is right-closed already (see ``_join_star``).  The
-    ``str.replace`` kernel ``_join_star`` would pay one pass over A^k per
-    merged block, quadratic when the second operand merges many blocks of
-    the first.
+    operands.  With g = 0 it queues no image pairs: the join is
+    right-closed already (see ``_join_star``).  The ``str.replace`` kernel
+    ``_join_star`` would pay one pass over A^k per merged block, quadratic
+    when the second operand merges many blocks of the first.
     """
     _require_same_setting(r1, r2)
     if max(r1.labels) > max(r2.labels):
         r1, r2 = r2, r1
     parent = map(ord, _star(r1.labels))
-    labels = _close([()] * len(r1.labels), parent, _star_pairs(_star(r2.labels)))
+    labels = _close(0, parent, _star_pairs(_star(r2.labels)))
     return RightCongruence(r1.alphabet, r1.k, labels)
 
 
@@ -420,9 +421,8 @@ def enumerate_all(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRI
     checked against, so it must stay definitional.  Each partition goes
     through the same closure check as ``validate``.
     """
-    n = _enumerable_size(alphabet, k, carrier_bound)
-    nxt = _action(alphabet.size, k)
-    kept = [s for s in _set_partitions(range(n)) if _closure_witness(nxt, s) is None]
+    n, g = _enumerable_size(alphabet, k, carrier_bound), alphabet.size
+    kept = [s for s in _set_partitions(range(n)) if _closure_witness(g, s) is None]
     kept.sort(key=_blocks)
     return [RightCongruence(alphabet, k, s) for s in kept]
 
@@ -438,12 +438,11 @@ def enumerate_rc(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIE
     join is ``_join_star``, one ``str.replace`` per merged block.  Same
     list, order and refusals as ``enumerate_all``.
     """
-    n = _enumerable_size(alphabet, k, carrier_bound)
-    nxt = _action(alphabet.size, k)
+    n, g = _enumerable_size(alphabet, k, carrier_bound), alphabet.size
     principal: dict[str, tuple[int, int]] = {}
     for u in range(n):
         for v in range(u + 1, n):
-            principal.setdefault(_star(_close(nxt, range(n), [(u, v)])), (u, v))
+            principal.setdefault(_star(_close(g, range(n), [(u, v)])), (u, v))
     gens = [(u, v, _star_pairs(star)) for star, (u, v) in principal.items()]
     seen = {_star(range(n))}
     todo = list(seen)

@@ -75,6 +75,26 @@ def test_rc_validate_closure_failure_payload(files, capsys):
     assert payload["witness"] == {"u": "aaa", "v": "aab", "letter": "a"}
 
 
+@pytest.mark.parametrize(
+    "blocks, letter",
+    [
+        ([["aa"], ["ab", "ac"], ["ba", "ca"], ["bb"], ["bc"], ["cb"], ["cc"]], "b"),
+        ([["cc"], ["bc"], ["aa"], ["ac", "ab"], ["ba", "ca"], ["cb", "bb"]], "c"),
+    ],
+)
+def test_rc_validate_closure_witness_over_three_letters(files, capsys, blocks, letter):
+    # ab*a = ba and ac*a = ca share a block, so the first letter that
+    # separates ab and ac is a later one.
+    bad = {"alphabet": "abc", "k": 2, "blocks": blocks}
+    code, out, err = run(capsys, "rc", "validate", "--in", files("bad3.json", bad))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "error": "closure",
+        "message": f"not a right congruence: ab and ac share a block but ab*{letter} and ac*{letter} do not",
+        "witness": {"u": "ab", "v": "ac", "letter": letter},
+    }
+
+
 def test_rc_validate_identity_exit_zero(files, capsys):
     ident = {"alphabet": "ab", "k": 2, "blocks": [["aa"], ["ab"], ["ba"], ["bb"]]}
     code, _, _ = run(capsys, "rc", "validate", "--in", files("id.json", ident))
@@ -90,6 +110,35 @@ def test_parse_error_exit_code(files, capsys, tmp_path):
     garbled.write_text("{not json")
     code, out, err = run(capsys, "rc", "validate", "--in", str(garbled))
     assert code == 2
+
+
+# Bytes json.load cannot turn into a value: not UTF-8, nested deeper than the
+# recursion limit, and an integer literal over the digit limit.
+UNREADABLE = [
+    b"\xff\xfe{}",
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"alphabet": "ab", "k": ' + b"1" * 5000 + b', "blocks": []}',
+]
+
+
+@pytest.mark.parametrize("raw", UNREADABLE, ids=["utf16-bom", "deep", "long-int"])
+def test_unreadable_input_is_a_parse_error(capsys, tmp_path, raw):
+    path = tmp_path / "in.json"
+    path.write_bytes(raw)
+    code, out, err = run(capsys, "rc", "validate", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "parse"
+
+
+@pytest.mark.parametrize("group, action", [("rc", "validate"), ("graph", "dot")])
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_unwritable_out_is_a_parse_error(files, capsys, tmp_path, group, action, where):
+    infile = files("five_class.json", FIVE_CLASS)
+    code, out, err = run(capsys, group, action, "--in", infile, "--out", str(tmp_path / where))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "parse"
 
 
 def test_rc_lower_produces_code_and_partition(files, capsys):
@@ -627,8 +676,13 @@ def payload_path(tmp_path_factory):
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_random_argv_and_payloads_end_in_a_documented_outcome(payload_path, data):
     letters, payload = data.draw(payloads())
-    payload_path.write_text(json.dumps(payload))
+    raw = json.dumps(payload).encode()
+    if not data.draw(st.integers(0, 9)):
+        raw = data.draw(st.sampled_from(UNREADABLE))
+    payload_path.write_bytes(raw)
     argv = data.draw(argvs(str(payload_path), letters))
+    if not data.draw(st.integers(0, 9)):
+        argv += ["--out", str(payload_path.parent / "missing" / "x")]
     code, out, err = call(argv)
     assert code in (0, 1, 2, 3, 4)
     if code == 0:

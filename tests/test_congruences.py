@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -21,6 +23,7 @@ from semwalk import (
     validate,
     words_of_length,
 )
+from semwalk import congruences
 from semwalk.congruences import _set_partitions
 
 
@@ -73,6 +76,24 @@ def test_generate_single_pair_examples(ab):
     assert blocks_of(rc) == [["aaa", "baa", "bba"], ["aab", "bab"], ["aba"], ["abb"], ["bbb"]]
     rc2 = generate({(W("aaa"), W("baa"))}, ab, 3)
     assert blocks_of(rc2) == [["aaa", "baa"], ["aab"], ["aba"], ["abb"], ["bab"], ["bba"], ["bbb"]]
+
+
+def test_generate_keeps_no_table_of_the_letter_action(ab):
+    # The images of a point are read off the point itself, so a closure on
+    # A^16 leaves nothing behind; a cached 65,536 x 2 table would keep 8 MB.
+    for f in vars(congruences).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()  # so that a table cached by an earlier test is built here
+    pair = (ab.word("a" * 16), ab.word("b" + "a" * 15))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        generate([pair], ab, 16)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
 
 
 def test_generate_agrees_with_bruteforce_oracle(ab, rc_a2):
