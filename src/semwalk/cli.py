@@ -7,9 +7,11 @@ One binary, four subcommand groups:
   semwalk lattice  census
   semwalk graph    dot
 
-All payloads are JSON with rationals as "num/den" strings.  Exit codes are
-a stable contract: 0 success, 1 validation failure (diagnostic payload on
-stdout), 2 parse error, 3 internal assertion, 4 enumeration bound exceeded.
+Every command prints one JSON object, with rationals as "num/den" strings,
+except graph dot, which prints DOT text; --out FILE writes it to FILE
+instead.  Exit codes are a stable contract: 0 success, 1 validation failure
+(diagnostic payload on stdout), 2 parse error, 3 internal assertion, 4
+enumeration bound exceeded.
 """
 
 from __future__ import annotations
@@ -130,20 +132,16 @@ def _code_json(ideal: codes.IdealRep) -> dict:
     return payload
 
 
-def _write(text: str, args) -> None:
+def _write(text: str, out: str | None) -> None:
     """``text`` to the ``--out`` file if one is given, else to stdout."""
-    if args.out:
+    if out:
         try:
-            with open(args.out, "w") as fh:
+            with open(out, "w") as fh:
                 fh.write(text)
         except OSError as e:
-            raise ParseFailure(f"cannot write {args.out}: {e}") from e
+            raise ParseFailure(f"cannot write {out}: {e}") from e
     else:
         sys.stdout.write(text)
-
-
-def _emit(payload: dict, args) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
 
 
 # ---------------------------------------------------------------- rc group
@@ -164,25 +162,31 @@ def _read_congruence(args) -> tuple[congruences.RightCongruence, list[int]]:
     return rc, [rc.labels[blk[0][1]] for blk in blocks]
 
 
-def _cmd_rc(args) -> int:
-    rc, _ = _read_congruence(args)
-    if args.action == "validate":
-        payload = {"valid": True, "congruence": _congruence_json(rc)}
-    elif args.action == "lower":
-        approx, ideal = codes.lower_approx(rc)
-        payload = {"congruence": _congruence_json(approx), "code": _code_json(ideal)}
-    elif args.action == "upper":
-        approx, ideal = codes.upper_approx(rc)
-        payload = {"congruence": _congruence_json(approx), "code": _code_json(ideal)}
-    elif args.action == "resets":
-        payload = _code_json(codes.reset_code(rc))
-    else:
-        payload = {"special": codes.is_special(rc)}
-    _emit(payload, args)
-    return EXIT_OK
+def _rc_validate(args) -> dict:
+    return {"valid": True, "congruence": _congruence_json(_read_congruence(args)[0])}
 
 
-def _cmd_rc_generate(args) -> int:
+def _approximation_json(approx: congruences.RightCongruence, ideal: codes.IdealRep) -> dict:
+    return {"congruence": _congruence_json(approx), "code": _code_json(ideal)}
+
+
+def _rc_lower(args) -> dict:
+    return _approximation_json(*codes.lower_approx(_read_congruence(args)[0]))
+
+
+def _rc_upper(args) -> dict:
+    return _approximation_json(*codes.upper_approx(_read_congruence(args)[0]))
+
+
+def _rc_resets(args) -> dict:
+    return _code_json(codes.reset_code(_read_congruence(args)[0]))
+
+
+def _rc_is_special(args) -> dict:
+    return {"special": codes.is_special(_read_congruence(args)[0])}
+
+
+def _rc_generate(args) -> dict:
     data = _load_json(args.infile)
     alphabet = _alphabet_of(data, args.infile)
     try:
@@ -196,96 +200,75 @@ def _cmd_rc_generate(args) -> int:
         )
     except _FIELD_ERRORS as e:
         raise ParseFailure(f"{args.infile}: malformed pair set: {e}") from e
-    rc = congruences.generate(pairs, alphabet, k)
-    _emit({"congruence": _congruence_json(rc)}, args)
-    return EXIT_OK
+    return {"congruence": _congruence_json(congruences.generate(pairs, alphabet, k))}
 
 
 # -------------------------------------------------------------- walk group
 
 
-def _cmd_walk(args) -> int:
-    if args.action == "stationary":
-        ideal, order, keys = _parse_code_file(args.code)
-        pi = _pi_arg(ideal.alphabet, args.pi)
-        weights, total = walks.stationary_weights(ideal, pi)
-        # Align output to the code order given in the input file.
-        at = ideal.code._index
-        _emit({"states": order, "stationary": [_ratio(weights[at[key]], total) for key in keys]}, args)
-        return EXIT_OK
+def _walk_stationary(args) -> dict:
+    ideal, order, keys = _parse_code_file(args.code)
+    pi = _pi_arg(ideal.alphabet, args.pi)
+    weights, total = walks.stationary_weights(ideal, pi)
+    # Align output to the code order given in the input file.
+    at = ideal.code._index
+    return {"states": order, "stationary": [_ratio(weights[at[key]], total) for key in keys]}
 
-    if args.action == "profile":
-        rc, _ = _read_congruence(args)
-        pi = _pi_arg(rc.alphabet, args.pi)
-        prof = walks.reset_profile(rc, pi)
-        _emit(
-            {
-                "P": [str(x) for x in prof.cumulative],
-                "p": [str(x) for x in prof.increments],
-                "t": str(prof.hitting_time),
-            },
-            args,
-        )
-        return EXIT_OK
 
-    if args.action == "lumped":
-        rc, order = _read_congruence(args)
-        pi = _pi_arg(rc.alphabet, args.pi)
-        lw = walks.lumped(rc, pi)
-        # Align output to the block order given in the input file.
-        _emit(
-            {
-                "blocks": [[str(w) for w in rc.blocks[b]] for b in order],
-                "stationary": [str(lw.stationary.values[b]) for b in order],
-                "matrix": [[str(lw.matrix.rows[b][c]) for c in order] for b in order],
-            },
-            args,
-        )
-        return EXIT_OK
+def _walk_profile(args) -> dict:
+    rc, _ = _read_congruence(args)
+    prof = walks.reset_profile(rc, _pi_arg(rc.alphabet, args.pi))
+    return {
+        "P": [str(x) for x in prof.cumulative],
+        "p": [str(x) for x in prof.increments],
+        "t": str(prof.hitting_time),
+    }
 
-    if args.action == "simulate":
-        if (args.code is None) == (args.infile is None):
-            raise ParseFailure("walk simulate needs exactly one of --in FILE and --code FILE")
-        if args.code is not None:
-            ideal, _, _ = _parse_code_file(args.code)
-        else:
-            ideal = codes.reset_code(_read_congruence(args)[0])
-        pi = _pi_arg(ideal.alphabet, args.pi)
-        result = walks.simulate(ideal, pi, steps=args.steps, seed=args.seed)
-        _emit(
-            {
-                "states": list(result.labels),
-                "visits": list(result.visits),
-                "frequencies": [repr(f) for f in result.frequencies],
-                "episodes": result.episodes,
-                "mean_reset_time": repr(result.mean_reset_time),
-                "steps": result.steps,
-                "seed": result.seed,
-            },
-            args,
-        )
-        return EXIT_OK
-    raise ParseFailure(f"unknown walk action {args.action!r}")
+
+def _walk_lumped(args) -> dict:
+    rc, order = _read_congruence(args)
+    lw = walks.lumped(rc, _pi_arg(rc.alphabet, args.pi))
+    # Align output to the block order given in the input file.
+    return {
+        "blocks": [[str(w) for w in rc.blocks[b]] for b in order],
+        "stationary": [str(lw.stationary.values[b]) for b in order],
+        "matrix": [[str(lw.matrix.rows[b][c]) for c in order] for b in order],
+    }
+
+
+def _walk_simulate(args) -> dict:
+    if (args.code is None) == (args.infile is None):
+        raise ParseFailure("walk simulate needs exactly one of --in FILE and --code FILE")
+    if args.code is not None:
+        ideal, _, _ = _parse_code_file(args.code)
+    else:
+        ideal = codes.reset_code(_read_congruence(args)[0])
+    pi = _pi_arg(ideal.alphabet, args.pi)
+    result = walks.simulate(ideal, pi, steps=args.steps, seed=args.seed)
+    return {
+        "states": list(result.labels),
+        "visits": list(result.visits),
+        "frequencies": [repr(f) for f in result.frequencies],
+        "episodes": result.episodes,
+        "mean_reset_time": repr(result.mean_reset_time),
+        "steps": result.steps,
+        "seed": result.seed,
+    }
 
 
 # ------------------------------------------------------ lattice and graph
 
+_CHECKS = ["semimodular", "modular", "atomistic", "jordan_dedekind"]
 
-def _cmd_lattice_census(args) -> int:
+
+def _lattice_census(args) -> dict:
     try:
         alphabet = Alphabet.of_size(args.alphabet_size)
     except WordError as e:
         raise ParseFailure(f"-g: {e}") from e
     elements = congruences.enumerate_rc(alphabet, args.k, carrier_bound=args.carrier_bound)
     report = congruences.lattice_report(elements)
-    wanted = args.checks or ["semimodular", "modular", "atomistic", "jordan_dedekind"]
-    payload: dict = {
-        "alphabet": alphabet.letters,
-        "k": args.k,
-        "count": report.size,
-        "atoms": [str(elements[i]) for i in report.atoms],
-        "checks": {name: report.flags[name] for name in wanted},
-    }
+    wanted = args.checks or _CHECKS
     witnesses: dict = {}
     if "modular" in wanted and not report.modular:
         witnesses["pentagon"] = [str(elements[i]) for i in report.pentagon]
@@ -297,18 +280,71 @@ def _cmd_lattice_census(args) -> int:
         witnesses["unequal_chains"] = [
             [str(elements[i]) for i in chain] for chain in report.unequal_chains
         ]
-    payload["witnesses"] = witnesses
-    _emit(payload, args)
-    return EXIT_OK
+    return {
+        "alphabet": alphabet.letters,
+        "k": args.k,
+        "count": report.size,
+        "atoms": [str(elements[i]) for i in report.atoms],
+        "checks": {name: report.flags[name] for name in wanted},
+        "witnesses": witnesses,
+    }
 
 
-def _cmd_graph_dot(args) -> int:
-    rc, _ = _read_congruence(args)
-    _write(graphs.to_dot(graphs.cayley(rc)), args)
-    return EXIT_OK
+def _graph_dot(args) -> str:
+    return graphs.to_dot(graphs.cayley(_read_congruence(args)[0]))
 
 
 # ------------------------------------------------------------------ main
+
+
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+_IN = _arg("--in", dest="infile", required=True)
+_PI = _arg("--pi", required=True)
+
+# Every command, declared once: group -> (help, {leaf: (handler, arguments)}),
+# in --help order.  To add a command, write a handler that takes the parsed
+# arguments and returns what the command prints (a JSON payload dict, or text
+# such as DOT), and give it a line here with its arguments as add_argument
+# takes them; every leaf also gets --out.  A handler reads its input file
+# before it parses --pi, so a bad file is reported first, and calls the
+# library through its modules (codes.reset_code), so that a wrapper installed
+# on a library function sees every call.
+_COMMANDS = {
+    "rc": ("right congruence operations", {
+        "validate": (_rc_validate, [_IN]),
+        "lower": (_rc_lower, [_IN]),
+        "upper": (_rc_upper, [_IN]),
+        "resets": (_rc_resets, [_IN]),
+        "is-special": (_rc_is_special, [_IN]),
+        "generate": (_rc_generate, [_arg("--in", dest="infile", required=True, help="JSON with alphabet, k, pairs")]),
+    }),
+    "walk": ("exact random-walk analytics", {
+        "stationary": (_walk_stationary, [_arg("--code", required=True, help="semaphore code JSON"), _PI]),
+        "profile": (_walk_profile, [_IN, _PI]),
+        "lumped": (_walk_lumped, [_IN, _PI]),
+        "simulate": (_walk_simulate, [
+            _arg("--in", dest="infile", help="congruence JSON (walk on its reset code)"),
+            _arg("--code", help="semaphore code JSON"),
+            _PI,
+            _arg("--steps", type=int, default=100_000),
+            _arg("--seed", type=int, default=0),
+        ]),
+    }),
+    "lattice": ("lattice census over RC(A^k)", {
+        "census": (_lattice_census, [
+            _arg("-g", "--alphabet-size", type=int, required=True),
+            _arg("-k", "--k", type=int, required=True),
+            _arg("--checks", nargs="*", choices=_CHECKS),
+            _arg("--carrier-bound", type=int, default=congruences.DEFAULT_CARRIER_BOUND),
+        ]),
+    }),
+    "graph": ("graph exports", {
+        "dot": (_graph_dot, [_IN]),
+    }),
+}
 
 
 @functools.cache
@@ -320,66 +356,24 @@ def _build_parser() -> argparse.ArgumentParser:
     leaves the parser unchanged: each call returns a fresh namespace.
     """
     parser = _Parser(prog="semwalk", description=__doc__)
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    rc = sub.add_parser("rc", help="right congruence operations")
-    rc_sub = rc.add_subparsers(dest="action", required=True)
-    for name in ["validate", "lower", "upper", "resets", "is-special"]:
-        p = rc_sub.add_parser(name)
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--out", dest="out")
-        p.set_defaults(func=_cmd_rc)
-    p = rc_sub.add_parser("generate")
-    p.add_argument("--in", dest="infile", required=True, help="JSON with alphabet, k, pairs")
-    p.add_argument("--out", dest="out")
-    p.set_defaults(func=_cmd_rc_generate)
-
-    walk = sub.add_parser("walk", help="exact random-walk analytics")
-    walk_sub = walk.add_subparsers(dest="action", required=True)
-    p = walk_sub.add_parser("stationary")
-    p.add_argument("--code", required=True, help="semaphore code JSON")
-    p.add_argument("--pi", required=True)
-    p.add_argument("--out", dest="out")
-    p.set_defaults(func=_cmd_walk)
-    for name in ["profile", "lumped"]:
-        p = walk_sub.add_parser(name)
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--pi", required=True)
-        p.add_argument("--out", dest="out")
-        p.set_defaults(func=_cmd_walk)
-    p = walk_sub.add_parser("simulate")
-    p.add_argument("--in", dest="infile", help="congruence JSON (walk on its reset code)")
-    p.add_argument("--code", help="semaphore code JSON")
-    p.add_argument("--pi", required=True)
-    p.add_argument("--steps", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", dest="out")
-    p.set_defaults(func=_cmd_walk)
-
-    lattice = sub.add_parser("lattice", help="lattice census over RC(A^k)")
-    lat_sub = lattice.add_subparsers(dest="action", required=True)
-    p = lat_sub.add_parser("census")
-    p.add_argument("-g", "--alphabet-size", type=int, required=True)
-    p.add_argument("-k", "--k", type=int, required=True)
-    p.add_argument("--checks", nargs="*", choices=["semimodular", "modular", "atomistic", "jordan_dedekind"])
-    p.add_argument("--carrier-bound", type=int, default=congruences.DEFAULT_CARRIER_BOUND)
-    p.add_argument("--out", dest="out")
-    p.set_defaults(func=_cmd_lattice_census)
-
-    graph = sub.add_parser("graph", help="graph exports")
-    graph_sub = graph.add_subparsers(dest="action", required=True)
-    p = graph_sub.add_parser("dot")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="out")
-    p.set_defaults(func=_cmd_graph_dot)
-
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group, (summary, leaves) in _COMMANDS.items():
+        actions = groups.add_parser(group, help=summary).add_subparsers(dest="action", required=True)
+        for leaf, (handler, arguments) in leaves.items():
+            p = actions.add_parser(leaf)
+            for flags, options in arguments:
+                p.add_argument(*flags, **options)
+            p.add_argument("--out")
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        result = args.func(args)
+        _write(result if isinstance(result, str) else json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
+        return EXIT_OK
     except ParseFailure as e:
         print(json.dumps({"error": "parse", "message": str(e)}), file=sys.stderr)
         return EXIT_PARSE

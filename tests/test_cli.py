@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -9,11 +10,13 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, find, given, settings
+from hypothesis.errors import NoSuchExample
 from hypothesis import strategies as st
 
-from semwalk import cli
+from semwalk import cli, congruences
 from semwalk.cli import main
+from semwalk.words import Alphabet
 
 FIVE_CLASS = {
     "alphabet": "ab",
@@ -693,3 +696,126 @@ def test_random_argv_and_payloads_end_in_a_documented_outcome(payload_path, data
         assert out == "" and err.count("\n") == 1
         assert json.loads(err)["error"] == {2: "parse", 3: "internal", 4: "bound"}[code]
     assert call(argv) == (code, out, err)
+
+
+# ------------------------------------------------------ the command surface
+
+
+def _option(*flags, dest, required=False, default=None, type=None, nargs=None, choices=None, help=None):
+    return (flags, dest, required, default, type, nargs, choices, help)
+
+
+_IN = _option("--in", dest="infile", required=True)
+_PI = _option("--pi", dest="pi", required=True)
+_OUT = _option("--out", dest="out")
+CHECKS = ["semimodular", "modular", "atomistic", "jordan_dedekind"]
+
+# Every leaf command with its options in --help order, as of the release
+# that declared the commands in one table.
+ARGUMENT_SURFACE = [
+    (("rc", "validate"), [_IN, _OUT]),
+    (("rc", "lower"), [_IN, _OUT]),
+    (("rc", "upper"), [_IN, _OUT]),
+    (("rc", "resets"), [_IN, _OUT]),
+    (("rc", "is-special"), [_IN, _OUT]),
+    (("rc", "generate"), [_option("--in", dest="infile", required=True, help="JSON with alphabet, k, pairs"), _OUT]),
+    (("walk", "stationary"), [_option("--code", dest="code", required=True, help="semaphore code JSON"), _PI, _OUT]),
+    (("walk", "profile"), [_IN, _PI, _OUT]),
+    (("walk", "lumped"), [_IN, _PI, _OUT]),
+    (("walk", "simulate"), [
+        _option("--in", dest="infile", help="congruence JSON (walk on its reset code)"),
+        _option("--code", dest="code", help="semaphore code JSON"),
+        _PI,
+        _option("--steps", dest="steps", default=100_000, type=int),
+        _option("--seed", dest="seed", default=0, type=int),
+        _OUT,
+    ]),
+    (("lattice", "census"), [
+        _option("-g", "--alphabet-size", dest="alphabet_size", required=True, type=int),
+        _option("-k", "--k", dest="k", required=True, type=int),
+        _option("--checks", dest="checks", nargs="*", choices=CHECKS),
+        _option("--carrier-bound", dest="carrier_bound", default=8, type=int),
+        _OUT,
+    ]),
+    (("graph", "dot"), [_IN, _OUT]),
+]
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_leaf_command_keeps_its_arguments():
+    surface = [
+        (
+            (group, leaf),
+            [
+                (tuple(a.option_strings), a.dest, a.required, a.default, a.type, a.nargs, a.choices, a.help)
+                for a in leaf_parser._actions
+                if not isinstance(a, argparse._HelpAction)
+            ],
+        )
+        for group, group_parser in _subcommands(cli._build_parser()).items()
+        for leaf, leaf_parser in _subcommands(group_parser).items()
+    ]
+    assert surface == ARGUMENT_SURFACE
+
+
+def test_the_random_argv_test_draws_every_leaf_and_nothing_else():
+    drawn = set()
+
+    def record(argv):
+        if not set(argv[:2]) & set(JUNK):  # neither word was replaced by junk
+            drawn.add(tuple(argv[:2]))
+        return False
+
+    with pytest.raises(NoSuchExample):
+        find(argvs("in.json", "ab"), record, settings=settings(database=None, derandomize=True, max_examples=300))
+    assert drawn == {command for command, _ in ARGUMENT_SURFACE}
+
+
+# ------------------------------------------- outcomes no other test reaches
+
+
+def test_rc_generate_refuses_a_pair_of_the_wrong_length(files, capsys):
+    infile = files("pairs.json", {"alphabet": "ab", "k": 2, "pairs": [["a", "bb"]]})
+    code, out, err = run(capsys, "rc", "generate", "--in", infile)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"error": "validation", "message": "pair (a, bb) is not in A^2 x A^2"}
+
+
+def test_an_input_that_is_not_a_json_object_is_a_parse_error(files, capsys):
+    infile = files("list.json", [])
+    code, out, err = run(capsys, "rc", "validate", "--in", infile)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "parse", "message": f"{infile}: expected a JSON object"}
+
+
+def test_walk_profile_needs_two_letters(files, capsys):
+    infile = files("one.json", {"alphabet": "a", "k": 2, "blocks": [["aa"]]})
+    code, out, err = run(capsys, "walk", "profile", "--in", infile, "--pi", "a=1")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"error": "validation", "message": "reset profiles require at least two letters"}
+
+
+def test_lattice_census_renders_every_witness(capsys, monkeypatch):
+    # Every enumerated RC(A^k) is semimodular and graded, so the census is
+    # handed the pentagon of RC(A^1) over four letters as its whole lattice.
+    elements = congruences.enumerate_rc(Alphabet.of_size(4), 1)
+    pentagon = [elements[i] for i in congruences.lattice_report(elements).pentagon]
+    monkeypatch.setattr(congruences, "enumerate_rc", lambda *args, **kwargs: pentagon)
+    data = run_json(capsys, "lattice", "census", "-g", "4", "-k", "1")
+    top, upper, lower, side, bottom = "{a,b,c,d}", "{a,b} | {c,d}", "{a} | {b} | {c,d}", "{a,c} | {b,d}", "{a} | {b} | {c} | {d}"
+    assert data == {
+        "alphabet": "abcd",
+        "k": 1,
+        "count": 5,
+        "atoms": [lower, side],
+        "checks": {"semimodular": False, "modular": False, "atomistic": False, "jordan_dedekind": False},
+        "witnesses": {
+            "pentagon": [top, upper, lower, side, bottom],
+            "semimodular_pentagon": [top, upper, lower, side, bottom],
+            "not_join_of_atoms": upper,
+            "unequal_chains": [[bottom, lower, upper, top], [bottom, side, top]],
+        },
+    }

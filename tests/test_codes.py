@@ -389,3 +389,20 @@ def test_thirteen_word_code_with_repeated_entry(ab):
     assert {str(w) for w in added} == {"aabbb"}
     assert is_semaphore(ab, list(completed.code.words)).ok
     assert is_special(tau_of(completed))
+
+
+def test_semaphore_code_accepts_a_semaphore_code(ab):
+    code = semaphore_code(ab, [ab.word(w) for w in ["b", "ba", "baa", "aaa"]])
+    assert str(code) == "{b,ba,aaa,baa}"
+    assert not code.infinite_tail
+
+
+def test_semaphore_code_refuses_a_suffix_code_that_is_not_closed(ab):
+    # A suffix code covering A^3, but a+b has no suffix in it.
+    words = [ab.word(w) for w in ["a", "aab", "bab", "abb", "bbb"]]
+    with pytest.raises(CodeError) as info:
+        semaphore_code(ab, words)
+    assert str(info.value) == "not a semaphore code: a+b has no suffix in the code"
+    # A truncated code may leave its known part, so it is accepted.
+    code = semaphore_code(ab, words, infinite_tail=True)
+    assert code.infinite_tail and set(code.words) == set(words)
