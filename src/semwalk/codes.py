@@ -355,7 +355,11 @@ def suffix_classes(alphabet: Alphabet, k: int, code: SemaphoreCode) -> list[list
 
 
 def tau_of(ideal: IdealRep) -> RightCongruence:
-    """The right congruence of an ideal: u ~ v iff they share a suffix in it."""
+    """The right congruence of an ideal: u ~ v iff they share a suffix in it.
+
+    Raises ClosureViolation when the code covers A^k but is not semaphore:
+    its left ideal is not two-sided, so the classes are not closed.
+    """
     g, k, index = ideal.alphabet.size, ideal.k, ideal.code._index
     return _congruence(ideal.alphabet, k, (next(_suffix_keys(index, g, k, x)) for x in range(g**k)))
 

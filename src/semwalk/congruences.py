@@ -56,9 +56,13 @@ class BoundExceeded(CongruenceError):
     """An enumeration was refused because it would blow past its size bound."""
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ClosureViolation(CongruenceError):
-    """Witness that a partition is not closed under the right action."""
+    """Witness that a partition is not closed under the right action.
+
+    Not frozen: re-raising an exception assigns ``__traceback__`` (as
+    ``contextlib.contextmanager`` does) and ``add_note`` sets ``__notes__``.
+    """
 
     u: Word
     v: Word

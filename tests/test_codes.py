@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from itertools import chain, combinations
 
 import pytest
@@ -222,6 +223,19 @@ def test_tau_of_left_ideal_counterexample(ab):
     blocks = suffix_classes(ab, 3, left_basis)
     with pytest.raises(ClosureViolation):
         validate(ab, 3, blocks)
+
+
+def test_tau_of_a_covering_code_that_is_not_semaphore_raises_the_witness(ab):
+    # {a, bb, aab, bab} covers A^3, but a+b has no suffix in it.
+    ideal = IdealRep(mkcode(ab, ["a", "bb", "aab", "bab"]), 3)
+
+    @contextmanager
+    def passing_through():
+        yield
+
+    with pytest.raises(ClosureViolation) as info, passing_through():
+        tau_of(ideal)
+    assert (str(info.value.u), str(info.value.v), str(info.value.letter)) == ("aaa", "aba", "b")
 
 
 def test_suffix_classes_requires_unique_suffix(ab):
