@@ -115,7 +115,7 @@ def _congruence_json(rc: congruences.RightCongruence) -> dict:
     return {
         "alphabet": rc.alphabet.letters,
         "k": rc.k,
-        "blocks": [[str(w) for w in blk] for blk in rc.blocks],
+        "blocks": rc.block_texts,
     }
 
 
@@ -134,7 +134,7 @@ def _code_json(ideal: codes.IdealRep) -> dict:
 
 def _write(text: str, out: str | None) -> None:
     """``text`` to the ``--out`` file if one is given, else to stdout."""
-    if out:
+    if out is not None:
         try:
             with open(out, "w") as fh:
                 fh.write(text)
@@ -230,7 +230,7 @@ def _walk_lumped(args) -> dict:
     lw = walks.lumped(rc, _pi_arg(rc.alphabet, args.pi))
     # Align output to the block order given in the input file.
     return {
-        "blocks": [[str(w) for w in rc.blocks[b]] for b in order],
+        "blocks": [rc.block_texts[b] for b in order],
         "stationary": [str(lw.stationary.values[b]) for b in order],
         "matrix": [[str(lw.matrix.rows[b][c]) for c in order] for b in order],
     }
@@ -268,7 +268,7 @@ def _lattice_census(args) -> dict:
         raise ParseFailure(f"-g: {e}") from e
     elements = congruences.enumerate_rc(alphabet, args.k, carrier_bound=args.carrier_bound)
     report = congruences.lattice_report(elements)
-    wanted = args.checks or _CHECKS
+    wanted = _CHECKS if args.checks is None else args.checks
     witnesses: dict = {}
     if "modular" in wanted and not report.modular:
         witnesses["pentagon"] = [str(elements[i]) for i in report.pentagon]

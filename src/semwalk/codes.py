@@ -16,8 +16,8 @@ its suffix of length j is (j, x mod g^j), and the word of A^k with integer
 x followed by the word of length n with integer w is x*g^n + w.  A code
 is its sorted keys, read from text by ``Alphabet.keys_of`` or from words;
 a suffix lookup reads a word's suffixes longest first and stops at the
-first hit.  ``Word`` objects are built only for a code's ``words``, on
-first use, for the blocks and lcs sets returned and for messages.
+first hit.  ``Word`` objects are built only on first use of a code's
+``words`` or of ``lambda_of``'s lcs sets, for suffix classes and messages.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .congruences import RightCongruence, _blocks, _carrier, _congruence
-from .words import Alphabet, Word, count_of_length, epsilon, is_suffix, words_up_to_length
+from .congruences import RightCongruence, _blocks, _congruence
+from .words import Alphabet, Word, count_of_length, epsilon, is_suffix, words_of_length, words_up_to_length
 
 
 class CodeError(ValueError):
@@ -346,7 +346,7 @@ def suffix_classes(alphabet: Alphabet, k: int, code: SemaphoreCode) -> list[list
     is a right congruence exactly when the code's left ideal is two-sided.
     """
     buckets: dict[tuple[int, int], list[Word]] = {}
-    for x, u in enumerate(_carrier(alphabet, k)):
+    for x, u in enumerate(words_of_length(alphabet, k)):
         hits = list(_suffix_keys(code._index, alphabet.size, k, x))
         if len(hits) != 1:
             raise CodeError(f"{u} has {len(hits)} suffixes in the code, expected exactly 1")
@@ -366,36 +366,51 @@ def tau_of(ideal: IdealRep) -> RightCongruence:
 
 @dataclass(frozen=True)
 class LambdaResult:
-    """Longest common suffix data of a congruence and the ideal it spans."""
+    """Longest common suffix data of a congruence and the ideal it spans;
+    the lcs sets as words are built on first read."""
 
-    per_block: tuple[Word, ...]  # lcs of each block, canonical block order
-    per_pair: frozenset[Word]  # lcs over all related pairs (diagonal included)
-    ideal: IdealRep  # A* times either set; they generate the same ideal
+    rc: RightCongruence
+    keys: tuple[tuple[int, int], ...]  # (length, x) of each block's lcs, canonical block order
+    ideal: IdealRep  # A* times the lcs set
+
+    @cached_property
+    def per_block(self) -> tuple[Word, ...]:
+        """The lcs of each block, in canonical block order."""
+        return tuple(self.rc.alphabet.word_at(n, x) for n, x in self.keys)
+
+    @cached_property
+    def per_pair(self) -> frozenset[Word]:
+        """The lcs over all related pairs, the diagonal included; A* times
+        it is the same ideal."""
+        rc = self.rc
+        g, k, word_at = rc.alphabet.size, rc.k, rc.alphabet.word_at
+        # Diagonal pairs: every word of A^k is its own lcs.
+        out = set(words_of_length(rc.alphabet, k))
+        for (n, _), xs in zip(self.keys, _blocks(rc.labels)):
+            # (j, r) is the lcs of two words of the block when both end in r
+            # and differ in the letter before it.
+            for j in range(n, k):
+                before: dict[int, set[int]] = {}
+                for x in xs:
+                    before.setdefault(x % g**j, set()).add(x % g ** (j + 1))
+                out.update(word_at(j, r) for r, seen in before.items() if len(seen) > 1)
+        return frozenset(out)
 
 
 def lambda_of(rc: RightCongruence) -> LambdaResult:
     g, k = rc.alphabet.size, rc.k
-    per_block = []
-    # Diagonal pairs: every word of A^k is its own lcs.
-    per_pair = set(rc.carrier)
+    keys = []
     for xs in _blocks(rc.labels):
         n = k
         for x in xs[1:]:
             while (x - xs[0]) % g**n:
                 n -= 1
-        per_block.append((n, xs[0] % g**n))
-        # (j, r) is the lcs of two words of the block when both end in r
-        # and differ in the letter before it.
-        for j in range(n, k):
-            before: dict[int, set[int]] = {}
-            for x in xs:
-                before.setdefault(x % g**j, set()).add(x % g ** (j + 1))
-            per_pair.update(rc.alphabet.word_at(j, r) for r, seen in before.items() if len(seen) > 1)
+        keys.append((n, xs[0] % g**n))
     # Every word of A^k has its block's lcs as a suffix, so the lcs set
     # generates an ideal containing A^k; its code is the lcs set's
     # suffix-minimal part, the epsilon code when some block mixes last letters.
-    ideal = _ideal(rc.alphabet, k, _suffix_minimal(set(per_block), g))
-    return LambdaResult(tuple(rc.alphabet.word_at(n, x) for n, x in per_block), frozenset(per_pair), ideal)
+    ideal = _ideal(rc.alphabet, k, _suffix_minimal(set(keys), g))
+    return LambdaResult(rc, tuple(keys), ideal)
 
 
 def reset_code(rc: RightCongruence) -> IdealRep:
@@ -435,7 +450,7 @@ def is_special(rc: RightCongruence) -> bool:
     """
     _require_nontrivial_alphabet(rc)
     lam = lambda_of(rc)
-    by_lcs = len(lam.ideal.code.keys) == len(lam.per_block)
+    by_lcs = len(lam.ideal.code.keys) == len(lam.keys)
     by_resets = tau_of(reset_code(rc)) == rc
     assert by_lcs == by_resets, f"special-congruence criteria disagree on {rc}"
     return by_lcs

@@ -15,8 +15,9 @@ appending letter a sends x to (x*g + a) mod n.  As g divides n, the images
 of x are the g integers from t = x*g mod n on, so no table of the action is
 kept: x reaches the blocks ``labels[t : t + g]``, and ``_close`` with
 g = 0 letters queues no images.  A congruence is its canonical labels, the
-block index of each integer, and nothing else; ``Word`` objects are built
-only for parsed input, the ``blocks`` rendering and witnesses in messages.
+block index of each integer, and nothing else: it renders its blocks from
+the texts of A^k, and ``Word`` objects are built only for parsed input,
+witnesses in messages and, per object, the ``blocks`` and ``block_of`` views.
 The lattice enumeration and the join certificate of the lattice report
 work on stars instead: the string whose character x is ``chr`` of the
 least point of x's block, in which a join merges two blocks by one C-level
@@ -26,8 +27,8 @@ least point of x's block, in which a join merges two blocks by one C-level
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement
+from functools import cached_property
+from itertools import combinations, combinations_with_replacement, product as iter_product
 
 # Unused here: perfbench/test_perfbench.py::test_tracer_restores_the_program
 # reads congruences.product to check that its tracer restores the binding.
@@ -76,13 +77,6 @@ class ClosureViolation(CongruenceError):
 
 
 # ------------------------------------------------------------ integer kernel
-
-
-@lru_cache(maxsize=8)
-def _carrier(alphabet: Alphabet, k: int) -> tuple[Word, ...]:
-    """A^k as words; position x holds the word whose integer is x.  Cached,
-    as building them takes 13-55 us of a 0.3 ms request at g^k <= 32."""
-    return tuple(words_of_length(alphabet, k))
 
 
 def _canonical(keys) -> tuple[int, ...]:
@@ -208,18 +202,21 @@ class RightCongruence:
     labels: tuple[int, ...]
 
     @cached_property
+    def block_texts(self) -> tuple[tuple[str, ...], ...]:
+        """The blocks as the sorted texts of their words, blocks ordered by
+        their least word: the rendering, built without a ``Word``."""
+        texts = list(map("".join, iter_product(self.alphabet.letters, repeat=self.k)))
+        return tuple(tuple(texts[x] for x in blk) for blk in _blocks(self.labels))
+
+    @cached_property
     def blocks(self) -> tuple[tuple[Word, ...], ...]:
         """The blocks as sorted words, blocks ordered by their least word."""
-        words = self.carrier
+        words = words_of_length(self.alphabet, self.k)
         return tuple(tuple(words[x] for x in blk) for blk in _blocks(self.labels))
 
     @cached_property
     def block_of(self) -> dict[Word, int]:
-        return dict(zip(self.carrier, self.labels))
-
-    @cached_property
-    def carrier(self) -> tuple[Word, ...]:
-        return _carrier(self.alphabet, self.k)
+        return {w: b for b, blk in enumerate(self.blocks) for w in blk}
 
     def related(self, u: Word, v: Word) -> bool:
         return self.block_of[u] == self.block_of[v]
@@ -236,7 +233,7 @@ class RightCongruence:
     @cached_property
     def block_labels(self) -> tuple[str, ...]:
         """Each block rendered ``{w1,w2}``, in canonical block order."""
-        return tuple("{" + ",".join(map(str, blk)) + "}" for blk in self.blocks)
+        return tuple("{" + ",".join(blk) + "}" for blk in self.block_texts)
 
     @cached_property
     def block_action(self) -> tuple[tuple[int, ...], ...]:

@@ -1,11 +1,13 @@
 import argparse
 import contextlib
+import gc
 import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -142,6 +144,30 @@ def test_unwritable_out_is_a_parse_error(files, capsys, tmp_path, group, action,
     assert code == 2 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "parse"
+
+
+def test_an_empty_out_path_is_a_parse_error(files, capsys):
+    code, out, err = run(capsys, "rc", "validate", "--in", files("five_class.json", FIVE_CLASS), "--out", "")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "parse"
+
+
+def test_graph_dot_keeps_nothing_of_a_large_carrier(files, tmp_path):
+    # 65,536 singleton blocks; the rendering of A^16 is dropped with the
+    # congruence, as no table of its words is cached across calls.
+    blocks = [["".join(w)] for w in itertools.product("ab", repeat=16)]
+    infile = files("identity16.json", {"alphabet": "ab", "k": 16, "blocks": blocks})
+    argv = ["graph", "dot", "--in", infile, "--out", str(tmp_path / "identity16.dot")]
+    cli._build_parser()  # built once per process, and kept
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
 
 
 def test_rc_lower_produces_code_and_partition(files, capsys):
@@ -281,6 +307,12 @@ def test_lattice_census_modularity_witness(capsys):
     assert data["count"] == 15
     assert data["checks"] == {"modular": False}
     assert len(data["witnesses"]["pentagon"]) == 5
+
+
+def test_lattice_census_with_no_checks_named_runs_none(capsys):
+    # (4,1) is not modular, so a check run would report a pentagon.
+    data = run_json(capsys, "lattice", "census", "-g", "4", "-k", "1", "--checks")
+    assert (data["count"], data["checks"], data["witnesses"]) == (15, {}, {})
 
 
 def test_lattice_census_pinned_count(capsys):

@@ -1,5 +1,7 @@
+import json
 from contextlib import contextmanager
 from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +38,8 @@ from semwalk import (
     words_of_length,
 )
 from semwalk.codes import ideal_from_members
-from semwalk.words import words_up_to_length
+from semwalk.congruences import validate_keys
+from semwalk.words import Word, words_up_to_length
 
 EQ3_CODE = ["aa", "ab", "aba", "bba", "abb", "bbb"]
 
@@ -420,3 +423,17 @@ def test_semaphore_code_refuses_a_suffix_code_that_is_not_closed(ab):
     # A truncated code may leave its known part, so it is accepted.
     code = semaphore_code(ab, words, infinite_tail=True)
     assert code.infinite_tail and set(code.words) == set(words)
+
+
+@pytest.mark.parametrize("name", ["g3_k3.json", "five_class.json"])
+def test_upper_approx_and_is_special_build_no_word(monkeypatch, name):
+    # The lcs scan and the ideal run on keys; words are only a rendering.
+    data = json.loads((Path(__file__).parent / "golden" / name).read_text())
+    alphabet = Alphabet(data["alphabet"])
+    rc = validate_keys(alphabet, data["k"], [alphabet.keys_of(blk) for blk in data["blocks"]])
+    built = []
+    init = Word.__init__
+    monkeypatch.setattr(Word, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    upper_approx(rc)
+    is_special(rc)
+    assert built == []
