@@ -191,16 +191,16 @@ def _rc_generate(args) -> dict:
     alphabet = _alphabet_of(data, args.infile)
     try:
         k = _k_of(data["k"])
-        # Deduplicated in file order, so a refusal names the first bad pair.
+        # Read pair by pair and deduplicated in file order, so any error names the first bad pair.
         pairs = list(
             dict.fromkeys(
-                (alphabet.word(str(u)), alphabet.word(str(v)))
+                tuple(alphabet.keys_of([str(u), str(v)]))
                 for u, v in map(_as_list, _as_list(data["pairs"]))
             )
         )
     except _FIELD_ERRORS as e:
         raise ParseFailure(f"{args.infile}: malformed pair set: {e}") from e
-    return {"congruence": _congruence_json(congruences.generate(pairs, alphabet, k))}
+    return {"congruence": _congruence_json(congruences.generate_keys(alphabet, k, pairs))}
 
 
 # -------------------------------------------------------------- walk group

@@ -26,7 +26,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .congruences import RightCongruence, _blocks, _congruence
+from .congruences import RightCongruence, _congruence
 from .words import Alphabet, Word, count_of_length, epsilon, is_suffix, words_of_length, words_up_to_length
 
 
@@ -111,11 +111,13 @@ class SemaphoreCode:
 
 @dataclass(frozen=True)
 class IdealRep:
-    """An ideal of A* containing A^k, held by its finite semaphore code.
+    """An ideal of A* containing A^k, held by its finite code.
 
     Invariants enforced on construction: all code words have length <= k,
     no code word is a suffix of another, and every word of A^k has a (then
-    unique) suffix in the code.
+    unique) suffix in the code: a covering suffix code, whose left ideal
+    need not be two-sided.  A code that is not semaphore is refused where
+    it is used, by ``action_table`` (CodeError) and ``tau_of`` (ClosureViolation).
     """
 
     code: SemaphoreCode
@@ -386,7 +388,7 @@ class LambdaResult:
         g, k, word_at = rc.alphabet.size, rc.k, rc.alphabet.word_at
         # Diagonal pairs: every word of A^k is its own lcs.
         out = set(words_of_length(rc.alphabet, k))
-        for (n, _), xs in zip(self.keys, _blocks(rc.labels)):
+        for (n, _), xs in zip(self.keys, rc.block_points):
             # (j, r) is the lcs of two words of the block when both end in r
             # and differ in the letter before it.
             for j in range(n, k):
@@ -400,7 +402,7 @@ class LambdaResult:
 def lambda_of(rc: RightCongruence) -> LambdaResult:
     g, k = rc.alphabet.size, rc.k
     keys = []
-    for xs in _blocks(rc.labels):
+    for xs in rc.block_points:
         n = k
         for x in xs[1:]:
             while (x - xs[0]) % g**n:

@@ -15,9 +15,11 @@ appending letter a sends x to (x*g + a) mod n.  As g divides n, the images
 of x are the g integers from t = x*g mod n on, so no table of the action is
 kept: x reaches the blocks ``labels[t : t + g]``, and ``_close`` with
 g = 0 letters queues no images.  A congruence is its canonical labels, the
-block index of each integer, and nothing else: it renders its blocks from
-the texts of A^k, and ``Word`` objects are built only for parsed input,
-witnesses in messages and, per object, the ``blocks`` and ``block_of`` views.
+block index of each integer, and nothing else: its one view of its blocks,
+``block_points``, is what the closure check, the rendering from the texts
+of A^k, the Cayley table and the lcs scan of ``codes`` all read.  ``Word``
+objects are built only for the word API, witnesses in messages and, per
+object, the ``blocks`` and ``block_of`` views.
 The lattice enumeration and the join certificate of the lattice report
 work on stars instead: the string whose character x is ``chr`` of the
 least point of x's block, in which a join merges two blocks by one C-level
@@ -170,11 +172,11 @@ def _join_star(star: str, pairs: list[tuple[int, int]]) -> str:
     return star
 
 
-def _closure_witness(g: int, labels: tuple[int, ...]) -> tuple[int, int, int] | None:
+def _closure_witness(g: int, labels: tuple[int, ...], blocks) -> tuple[int, int, int] | None:
     """First (u, v, a) in canonical block order such that u and v share a
     block but u*a and v*a do not; None when the partition is right-closed."""
     n = len(labels)
-    for u, *rest in _blocks(labels):
+    for u, *rest in blocks:
         t = u * g % n
         image = labels[t : t + g]
         for v in rest:
@@ -202,17 +204,23 @@ class RightCongruence:
     labels: tuple[int, ...]
 
     @cached_property
+    def block_points(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks as sorted points, blocks ordered by their least point:
+        the one place where the labels become blocks, read by every view."""
+        return tuple(map(tuple, _blocks(self.labels)))
+
+    @cached_property
     def block_texts(self) -> tuple[tuple[str, ...], ...]:
         """The blocks as the sorted texts of their words, blocks ordered by
         their least word: the rendering, built without a ``Word``."""
         texts = list(map("".join, iter_product(self.alphabet.letters, repeat=self.k)))
-        return tuple(tuple(texts[x] for x in blk) for blk in _blocks(self.labels))
+        return tuple(tuple(texts[x] for x in blk) for blk in self.block_points)
 
     @cached_property
     def blocks(self) -> tuple[tuple[Word, ...], ...]:
         """The blocks as sorted words, blocks ordered by their least word."""
         words = words_of_length(self.alphabet, self.k)
-        return tuple(tuple(words[x] for x in blk) for blk in _blocks(self.labels))
+        return tuple(tuple(words[x] for x in blk) for blk in self.block_points)
 
     @cached_property
     def block_of(self) -> dict[Word, int]:
@@ -240,7 +248,7 @@ class RightCongruence:
         """The Cayley table: ``block_action[b][a]`` is the block reached from
         block b by appending letter a, read off the block's least word."""
         g, labels, n = self.alphabet.size, self.labels, len(self.labels)
-        return tuple(labels[t : t + g] for t in (blk[0] * g % n for blk in _blocks(labels)))
+        return tuple(labels[t : t + g] for t in (blk[0] * g % n for blk in self.block_points))
 
     def step(self, block_index: int, letter: Word) -> int:
         """Index of the block reached from a block by appending a letter."""
@@ -280,12 +288,12 @@ def _congruence(alphabet: Alphabet, k: int, keys) -> RightCongruence:
     """
     if k < 1:
         raise CongruenceError("k must be >= 1")
-    labels = _canonical(keys)
-    witness = _closure_witness(alphabet.size, labels)
+    rc = RightCongruence(alphabet, k, _canonical(keys))
+    witness = _closure_witness(alphabet.size, rc.labels, rc.block_points)
     if witness is not None:
         u, v, a = witness
         raise ClosureViolation(alphabet.word_at(k, u), alphabet.word_at(k, v), Word(alphabet, (a,)))
-    return RightCongruence(alphabet, k, labels)
+    return rc
 
 
 def _parse_blocks(alphabet: Alphabet, k: int, blocks):
@@ -337,6 +345,20 @@ def universal(alphabet: Alphabet, k: int) -> RightCongruence:
     return RightCongruence(alphabet, k, (0,) * count_of_length(alphabet, k))
 
 
+def generate_keys(alphabet: Alphabet, k: int, pairs) -> RightCongruence:
+    """``generate`` on pairs of word keys (length, x), as read by
+    ``Alphabet.keys_of``: the same checks, in the same order, and result."""
+    if k < 1:
+        raise CongruenceError("k must be >= 1")
+    n = count_of_length(alphabet, k)
+    work = []
+    for u, v in pairs:
+        if u[0] != k or v[0] != k:
+            raise CongruenceError(f"pair ({alphabet.word_at(*u)}, {alphabet.word_at(*v)}) is not in A^{k} x A^{k}")
+        work.append((u[1], v[1]))
+    return RightCongruence(alphabet, k, _close(alphabet.size, range(n), work))
+
+
 def generate(
     pairs: set[tuple[Word, Word]] | list[tuple[Word, Word]],
     alphabet: Alphabet,
@@ -349,14 +371,14 @@ def generate(
     The result does not depend on merge order; canonical form is restored
     at the end regardless.
     """
-    if k < 1:
-        raise CongruenceError("k must be >= 1")
-    n = count_of_length(alphabet, k)
-    for u, v in pairs:
-        if not all(w.alphabet == alphabet and len(w) == k for w in (u, v)):
-            raise CongruenceError(f"pair ({u}, {v}) is not in A^{k} x A^{k}")
-    work = [(u.key[1], v.key[1]) for u, v in pairs]
-    return RightCongruence(alphabet, k, _close(alphabet.size, range(n), work))
+
+    def keys():
+        for u, v in pairs:
+            if u.alphabet != alphabet or v.alphabet != alphabet:
+                raise CongruenceError(f"pair ({u}, {v}) is not in A^{k} x A^{k}")
+            yield u.key, v.key
+
+    return generate_keys(alphabet, k, keys())
 
 
 def meet(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
@@ -387,9 +409,6 @@ def _set_partitions(items):
     """All set partitions of items, as restricted-growth strings: item i
     goes to block s[i], and each block first appears after the ones before."""
     n = len(items)
-    if n == 0:
-        yield ()
-        return
     codes = [0] * n
 
     def rec(i: int, maxcode: int):
@@ -400,7 +419,7 @@ def _set_partitions(items):
             codes[i] = c
             yield from rec(i + 1, max(maxcode, c))
 
-    yield from rec(1, 0)
+    yield from rec(0, -1)
 
 
 def _enumerable_size(alphabet: Alphabet, k: int, carrier_bound: int) -> int:
@@ -423,7 +442,7 @@ def enumerate_all(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRI
     through the same closure check as ``validate``.
     """
     n, g = _enumerable_size(alphabet, k, carrier_bound), alphabet.size
-    kept = [s for s in _set_partitions(range(n)) if _closure_witness(g, s) is None]
+    kept = [s for s in _set_partitions(range(n)) if _closure_witness(g, s, _blocks(s)) is None]
     kept.sort(key=_blocks)
     return [RightCongruence(alphabet, k, s) for s in kept]
 

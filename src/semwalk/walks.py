@@ -332,15 +332,13 @@ def _grid_distributions(alphabet: Alphabet, points: int) -> list[LetterDistribut
     """A deterministic evaluation grid: `points` distinct positive values
     per free letter, the last letter absorbing the remainder."""
     g = alphabet.size
-    if g == 1:
-        return [LetterDistribution(alphabet, (Fraction(1),))]
     denom = (points + 1) * (g - 1)
     grids = [[Fraction(j, denom) for j in range(1, points + 1)] for _ in range(g - 1)]
     out = []
 
     def rec(i: int, chosen: list[Fraction]):
         if i == g - 1:
-            rest = 1 - sum(chosen)
+            rest = 1 - sum(chosen, Fraction(0))
             out.append(LetterDistribution(alphabet, tuple(chosen) + (rest,)))
             return
         for v in grids[i]:

@@ -16,9 +16,9 @@ from hypothesis import HealthCheck, find, given, settings
 from hypothesis.errors import NoSuchExample
 from hypothesis import strategies as st
 
-from semwalk import cli, congruences
+from semwalk import cli, codes, congruences
 from semwalk.cli import main
-from semwalk.words import Alphabet
+from semwalk.words import Alphabet, Word
 
 FIVE_CLASS = {
     "alphabet": "ab",
@@ -814,6 +814,37 @@ def test_rc_generate_refuses_a_pair_of_the_wrong_length(files, capsys):
     code, out, err = run(capsys, "rc", "generate", "--in", infile)
     assert (code, err) == (1, "")
     assert json.loads(out) == {"error": "validation", "message": "pair (a, bb) is not in A^2 x A^2"}
+
+
+def test_rc_generate_builds_no_word(files, capsys, monkeypatch):
+    built = []
+    init = Word.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Word, "__init__", counting)
+    infile = files("pairs.json", {"alphabet": "ab", "k": 3, "pairs": [["aaa", "bba"], ["aab", "abb"]]})
+    data = run_json(capsys, "rc", "generate", "--in", infile)
+    assert data["congruence"]["blocks"] == [["aaa", "aba", "baa", "bba"], ["aab", "abb", "bab", "bbb"]]
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv, derived",
+    [(["graph", "dot"], 1), (["rc", "validate"], 1), (["walk", "lumped", "--pi", "a=1/2,b=1/2"], 1), (["rc", "upper"], 2)],
+)
+def test_a_congruence_derives_its_blocks_once(files, capsys, monkeypatch, argv, derived):
+    # Checked, rendered, walked and approximated from one view of its blocks;
+    # rc upper builds a second congruence, the approximation.
+    calls = []
+    blocks = congruences._blocks
+    monkeypatch.setattr(congruences, "_blocks", lambda labels: calls.append(labels) or blocks(labels))
+    code, _, _ = run(capsys, *argv, "--in", files("five_class.json", FIVE_CLASS))
+    assert code == 0
+    assert len(calls) == derived
+    assert not hasattr(codes, "_blocks")
 
 
 def test_an_input_that_is_not_a_json_object_is_a_parse_error(files, capsys):

@@ -153,6 +153,19 @@ def test_code_action_rejects_non_member(ab):
         code_action(code, ab.word("ba"), ab.word("a"))
 
 
+def test_code_action_refuses_the_epsilon_code(ab):
+    code = SemaphoreCode(ab, [epsilon(ab)])
+    with pytest.raises(CodeError, match="^the action is not defined on the epsilon code$"):
+        code_action(code, epsilon(ab), ab.word("a"))
+
+
+def test_ideal_rep_refuses_a_truncated_code(ab):
+    truncated = from_generators(ab, {ab.word("b")}, 3)
+    assert truncated.infinite_tail
+    with pytest.raises(CodeError, match="^an ideal representation requires the full finite code$"):
+        IdealRep(truncated, 3)
+
+
 def test_ideal_rep_invariants(ab):
     with pytest.raises(CodeError, match="longer than k"):
         IdealRep(mkcode(ab, EQ3_CODE), 2)

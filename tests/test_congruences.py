@@ -281,6 +281,23 @@ def test_refines_is_relation_inclusion(rc_a2):
             assert r1.refines(r2) == (r1.pairs() <= r2.pairs())
 
 
+def test_lattice_report_refuses_malformed_lists(ab):
+    ident, top = identity(ab, 2), universal(ab, 2)
+    for elements, message in [
+        ([], "a lattice has at least one element"),
+        ([ident, top, ident], "duplicate elements"),
+        ([ident, identity(ab, 1)], "congruences live on different A\\^k"),
+        ([ident, identity(Alphabet("ba"), 2)], "congruences live on different A\\^k"),
+    ]:
+        with pytest.raises(congruences.CongruenceError, match=f"^{message}$"):
+            lattice_report(elements)
+
+
+def test_set_partitions_count_bell_numbers_from_the_empty_set():
+    assert list(_set_partitions(range(0))) == [()]
+    assert [len(list(_set_partitions(range(n)))) for n in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
+
+
 def test_lattice_report_size_refusal(ab):
     ident = identity(ab, 2)
     with pytest.raises(BoundExceeded):

@@ -139,6 +139,16 @@ def test_two_way_morphisms_certify_isomorphism(five_class):
     assert not isomorphic(g, cayley(universal(g.alphabet, 3)))
 
 
+def test_a_morphism_one_way_only_is_not_an_isomorphism(ab):
+    # Swapping the two vertices maps onto the constant graph, but no map
+    # back can be a morphism: the swap has no fixed vertex.
+    swap = AGraph(ab, ("p", "q"), ((1, 1), (0, 0)))
+    constant = AGraph(ab, ("p", "q"), ((0, 0), (0, 0)))
+    assert morphism(swap, constant) is not None and morphism(constant, swap) is None
+    assert not isomorphic(swap, constant)
+    assert not isomorphic(constant, swap)
+
+
 def test_dot_export_is_deterministic_and_complete(five_class):
     g = cayley(five_class)
     text = to_dot(g)

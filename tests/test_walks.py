@@ -279,6 +279,16 @@ def test_polynomial_identity_detects_corruption(ab, five_class):
     assert not polynomial_identity_holds(broken)
 
 
+def test_polynomial_identity_on_one_letter():
+    a = Alphabet("a")
+    # The grid is the one distribution, its probability an exact Fraction.
+    (point,) = walks._grid_distributions(a, 5)
+    assert point.probs == (F(1),) and type(point.probs[0]) is F
+    for k in (1, 2, 3):
+        for j in (1, k):
+            assert polynomial_identity_holds(IdealRep(SemaphoreCode(a, [a.word("a" * j)]), k))
+
+
 def test_lumped_running_example_display(ab, five_class):
     # Displayed vector, in the block order ({aaa,baa,aba}, {bba}, {aab,bab},
     # {abb}, {bbb}): (pa^2 + pa^2 pb, pa pb^2, pa pb, pa pb^2, pb^3).
