@@ -14,20 +14,26 @@ Every lookup below runs on integers, as the congruence kernel does: a
 word of length n is the key (n, x), x its letters read in base g, so that
 its suffix of length j is (j, x mod g^j), and the word of A^k with integer
 x followed by the word of length n with integer w is x*g^n + w.  A code
-is its sorted keys, read from text by ``Alphabet.keys_of`` or from words;
-a suffix lookup reads a word's suffixes longest first and stops at the
-first hit.  ``Word`` objects are built only on first use of a code's
-``words`` or of ``lambda_of``'s lcs sets, for suffix classes and messages.
+is its sorted keys, read from text by ``Alphabet.keys_of`` or from words.
+Its suffix view maps each word of A^m, m its longest word length, to its
+code suffix, painted by one slice assignment per code word; a word of A^k,
+k >= m, has the code suffix of its last m letters.  The view is what
+``IdealRep`` checks, and what the action table with its semaphore test
+and ``tau_of`` read; elsewhere, and on the paths that name a fault, a
+code's suffixes are looked up word by word, longest first.
+``Word`` objects are built only on first use of a code's ``words`` or of
+``lambda_of``'s lcs sets, for suffix classes and messages.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
 from .congruences import RightCongruence, _congruence
-from .words import Alphabet, Word, count_of_length, epsilon, is_suffix, words_of_length, words_up_to_length
+from .words import Alphabet, Word, WordLimitExceeded, count_of_length, epsilon, is_suffix, words_of_length, words_up_to_length
 
 
 class CodeError(ValueError):
@@ -94,6 +100,22 @@ class SemaphoreCode:
     def max_len(self) -> int:
         return self.keys[-1][0] if self.keys else 0
 
+    @cached_property
+    def suffix_index(self) -> tuple[int, ...] | None:
+        """The suffix view: for each word y of A^m, m = ``max_len``, read in
+        base g, the position in ``keys`` of its unique suffix in the code.
+
+        None unless every word of A^m has exactly one code suffix, that is,
+        unless the code is a suffix code covering A^m, and with it A^k for
+        every k >= m; None also when A^m is too large to list.
+        """
+        try:
+            count_of_length(self.alphabet, self.max_len)
+        except WordLimitExceeded:
+            return None
+        view = _paint(self.keys, self.alphabet.size, self.max_len)
+        return None if view is None or None in view else tuple(view)
+
     @property
     def is_epsilon(self) -> bool:
         return self.keys == ((0, 0),)
@@ -116,8 +138,9 @@ class IdealRep:
     Invariants enforced on construction: all code words have length <= k,
     no code word is a suffix of another, and every word of A^k has a (then
     unique) suffix in the code: a covering suffix code, whose left ideal
-    need not be two-sided.  A code that is not semaphore is refused where
-    it is used, by ``action_table`` (CodeError) and ``tau_of`` (ClosureViolation).
+    need not be two-sided.  Both hold iff the code's suffix view exists.
+    A code that is not semaphore is refused where it is used, by
+    ``action_table`` (CodeError) and ``tau_of`` (ClosureViolation).
     """
 
     code: SemaphoreCode
@@ -128,21 +151,17 @@ class IdealRep:
             raise CodeError("an ideal representation requires the full finite code")
         if self.code.max_len > self.k:
             raise CodeError(f"code word longer than k={self.k}")
-        alphabet, index, g = self.alphabet, self.code._index, self.alphabet.size
-        # The suffixes of each length j of the longer words, epsilon included,
-        # looked up at once; a hit is named by looking up each word's own.
-        if any(index.keys() & {(j, x % g**j) for n, x in index if n > j} for j in {n for n, _ in index}):
+        if self.code.suffix_index is None:  # the scans below name the first fault
+            alphabet, index, g = self.alphabet, self.code._index, self.alphabet.size
             for n, x in index:
                 u = next(_suffix_keys(index, g, n - 1, x), None)
                 if u is not None:
                     raise CodeError(f"not a suffix code: {alphabet.word_at(*u)} is a suffix of {alphabet.word_at(n, x)}")
-        count = count_of_length(alphabet, self.k)  # refuses an A^k too large to list
-        # A suffix code covers the g^(k-|s|) words of A^k ending in each s,
-        # and no word twice, so it covers A^k iff these counts sum to g^k.
-        if sum(g ** (self.k - n) for n, _ in index) < count:
-            for x in range(count):
+            for x in range(count_of_length(alphabet, self.k)):  # refuses an A^k too large to list
                 if not any(_suffix_keys(index, g, self.k, x)):
                     raise CodeError(f"word {alphabet.word_at(self.k, x)} of A^{self.k} has no suffix in the code")
+        else:
+            count_of_length(self.alphabet, self.k)  # with a view of A^m, m <= k: refuses an A^k too large to list
 
     @property
     def alphabet(self) -> Alphabet:
@@ -159,6 +178,25 @@ class IdealRep:
     def _keys_below_k(self) -> set[tuple[int, int]]:
         g, index = self.alphabet.size, self.code._index
         return {(n, x) for n in range(self.k) for x in range(g**n) if any(_suffix_keys(index, g, n, x))}
+
+
+def _paint(keys, g: int, m: int) -> list[int | None] | None:
+    """For each word of A^m, the position in ``keys``, sorted and no longer
+    than m, of its suffix among them, or None where it has none.
+
+    Key (n, x) paints the g^(m-n) words x + j*g^n that end in it, shorter
+    keys first, so a key that finds its own word x painted has a shorter
+    key as a suffix: the whole result is then None.
+    """
+    out: list[int | None] = [None] * g**m
+    for i, (n, x) in enumerate(keys):
+        if out[x] is not None:
+            return None
+        if n < m:
+            out[x :: g**n] = [i] * g ** (m - n)
+        else:  # one word: an item is several times cheaper to set than a one-item extended slice
+            out[x] = i
+    return out
 
 
 def _suffix_keys(keys, g: int, n: int, x: int):
@@ -280,27 +318,34 @@ def action_table(code: SemaphoreCode) -> list[list[int]]:
     """The right action on state numbers: ``nxt[i][a]`` is the position in
     ``code.words`` of ``code_action(code, code.words[i], letter a)``.
 
-    Each suffix of s+a is looked up in the code's key index, longest first,
-    so the table costs O(n*g*k) instead of a scan of the code per entry.
-    The first pair (s, a) without a code suffix, in row-major order, raises
-    the same error as ``code_action``.
+    A covering code has its table in its suffix view.  With t = x*g mod g^m,
+    the words t + a of A^m end in s+a when n < m, and are its last m
+    letters when n = m.  Row (n, x) is then ``view[t : t + g]``, provided
+    s+a has a code suffix: always when n = m, and when n < m iff the row's
+    entries are no longer than s+a.  So the code is semaphore iff the rows
+    of its words shorter than m pass.  Any other code has each suffix of
+    s+a looked up in its key index, longest first, and the first pair
+    (s, a) without a code suffix, in row-major order, raises the same error
+    as ``code_action``.
     """
     if code.keys[:1] == ((0, 0),):
         raise CodeError("the action is not defined on the epsilon code")
-    index, g = code._index, code.alphabet.size
-    powers = [g**j for j in range(code.max_len + 2)]
-    nxt = []
+    view, g, keys = code.suffix_index, code.alphabet.size, code.keys
+    if view is not None:
+        size, short = len(view), bisect_left(keys, (code.max_len, 0))
+        nxt = [list(view[t : t + g]) for t in [x * g % size for _, x in keys]]
+        if all(keys[j][0] <= n + 1 for (n, _), row in zip(keys[:short], nxt) for j in row):
+            return nxt
+    index, nxt = code._index, []
     for n, x in index:
         row = []
         for sa in range(x * g, x * g + g):
-            j = n + 1  # the suffix (j, sa mod g^j) of s+a, from j = |s+a| down
-            while (j, sa % powers[j]) not in index:
-                j -= 1
-                if j < 0:
-                    raise CodeError(
-                        f"no suffix of {code.alphabet.word_at(n + 1, sa)} in the code; code is not semaphore or is truncated"
-                    )
-            row.append(index[j, sa % powers[j]])
+            u = next(_suffix_keys(index, g, n + 1, sa), None)
+            if u is None:
+                raise CodeError(
+                    f"no suffix of {code.alphabet.word_at(n + 1, sa)} in the code; code is not semaphore or is truncated"
+                )
+            row.append(index[u])
         nxt.append(row)
     return nxt
 
@@ -359,11 +404,13 @@ def suffix_classes(alphabet: Alphabet, k: int, code: SemaphoreCode) -> list[list
 def tau_of(ideal: IdealRep) -> RightCongruence:
     """The right congruence of an ideal: u ~ v iff they share a suffix in it.
 
-    Raises ClosureViolation when the code covers A^k but is not semaphore:
-    its left ideal is not two-sided, so the classes are not closed.
+    Its labels are the code's suffix view, read g^(k-m) times over: word x
+    of A^k has the code suffix of its last m letters, x mod g^m.  Raises
+    ClosureViolation when the code covers A^k but is not semaphore: its
+    left ideal is not two-sided, so the classes are not closed.
     """
-    g, k, index = ideal.alphabet.size, ideal.k, ideal.code._index
-    return _congruence(ideal.alphabet, k, (next(_suffix_keys(index, g, k, x)) for x in range(g**k)))
+    view = ideal.code.suffix_index
+    return _congruence(ideal.alphabet, ideal.k, view * (ideal.alphabet.size**ideal.k // len(view)))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ rendering uses ``a..z``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import product as iter_product, repeat
 from typing import Iterable, Iterator
 
 LETTER_POOL = "abcdefghijklmnopqrstuvwxyz"
@@ -66,12 +66,14 @@ class Alphabet:
     def keys_of(self, texts: list[str]) -> list[tuple[int, int]]:
         """The key (length, letters read in base g) of each rendered word, as
         ``word`` parses and raises, without building the words: the letters
-        are checked by one ``strip`` and read by ``int`` in C."""
+        are checked by one ``strip``, and translated and read by ``int``
+        through C-level iterators."""
         if "".join(texts).strip(self.letters):
             for text in texts:
                 self.word(text)  # raises at the first character that is not a letter
         try:
-            return [(len(text), int(text.translate(self._digits), self.size)) for text in texts]
+            digits = map(str.translate, texts, repeat(self._digits))
+            return list(zip(map(len, texts), map(int, digits, repeat(self.size))))
         except ValueError:  # int() has no base 1, no empty string, no digit string past the str->int limit
             return [self.word(text).key for text in texts]
 

@@ -259,6 +259,12 @@ def test_suffix_classes_requires_unique_suffix(ab):
         suffix_classes(ab, 2, mkcode(ab, ["a", "ba"]))
 
 
+def test_suffix_classes_scan_the_words_of_the_given_alphabet(ab):
+    # The code {a, b} covers A^2 over ab, but not the word ac over abc.
+    with pytest.raises(CodeError, match="^ac has 0 suffixes in the code, expected exactly 1$"):
+        suffix_classes(Alphabet("abc"), 2, mkcode(ab, ["a", "b"]))
+
+
 def test_lambda_of_running_examples(ab, five_class, five_class_variant):
     lam = lambda_of(five_class)
     assert sorted(str(w) for w in lam.per_block) == ["a", "ab", "abb", "bba", "bbb"]

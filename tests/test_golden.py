@@ -25,6 +25,17 @@ still summed the rows of the code walk by class; letter a has probability
 ``walk_simulate_wide`` was recorded at commit 318eca4, where the simulator
 still drew one ``randrange`` per letter.  Its denominator, 513, is wider
 than a byte, so the simulator draws its letters one at a time.
+
+The ``walk_stationary_ab8*``, ``walk_stationary_g2_k7`` and ``rc_*_k5`` cases
+were recorded at commit 93e0616, where ``codes`` still looked up each word's
+code suffix by a scan of its suffixes, before the suffix view.
+``code_ab8.json`` holds the 256 words of {a,b}^8, the code of identity(ab, 8);
+``code_ab8_mixed.json`` the 222-word code, lengths 5 to 8, of the two-sided
+ideal spanned by the factors {aabab, bbbab} at k = 8, both in shuffled order.
+``code_g2_k7.json`` is ``code_g2.json`` read at k = 7, and
+``five_class_k5.json`` the five-class example lifted to k = 5 through its
+last three letters; their codes are shorter than k, so the view of A^m is
+read g^(k-m) times over.
 """
 
 from pathlib import Path
@@ -41,6 +52,7 @@ CODE_G2 = ["--code", str(GOLDEN / "code_g2.json"), "--pi", "a=2/7,b=5/7"]
 G3 = str(GOLDEN / "g3_k3.json")
 PI_G3 = ["--pi", "a=1/6,b=1/3,c=1/2"]
 CODE_G3 = ["--code", str(GOLDEN / "code_g3.json"), "--pi", "a=1/6,b=1/3,c=1/2"]
+FIVE_CLASS_K5 = str(GOLDEN / "five_class_k5.json")
 
 CASES = {
     **{
@@ -71,6 +83,11 @@ CASES = {
     "walk_simulate_in": [
         "walk", "simulate", "--in", FIVE_CLASS, "--pi", "a=1/3,b=2/3", "--steps", "20000", "--seed", "7"
     ],
+    **{
+        f"walk_stationary_{name}": ["walk", "stationary", "--code", str(GOLDEN / f"code_{name}.json"), "--pi", pi]
+        for name, pi in [("ab8", "a=2/5,b=3/5"), ("ab8_mixed", "a=2/5,b=3/5"), ("g2_k7", "a=2/7,b=5/7")]
+    },
+    **{f"rc_{action}_k5": ["rc", action, "--in", FIVE_CLASS_K5] for action in ["lower", "upper"]},
 }
 
 

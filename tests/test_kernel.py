@@ -14,7 +14,10 @@ integer reset, suffix-class, lcs and ideal scans of ``codes`` against the
 Word-level scans they replaced, copied below; its keyed semaphore test,
 ``IdealRep`` checks (the cover sum included), ``restrict_k``,
 ``in_ideal``, ``tau_of`` and ideal meet, join and order against pairwise
-``is_suffix`` scans; and the integer ``word_prob`` and sparse
+``is_suffix`` scans; a code's suffix view against one ``_suffix_keys``
+scan per word, and the action table and ``tau_of`` read from it against
+``is_semaphore``, ``code_action`` and ``validate``, with no suffix scan on
+a covering semaphore code; and the integer ``word_prob`` and sparse
 ``left_apply`` against their Fraction loops.
 
 Lattice order: ``enumerate_rc`` (join closure of the principal
@@ -88,10 +91,10 @@ from semwalk import (
     validate,
     words_of_length,
 )
-from semwalk import congruences, walks
+from semwalk import codes, congruences, walks
 from semwalk.cli import main
 from semwalk.codes import SemaphoreCheck, ideal_from_members
-from semwalk.words import suffixes, words_up_to_length
+from semwalk.words import WordLimitExceeded, suffixes, words_up_to_length
 
 SETTINGS = [(2, 2), (2, 3), (3, 1), (3, 2)]
 
@@ -860,6 +863,119 @@ def test_keyed_ideal_operations_match_on_every_enumerated_ideal(enumerated_ideal
         assert ideal_meet(i1, i2) == word_ideal_from_members(i1.alphabet, k, m1 & m2)
         assert ideal_join(i1, i2) == word_ideal_from_members(i1.alphabet, k, m1 | m2)
         assert ideal_leq(i1, i2) == (m1 <= m2)
+
+
+# The suffix view of a code against the suffix scans it replaced.
+
+
+def scanned_suffix_index(code):
+    """Each word of A^m to the position of its code suffix, by one
+    ``_suffix_keys`` scan per word; None when a word has none or two."""
+    g, m = code.alphabet.size, code.max_len
+    hits = [list(codes._suffix_keys(code._index, g, m, y)) for y in range(g**m)]
+    if any(len(h) != 1 for h in hits):
+        return None
+    return tuple(code._index[h[0]] for h in hits)
+
+
+def test_suffix_index_matches_the_scan_on_every_enumerated_ideal(enumerated_ideals):
+    ideals = [*itertools.chain(*enumerated_ideals.values()), *enumerate_ideals(Alphabet.of_size(3), 3)]
+    for ideal in ideals:
+        code = ideal.code
+        assert code.suffix_index == scanned_suffix_index(code) is not None
+        # Without one of its words a code no longer covers A^m; with the
+        # suffix one letter shorter of one added, it is no longer a suffix code.
+        for i, (n, x) in enumerate(code.keys):
+            assert SemaphoreCode.from_keys(code.alphabet, code.keys[:i] + code.keys[i + 1 :]).suffix_index is None
+            if n:
+                shorter = (n - 1, x % code.alphabet.size ** (n - 1))
+                assert SemaphoreCode.from_keys(code.alphabet, [*code.keys, shorter]).suffix_index is None
+
+
+@given(word_sets())
+@example((Alphabet("ab"), {Alphabet("ab").word(w) for w in ["a", "ab", "bb"]}))
+@example((Alphabet("a"), {Alphabet("a").word("aa")}))
+@example((Alphabet("ab"), set()))
+@settings(max_examples=200, deadline=None)
+def test_suffix_index_matches_the_scan_on_drawn_codes(case):
+    alphabet, words = case
+    code = SemaphoreCode(alphabet, tuple(words))
+    assert code.suffix_index == scanned_suffix_index(code)
+
+
+def test_a_code_too_long_to_view_is_refused_as_before():
+    ab = Alphabet("ab")
+    long = (17, 0)  # a^17: A^17 has more words than the enumeration limit
+    assert SemaphoreCode.from_keys(ab, [long]).suffix_index is None
+    with pytest.raises(CodeError, match="^not a suffix code: a is a suffix of a{17}$"):
+        IdealRep(SemaphoreCode.from_keys(ab, [(1, 0), long]), 17)
+    with pytest.raises(WordLimitExceeded, match="^refusing to enumerate 131072 words"):
+        IdealRep(SemaphoreCode.from_keys(ab, [(1, 1), long]), 17)
+
+
+@st.composite
+def covering_suffix_codes(draw):
+    """A drawn suffix code covering A^m: from {epsilon}, drawn words w are
+    replaced by the g words a+w, up to length 4 over two letters and 3
+    over three, semaphore or not."""
+    g = draw(st.sampled_from([2, 3]))
+    top = 4 if g == 2 else 3
+    keys = {(0, 0)}
+    for _ in range(draw(st.integers(1, 12))):
+        leaves = sorted(key for key in keys if key[0] < top)
+        if not leaves:
+            break
+        n, x = draw(st.sampled_from(leaves))
+        keys = (keys - {(n, x)}) | {(n + 1, a * g**n + x) for a in range(g)}
+    return SemaphoreCode.from_keys(Alphabet.of_size(g), keys)
+
+
+def pinned_code(texts):
+    ab = Alphabet("ab")
+    return SemaphoreCode(ab, tuple(ab.word(w) for w in texts))
+
+
+@given(covering_suffix_codes(), st.integers(0, 1))
+@example(pinned_code(["a", "aab", "bab", "abb", "bbb"]), 0)
+@example(pinned_code(["a", "bb", "aab", "bab"]), 0)
+@settings(max_examples=200, deadline=None)
+def test_action_table_on_the_view_matches_is_semaphore(code, extra):
+    ideal = IdealRep(code, code.max_len + extra)  # k = 3 for the pinned codes
+    semaphore = bool(is_semaphore(code.alphabet, code.words))
+    # action_table reads the view, or names the first (s, a) that code_action rejects.
+    expected = first_action_error(code)
+    assert (expected is None) == semaphore
+    assert value_or_message(action_table, code) == (oracle_table(code) if semaphore else expected)
+    classes = word_suffix_classes(code.alphabet, ideal.k, code)
+    assert congruence_or_witness(tau_of, ideal) == congruence_or_witness(validate, code.alphabet, ideal.k, classes)
+
+
+def test_action_table_and_tau_of_read_the_view_with_no_suffix_scan(monkeypatch, enumerated_ideals):
+    calls = []
+    scan = codes._suffix_keys
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(codes, "_suffix_keys", counted)
+    mixed = json.loads((Path(__file__).parent / "golden" / "code_ab8_mixed.json").read_text())
+    ab = Alphabet("ab")
+    ideals = [
+        *itertools.chain(*enumerated_ideals.values()),
+        IdealRep(SemaphoreCode.from_keys(ab, ab.keys_of(mixed["code"])), 9),
+    ]
+    for ideal in ideals:  # every enumerated code is semaphore
+        # A fresh code, so that its view is built under the counter.
+        ideal = IdealRep(SemaphoreCode.from_keys(ideal.alphabet, ideal.code.keys), ideal.k)
+        if not ideal.code.is_epsilon:
+            action_table(ideal.code)
+        tau_of(ideal)
+    assert calls == []
+    # The refusal paths still scan.
+    with pytest.raises(CodeError):
+        action_table(pinned_code(["a", "aab", "bab", "abb", "bbb"]))
+    assert calls
 
 
 @given(st.data())

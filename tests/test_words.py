@@ -3,7 +3,7 @@ import re
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semwalk import (
@@ -216,6 +216,22 @@ def test_keys_of_parses_and_raises_as_word(alphabet, data):
     assert keys_or_message(alphabet, texts) == (expected if first_error is None else first_error)
     for text, key in zip(texts, expected):
         assert keys_or_message(alphabet, [text]) == ([key] if isinstance(key, tuple) else key)
+
+
+@st.composite
+def alphabet_and_words(draw):
+    alphabet = draw(ALPHABETS)
+    return alphabet, draw(st.lists(st.text(alphabet=alphabet.letters, max_size=12), max_size=6))
+
+
+@given(alphabet_and_words())
+@example((Alphabet("a"), ["", "a", "aaaa"]))
+@example((Alphabet("ab"), ["ba", "", "b"]))
+@example((Alphabet("ab"), []))
+@settings(max_examples=300, deadline=None)
+def test_keys_of_reads_the_key_of_each_word(case):
+    alphabet, texts = case
+    assert alphabet.keys_of(texts) == [alphabet.word(text).key for text in texts]
 
 
 def test_keys_of_reads_words_past_the_int_digit_limit():
