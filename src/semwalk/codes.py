@@ -15,12 +15,14 @@ word of length n is the key (n, x), x its letters read in base g, so that
 its suffix of length j is (j, x mod g^j), and the word of A^k with integer
 x followed by the word of length n with integer w is x*g^n + w.  A code
 is its sorted keys, read from text by ``Alphabet.keys_of`` or from words.
-Its suffix view maps each word of A^m, m its longest word length, to its
-code suffix, painted by one slice assignment per code word; a word of A^k,
-k >= m, has the code suffix of its last m letters.  The view is what
-``IdealRep`` checks, and what the action table with its semaphore test
-and ``tau_of`` read; elsewhere, and on the paths that name a fault, a
-code's suffixes are looked up word by word, longest first.
+A key set paints A^m, one slice assignment per key, shorter keys first:
+a key that finds its own word painted has a shorter key as a suffix and
+paints nothing.  Every question about all of A^n is read off one such
+painting: a code's suffix view (each word of A^m, m its longest word
+length, to its code suffix; a word of A^k, k >= m, has the code suffix
+of its last m letters), the suffix-minimal part of a key set, and the
+words of A^n with no suffix among the keys.  ``_suffix_keys`` looks up
+the suffixes of one word, longest first.
 ``Word`` objects are built only on first use of a code's ``words`` or of
 ``lambda_of``'s lcs sets, for suffix classes and messages.
 """
@@ -110,11 +112,10 @@ class SemaphoreCode:
         every k >= m; None also when A^m is too large to list.
         """
         try:
-            count_of_length(self.alphabet, self.max_len)
+            view, clashes = _paint(self.keys, self.alphabet, self.max_len)
         except WordLimitExceeded:
             return None
-        view = _paint(self.keys, self.alphabet.size, self.max_len)
-        return None if view is None or None in view else tuple(view)
+        return None if clashes or None in view else tuple(view)
 
     @property
     def is_epsilon(self) -> bool:
@@ -125,7 +126,7 @@ class SemaphoreCode:
 
     def in_ideal(self, w: Word) -> bool:
         """Membership in the left ideal A*S: does w have a suffix in S?"""
-        return any(_suffix_keys(self._index, self.alphabet.size, *w.key))
+        return w.alphabet == self.alphabet and any(_suffix_keys(self._index, self.alphabet.size, *w.key))
 
     def __str__(self) -> str:
         return "{" + ",".join(str(w) if len(w) else "eps" for w in self.words) + "}"
@@ -151,15 +152,14 @@ class IdealRep:
             raise CodeError("an ideal representation requires the full finite code")
         if self.code.max_len > self.k:
             raise CodeError(f"code word longer than k={self.k}")
-        if self.code.suffix_index is None:  # the scans below name the first fault
+        if self.code.suffix_index is None:  # the scan, then a painting of A^k, names the first fault
             alphabet, index, g = self.alphabet, self.code._index, self.alphabet.size
             for n, x in index:
                 u = next(_suffix_keys(index, g, n - 1, x), None)
                 if u is not None:
                     raise CodeError(f"not a suffix code: {alphabet.word_at(*u)} is a suffix of {alphabet.word_at(n, x)}")
-            for x in range(count_of_length(alphabet, self.k)):  # refuses an A^k too large to list
-                if not any(_suffix_keys(index, g, self.k, x)):
-                    raise CodeError(f"word {alphabet.word_at(self.k, x)} of A^{self.k} has no suffix in the code")
+            x = _paint(self.code.keys, alphabet, self.k)[0].index(None)
+            raise CodeError(f"word {alphabet.word_at(self.k, x)} of A^{self.k} has no suffix in the code")
         else:
             count_of_length(self.alphabet, self.k)  # with a view of A^m, m <= k: refuses an A^k too large to list
 
@@ -169,34 +169,38 @@ class IdealRep:
 
     def contains(self, w: Word) -> bool:
         """Ideal membership: suffix in the code, or any word of length >= k."""
-        return len(w) >= self.k or self.code.in_ideal(w)
+        return w.alphabet == self.alphabet and (len(w) >= self.k or self.code.in_ideal(w))
 
     def members_below_k(self) -> set[Word]:
         """The finite determining part: members of length < k (epsilon included)."""
         return {self.alphabet.word_at(n, x) for n, x in self._keys_below_k()}
 
     def _keys_below_k(self) -> set[tuple[int, int]]:
-        g, index = self.alphabet.size, self.code._index
-        return {(n, x) for n in range(self.k) for x in range(g**n) if any(_suffix_keys(index, g, n, x))}
+        # (n, x) is a member iff the code suffix of the word x mod g^m of A^m is no longer than n.
+        g, keys, view = self.alphabet.size, self.code.keys, self.code.suffix_index
+        return {(n, x) for n in range(self.k) for x in range(g**n) if keys[view[x % len(view)]][0] <= n}
 
 
-def _paint(keys, g: int, m: int) -> list[int | None] | None:
+def _paint(keys, alphabet: Alphabet, m: int) -> tuple[list[int | None], set[int]]:
     """For each word of A^m, the position in ``keys``, sorted and no longer
-    than m, of its suffix among them, or None where it has none.
+    than m, of its suffix among their suffix-minimal part, or None where it
+    has none; and the positions of the other keys.  Refuses an A^m too
+    large to list.
 
     Key (n, x) paints the g^(m-n) words x + j*g^n that end in it, shorter
     keys first, so a key that finds its own word x painted has a shorter
-    key as a suffix: the whole result is then None.
+    key as a suffix: it clashes, and paints nothing.
     """
-    out: list[int | None] = [None] * g**m
+    out: list[int | None] = [None] * count_of_length(alphabet, m)
+    g, clashes = alphabet.size, set()
     for i, (n, x) in enumerate(keys):
         if out[x] is not None:
-            return None
-        if n < m:
+            clashes.add(i)
+        elif n < m:
             out[x :: g**n] = [i] * g ** (m - n)
         else:  # one word: an item is several times cheaper to set than a one-item extended slice
             out[x] = i
-    return out
+    return out, clashes
 
 
 def _suffix_keys(keys, g: int, n: int, x: int):
@@ -295,10 +299,9 @@ def restrict_k(code: SemaphoreCode, k: int) -> IdealRep:
         raise CodeError("restriction requires a code of nonempty words")
     if code.infinite_tail and code.max_len < k:
         raise CodeError(f"truncated code is only known up to length {code.max_len} < k")
-    short = {key for key in code.keys if key[0] <= k}
-    g = code.alphabet.size
-    added = [(k, x) for x in range(count_of_length(code.alphabet, k)) if not any(_suffix_keys(short, g, k, x))]
-    return _ideal(code.alphabet, k, [*short, *added])
+    short = [key for key in code.keys if key[0] <= k]
+    view = _paint(short, code.alphabet, k)[0]
+    return _ideal(code.alphabet, k, [*short, *((k, x) for x, i in enumerate(view) if i is None)])
 
 
 def code_action(code: SemaphoreCode, s: Word, a: Word) -> Word:
@@ -350,20 +353,17 @@ def action_table(code: SemaphoreCode) -> list[list[int]]:
     return nxt
 
 
-def _suffix_minimal(keys: set[tuple[int, int]], g: int) -> list[tuple[int, int]]:
-    """The keys none of whose proper suffixes is a key, in shortlex order."""
-    return sorted((n, x) for n, x in keys if not any(_suffix_keys(keys, g, n - 1, x)))
-
-
 def ideal_from_members(alphabet: Alphabet, k: int, short_members: set[Word]) -> IdealRep:
     """Ideal A^{>=k} union short_members, given by its suffix-minimal code."""
     return _ideal_from_keys(alphabet, k, {w.key for w in short_members})
 
 
 def _ideal_from_keys(alphabet: Alphabet, k: int, keys: set[tuple[int, int]]) -> IdealRep:
-    # With epsilon among the keys, the suffix-minimal code is {epsilon}.
-    keys = keys | {(k, x) for x in range(count_of_length(alphabet, k))}
-    return _ideal(alphabet, k, _suffix_minimal(keys, alphabet.size))
+    # Its code: the keys shorter than k that paint A^k, and the words of A^k that none paints.
+    keys = sorted(key for key in keys if key[0] < k)  # A^k holds a suffix of every longer key
+    view, clashes = _paint(keys, alphabet, k)
+    painted = [key for i, key in enumerate(keys) if i not in clashes]
+    return _ideal(alphabet, k, [*painted, *((k, x) for x, i in enumerate(view) if i is None)])
 
 
 def ideal_meet(i1: IdealRep, i2: IdealRep) -> IdealRep:
@@ -458,34 +458,23 @@ def lambda_of(rc: RightCongruence) -> LambdaResult:
     # Every word of A^k has its block's lcs as a suffix, so the lcs set
     # generates an ideal containing A^k; its code is the lcs set's
     # suffix-minimal part, the epsilon code when some block mixes last letters.
-    ideal = _ideal(rc.alphabet, k, _suffix_minimal(set(keys), g))
-    return LambdaResult(rc, tuple(keys), ideal)
+    return LambdaResult(rc, tuple(keys), _ideal_from_keys(rc.alphabet, k, set(keys)))
 
 
 def reset_code(rc: RightCongruence) -> IdealRep:
-    """The reset ideal of a congruence, by its suffix-minimal generators.
+    """The reset ideal of a congruence: A^{>=k} and the resets.
 
-    A word w resets when all words of A^k ending in w are equivalent; the
-    generators are the resets none of whose proper suffixes reset.  Words
-    are scanned by increasing length, so a word is suffix-minimal exactly
-    when it has no suffix among the generators already found.
+    A word w of length n < k resets when all words of A^k ending in it, the
+    points w + j*g^n, carry one label.  Its code is the suffix-minimal part
+    of the resets together with A^k.
     """
     if rc.is_universal:
-        # Every word resets a one-vertex graph, epsilon included.
+        # Every word resets a one-vertex graph, epsilon included; the
+        # definition would test, and then paint, every word of length < k.
         return _ideal(rc.alphabet, rc.k, [(0, 0)])
-    g, n, labels = rc.alphabet.size, len(rc.labels), rc.labels
-    found: list[tuple[int, int]] = []
-    keys: set[tuple[int, int]] = set()
-    for length in range(1, rc.k + 1):
-        m = g**length
-        for w in range(m):
-            if any(_suffix_keys(keys, g, length - 1, w)):
-                continue
-            # The words of A^k ending in w are x*m + w.
-            if all(labels[y] == labels[w] for y in range(m + w, n, m)):
-                found.append((length, w))
-        keys.update(found)
-    return _ideal(rc.alphabet, rc.k, found)
+    g, labels = rc.alphabet.size, rc.labels
+    resets = {(n, w) for n in range(rc.k) for w in range(g**n) if len(set(labels[w :: g**n])) == 1}
+    return _ideal_from_keys(rc.alphabet, rc.k, resets)
 
 
 def is_special(rc: RightCongruence) -> bool:

@@ -199,14 +199,20 @@ def isomorphic(g1: AGraph, g2: AGraph) -> bool:
     return len(set(f)) == g1.vertex_count and is_morphism(g1, g2, f)
 
 
+def _dot_string(text: str) -> str:
+    """A DOT quoted string: a letter may be a quote or a backslash."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(graph: AGraph) -> str:
     """Render as DOT with deterministic node order and edge listing."""
     lines = ["digraph {"]
     for i, label in enumerate(graph.labels):
-        lines.append(f'  n{i} [label="{label}"];')
+        lines.append(f"  n{i} [label={_dot_string(label)}];")
+    letters = [_dot_string(letter) for letter in graph.alphabet.letters]
     for v in range(graph.vertex_count):
-        for i, letter in enumerate(graph.alphabet.letters):
-            lines.append(f'  n{v} -> n{graph.transitions[v][i]} [label="{letter}"];')
+        for i, letter in enumerate(letters):
+            lines.append(f"  n{v} -> n{graph.transitions[v][i]} [label={letter}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -592,6 +592,21 @@ def test_the_empty_word_is_not_in_a_congruence_carrier(files, capsys, blocks):
         assert json.loads(out) == {"error": "validation", "message": "word  is not in A^1"}
 
 
+@pytest.mark.parametrize("letters", ["aa", "aba"])
+def test_a_file_alphabet_with_a_repeated_letter_is_a_parse_error(files, capsys, letters):
+    message = f"alphabet letters must be distinct: {letters!r}"
+    path = files("rc.json", {"alphabet": letters, "k": 1, "blocks": [["a"]]})
+    for command in CONGRUENCE_COMMANDS:
+        code, out, err = run_file(capsys, command, "--in", path)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "parse", "message": f"{path}: {message}"}
+    path = files("code.json", {"alphabet": letters, "code": ["a"]})
+    for command in CODE_COMMANDS:
+        code, out, err = run_file(capsys, command, "--code", path)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "parse", "message": f"{path}: {message}"}
+
+
 def test_a_one_letter_alphabet(files, capsys):
     path = files("code.json", {"alphabet": "a", "code": ["aaa"]})
     assert run_json(capsys, "walk", "stationary", "--code", path, "--pi", "a=1") == {"states": ["aaa"], "stationary": ["1"]}

@@ -192,6 +192,25 @@ def test_code_words_must_be_over_the_code_alphabet(ab):
         SemaphoreCode(abc, (epsilon(ab),))
 
 
+def test_a_word_over_another_alphabet_is_in_no_code_and_no_ideal(ab):
+    code = mkcode(ab, ["a", "b"])
+    ideal = IdealRep(code, 1)
+    # c and a have the same key, (1, 0), over cd and over ab.
+    for w in [Alphabet("cd").word("c"), Alphabet("cd").word("dc"), Alphabet("abc").word("a")]:
+        assert w not in code
+        assert not code.in_ideal(w)
+        assert not ideal.contains(w)
+    assert code.in_ideal(ab.word("ba")) and ideal.contains(ab.word("ba"))
+
+
+def test_ideal_operations_refuse_ideals_of_different_settings(ab):
+    ideal = IdealRep(mkcode(ab, ["a", "b"]), 2)
+    for other in [IdealRep(mkcode(ab, ["a", "b"]), 3), IdealRep(mkcode(Alphabet("abc"), ["a", "b", "c"]), 2)]:
+        for operation in [ideal_meet, ideal_join, ideal_leq]:
+            with pytest.raises(CodeError, match="^ideals live in different A\\^k settings$"):
+                operation(ideal, other)
+
+
 def test_a_code_holds_its_words_as_sorted_keys(ab):
     words = [ab.word(x) for x in ["b", "ba", "baa", "aaa"]]
     code = SemaphoreCode(ab, iter(words))

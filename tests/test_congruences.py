@@ -78,6 +78,13 @@ def test_generate_single_pair_examples(ab):
     assert blocks_of(rc2) == [["aaa", "baa"], ["aab"], ["aba"], ["abb"], ["bab"], ["bba"], ["bbb"]]
 
 
+def test_generate_refuses_a_pair_over_another_alphabet(ab):
+    abc = Alphabet("abc")
+    for pair in [(ab.word("aa"), abc.word("cc")), (abc.word("ab"), ab.word("ab"))]:
+        with pytest.raises(congruences.CongruenceError, match=f"^pair \\({pair[0]}, {pair[1]}\\) is not in A\\^2 x A\\^2$"):
+            generate({pair}, ab, 2)
+
+
 def test_generate_keeps_no_table_of_the_letter_action(ab):
     # The images of a point are read off the point itself, so a closure on
     # A^16 leaves nothing behind; a cached 65,536 x 2 table would keep 8 MB.

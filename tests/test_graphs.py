@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from semwalk import (
     cayley,
     debruijn,
     enumerate_rc,
+    generate,
     identity,
     is_reset,
     isomorphic,
@@ -163,11 +166,37 @@ def test_dot_export_is_deterministic_and_complete(five_class):
     assert '  n4 -> n4 [label="b"];' in edges
 
 
+# A DOT line of the export: a node or an edge with one quoted label, in
+# which a quote or a backslash appears only escaped.
+DOT_LINE = re.compile(r'  n\d+( -> n\d+)? \[label="([^"\\]|\\["\\])*"\];')
+
+
+@pytest.mark.parametrize("letters", ['a"', "a\\"])
+def test_dot_export_escapes_quotes_and_backslashes(letters):
+    alphabet = Alphabet(letters)
+    other, escaped = letters[1], "\\" + letters[1]
+    text = to_dot(cayley(generate({(alphabet.word("a" + other), alphabet.word(other * 2))}, alphabet, 2)))
+    lines = text.splitlines()
+    assert lines[0] == "digraph {" and lines[-1] == "}"
+    assert all(DOT_LINE.fullmatch(line) for line in lines[1:-1])
+    assert f'  n1 [label="{{a{escaped},{escaped}{escaped}}}"];' in lines
+    assert f'  n2 [label="{{{escaped}a}}"];' in lines
+    assert f'  n0 -> n1 [label="{escaped}"];' in lines
+
+
 def test_agraph_rejects_partial_tables(ab):
     with pytest.raises(GraphError):
         AGraph(ab, ("p", "q"), ((0,), (1, 1)))
     with pytest.raises(GraphError):
         AGraph(ab, ("p",), ((0, 5),))
+    for rows in [((0, 0),), ((0, 1), (1, 0), (0, 0))]:
+        with pytest.raises(GraphError, match="^one transition row per vertex required$"):
+            AGraph(ab, ("p", "q"), rows)
+
+
+def test_morphism_refuses_graphs_over_different_alphabets(ab):
+    with pytest.raises(GraphError, match="^graphs are over different alphabets$"):
+        morphism(debruijn(ab, 1), debruijn(Alphabet("xy"), 1))
 
 
 def test_morphism_search_refuses_huge_graphs():

@@ -17,8 +17,10 @@ Word-level scans they replaced, copied below; its keyed semaphore test,
 ``is_suffix`` scans; a code's suffix view against one ``_suffix_keys``
 scan per word, and the action table and ``tau_of`` read from it against
 ``is_semaphore``, ``code_action`` and ``validate``, with no suffix scan on
-a covering semaphore code; and the integer ``word_prob`` and sparse
-``left_apply`` against their Fraction loops.
+a covering semaphore code, nor in the reset, lcs and ideal constructions,
+which read a painting too; the one-word scan of the action table on a code
+too long to view; and the integer ``word_prob`` and sparse ``left_apply``
+against their Fraction loops.
 
 Lattice order: ``enumerate_rc`` (join closure of the principal
 congruences) against ``enumerate_all``, the equivalence join against the
@@ -77,6 +79,7 @@ from semwalk import (
     lattice_report,
     lcs,
     lcs_of,
+    lower_approx,
     meet,
     product,
     reset_code,
@@ -88,6 +91,7 @@ from semwalk import (
     tau_of,
     transition_matrix,
     universal,
+    upper_approx,
     validate,
     words_of_length,
 )
@@ -976,6 +980,60 @@ def test_action_table_and_tau_of_read_the_view_with_no_suffix_scan(monkeypatch, 
     with pytest.raises(CodeError):
         action_table(pinned_code(["a", "aab", "bab", "abb", "bbb"]))
     assert calls
+
+
+def counted_suffix_scans(monkeypatch):
+    """The argument tuples of every ``codes._suffix_keys`` call from now on."""
+    calls, scan = [], codes._suffix_keys
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(codes, "_suffix_keys", counted)
+    return calls
+
+
+def test_codes_and_ideal_operations_read_a_painting_with_no_suffix_scan(monkeypatch, enumerated_ideals):
+    elements = [rc for g, k in [(2, 3), (3, 2)] for rc in enumerate_rc(Alphabet.of_size(g), k, carrier_bound=9)]
+    calls = counted_suffix_scans(monkeypatch)
+    for rc in elements:
+        reset_code(rc), lambda_of(rc), is_special(rc), lower_approx(rc), upper_approx(rc)
+    for (g, k), ideals in enumerated_ideals.items():
+        assert enumerate_ideals(Alphabet.of_size(g), k) == ideals
+        for ideal in ideals:
+            ideal.members_below_k()
+            if not ideal.code.is_epsilon:
+                restrict_k(ideal.code, k)
+    for g, k in [(2, 3), (3, 2)]:
+        for i1, i2 in itertools.product(enumerated_ideals[(g, k)], repeat=2):
+            ideal_meet(i1, i2), ideal_join(i1, i2), ideal_leq(i1, i2)
+    assert calls == []
+    # The cover refusal scans nothing past the suffix-code check, one call per code word.
+    ab = Alphabet("ab")
+    code = SemaphoreCode.from_keys(ab, [(1, 0), (3, 7)])  # {a, bbb}: aab is the first word of A^3 it misses
+    with pytest.raises(CodeError, match="^word aab of A\\^3 has no suffix in the code$"):
+        IdealRep(code, 3)
+    assert [args[2:] for args in calls] == [(n - 1, x) for n, x in code.keys]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_reset_code_of_identity_is_a_k_and_of_universal_epsilon(monkeypatch, g):
+    alphabet = Alphabet.of_size(g)
+    calls = counted_suffix_scans(monkeypatch)
+    for k in itertools.takewhile(lambda k: g**k <= 4096, itertools.count(1)):
+        assert reset_code(identity(alphabet, k)).code.keys == tuple((k, x) for x in range(g**k))
+        assert reset_code(universal(alphabet, k)).code.keys == ((0, 0),)
+    assert calls == []
+
+
+def test_action_table_scans_a_code_too_long_to_view():
+    # {b, ba, ..., ba^16, a^17} is semaphore, and A^17 is past the
+    # enumeration limit: only the one-word suffix scan can build its table.
+    ab = Alphabet("ab")
+    code = SemaphoreCode(ab, tuple(ab.word(text) for text in ["b" + "a" * n for n in range(17)] + ["a" * 17]))
+    assert code.suffix_index is None and is_semaphore(ab, code.words)
+    assert action_table(code) == oracle_table(code)
 
 
 @given(st.data())

@@ -12,7 +12,9 @@ from semwalk import (
     CodeError,
     IdealRep,
     LetterDistribution,
+    ResetProfile,
     SemaphoreCode,
+    StationaryVector,
     TransitionMatrix,
     WalkError,
     cayley,
@@ -62,6 +64,9 @@ def random_distribution(alphabet, rng):
 def test_letter_distribution_validation(ab):
     with pytest.raises(WalkError):
         LetterDistribution(ab, (F(1, 2), F(1, 3)))
+    for probs in [(F(1),), (F(1, 3),) * 3]:
+        with pytest.raises(WalkError, match="^one probability per letter required$"):
+            LetterDistribution(ab, probs)
     with pytest.raises(WalkError):
         LetterDistribution(ab, (F(3, 2), F(-1, 2)))
     with pytest.raises(WalkError):
@@ -428,6 +433,41 @@ def test_profile_monotonicity_property(pa_num):
 def test_transition_matrix_rejects_the_empty_chain():
     with pytest.raises(WalkError, match="at least one state"):
         TransitionMatrix((), ())
+
+
+def test_transition_matrix_rejects_a_shape_that_does_not_match_its_labels():
+    one, zero = F(1), F(0)
+    for rows in [((one,),), ((one, zero, zero), (zero, one, zero))]:
+        with pytest.raises(WalkError, match="^matrix shape does not match the state labels$"):
+            TransitionMatrix(("x", "y"), rows)
+
+
+def test_stationary_vector_invariants():
+    with pytest.raises(WalkError, match="^one value per state required$"):
+        StationaryVector(("x", "y"), (F(1),))
+    with pytest.raises(WalkError, match="^stationary vector must sum to 1$"):
+        StationaryVector(("x", "y"), (F(1, 2), F(1, 3)))
+
+
+def test_solve_stationary_refuses_a_reducible_chain():
+    one, zero = F(1), F(0)
+    with pytest.raises(WalkError, match="^stationary distribution is not unique \\(reducible chain\\)$"):
+        solve_stationary(TransitionMatrix(("x", "y"), ((one, zero), (zero, one))))
+
+
+@pytest.mark.parametrize(
+    "cumulative, increments, hitting_time, message",
+    [
+        ((F(1), F(1, 2), F(1)), (F(1), F(-1, 2), F(1, 2)), F(2), "reset probabilities must be nondecreasing"),
+        ((F(1, 2), F(3, 4)), (F(1, 2), F(1, 4)), F(3, 2), "P\\(k\\) = 3/4, expected exactly 1"),
+        ((F(1, 2), F(1)), (F(1, 2), F(-1, 2)), F(3, 2), "negative reset increment"),
+        ((F(1, 2), F(1)), (F(1, 2), F(1, 2)), F(3), "hitting time out of range"),
+        ((F(1, 2), F(1)), (F(1, 2), F(1, 2)), F(1, 2), "hitting time out of range"),
+    ],
+)
+def test_reset_profile_invariants(cumulative, increments, hitting_time, message):
+    with pytest.raises(WalkError, match=f"^{message}$"):
+        ResetProfile(cumulative, increments, hitting_time)
 
 
 def test_irreducibility_fails_on_a_reducible_chain():

@@ -42,6 +42,9 @@ def test_word_parsing_and_rendering(ab):
     assert str(epsilon(ab)) == ""
     with pytest.raises(WordError):
         ab.word("abc")
+    for indices in [(0, 2), (-1,)]:
+        with pytest.raises(WordError, match="^letter index out of range for alphabet 'ab'$"):
+            Word(ab, indices)
 
 
 def test_truncate_suffix(ab):
@@ -108,6 +111,8 @@ def test_lcs_examples(ab):
     assert lcs(ab.word("aaa"), ab.word("bbb")).is_empty
     assert str(lcs(ab.word("abb"), ab.word("abb"))) == "abb"
     assert str(lcs_of([ab.word("aaa"), ab.word("aba"), ab.word("baa")])) == "a"
+    with pytest.raises(WordError, match="^lcs_of requires at least one word$"):
+        lcs_of([])
 
 
 def test_lcs_is_maximal_common_suffix(ab):
