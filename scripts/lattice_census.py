@@ -3,11 +3,12 @@
 
 For each small (alphabet size, k) pair this enumerates every right
 congruence as the join closure of the principal congruences, counts the
-special ones, and runs the lattice checks.  Carriers of up to 9 words are
-enumerated; the library's hard carrier bound refuses anything larger.
+special ones, and reads the lattice checks off that enumeration's joins.
+Carriers of up to 9 words are enumerated; the library's hard carrier bound
+refuses anything larger.
 """
 
-from semwalk import enumerate_ideals, enumerate_rc, lattice_report, src_lattice
+from semwalk import enumerate_ideals, lattice_census, src_lattice
 from semwalk.words import Alphabet
 
 
@@ -17,8 +18,7 @@ def main() -> None:
     print("-" * len(header))
     for g, k in [(2, 1), (2, 2), (2, 3), (3, 1), (4, 1), (3, 2)]:
         alphabet = Alphabet.of_size(g)
-        elements = enumerate_rc(alphabet, k, carrier_bound=9)
-        report = lattice_report(elements)
+        elements, report = lattice_census(alphabet, k, carrier_bound=9)
         n_src = len(src_lattice(alphabet, k)) if g > 1 else "-"
         print(
             f"{g:>2} {k:>2} {len(elements):>5} {n_src:>5}"

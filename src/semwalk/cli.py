@@ -266,8 +266,7 @@ def _lattice_census(args) -> dict:
         alphabet = Alphabet.of_size(args.alphabet_size)
     except WordError as e:
         raise ParseFailure(f"-g: {e}") from e
-    elements = congruences.enumerate_rc(alphabet, args.k, carrier_bound=args.carrier_bound)
-    report = congruences.lattice_report(elements)
+    elements, report = congruences.lattice_census(alphabet, args.k, carrier_bound=args.carrier_bound)
     wanted = _CHECKS if args.checks is None else args.checks
     witnesses: dict = {}
     if "modular" in wanted and not report.modular:

@@ -354,7 +354,12 @@ def action_table(code: SemaphoreCode) -> list[list[int]]:
 
 
 def ideal_from_members(alphabet: Alphabet, k: int, short_members: set[Word]) -> IdealRep:
-    """Ideal A^{>=k} union short_members, given by its suffix-minimal code."""
+    """Ideal A^{>=k} union short_members, given by its suffix-minimal code.
+    A member over another alphabet is refused, as ``SemaphoreCode`` refuses
+    such a code word."""
+    stray = next((w for w in short_members if w.alphabet.letters != alphabet.letters), None)
+    if stray is not None:
+        raise CodeError(f"member {stray} is not over the alphabet {alphabet.letters!r}")
     return _ideal_from_keys(alphabet, k, {w.key for w in short_members})
 
 

@@ -7,7 +7,9 @@ the generated congruence of the union.  This module provides validation,
 generation from pairs, enumeration at small parameters (the join closure of
 the principal congruences, and the exhaustive partition filter that is its
 oracle), and the lattice analytics (covers, atoms, semimodularity,
-modularity, atomisticity, equal maximal chain lengths).
+modularity, atomisticity, equal maximal chain lengths): ``lattice_census``
+reads them off the joins of the enumeration, and ``lattice_report``, its
+oracle, off the pairwise meets of any list.
 
 Internally A^k is the integers 0..n-1, n = g^k, in the lexicographic order
 of ``words_of_length``: a word is its letter indices read in base g, and
@@ -22,12 +24,13 @@ objects are built only for the word API, witnesses in messages and, per
 object, the ``blocks`` and ``block_of`` views.
 The lattice enumeration and the join certificate of the lattice report
 work on stars instead: the string whose character x is ``chr`` of the
-least point of x's block, in which a join merges two blocks by one C-level
-``str.replace``.
+least point of x's block (its ``_roots``), in which a join merges two
+blocks by one C-level ``str.replace``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product as iter_product
@@ -42,8 +45,9 @@ from .words import Alphabet, Word, count_of_length, product, words_of_length  # 
 DEFAULT_CARRIER_BOUND = 8
 HARD_CARRIER_BOUND = 12
 # lattice_report looks up n^2 meet-table entries, one AND of relation bitsets
-# each and no per-pair closure, and keeps n-bit up- and down-sets (the cubic
-# pentagon search only finds witnesses); beyond this it refuses, not samples.
+# each and no per-pair closure; it and lattice_census keep n-bit up- and
+# down-sets (the cubic pentagon search only finds witnesses).  Beyond this
+# both refuse, not sample.
 MAX_LATTICE_ELEMENTS = 5000
 
 
@@ -94,38 +98,43 @@ def _blocks(labels: tuple[int, ...]) -> list[list[int]]:
     return out
 
 
-def _star(labels: tuple[int, ...]) -> str:
-    """Each point mapped to the least point of its block, as the string of
-    ``chr`` of those minima: a canonical key like the labels, and, read as
-    pairs (x, star[x]), a generating set.  Two blocks merge by one
-    ``str.replace`` of the larger minimum by the smaller, a C-level pass."""
-    first: list[str] = []
+def _roots(labels) -> list[int]:
+    """Each point mapped to the least point of its block: a union-find
+    forest of the partition and, read as pairs (x, root), a generating set."""
+    first: list[int] = []
     for x, b in enumerate(labels):
         if b == len(first):
-            first.append(chr(x))
-    return "".join(map(first.__getitem__, labels))
+            first.append(x)
+    return [first[b] for b in labels]
+
+
+def _star(labels: tuple[int, ...]) -> str:
+    """The ``_roots`` as the string of their ``chr``: a canonical key like the
+    labels, in which two blocks merge by one ``str.replace`` of the larger
+    root by the smaller, a C-level pass."""
+    return "".join(map(chr, _roots(labels)))
 
 
 def _star_pairs(star: str) -> list[tuple[int, int]]:
     return [(x, p) for x, p in enumerate(map(ord, star)) if x != p]
 
 
-def _block_masks(labels: tuple[int, ...]) -> tuple[int, ...]:
-    """Each point mapped to the bitset of its block: a canonical key under
-    which the meet of two partitions is the pointwise AND."""
+def _relation(labels: tuple[int, ...]) -> int:
+    """The relation as one int, point x's block bitset at bit x*n: a
+    canonical key under which the meet of two partitions is the AND."""
     masks = [0] * (max(labels, default=-1) + 1)
     for x, b in enumerate(labels):
         masks[b] |= 1 << x
-    return tuple(masks[b] for b in labels)
+    return sum(masks[b] << (x * len(labels)) for x, b in enumerate(labels))
 
 
 def _close(g: int, parent, pairs) -> tuple[int, ...]:
     """Union-find closure under the action of g letters, as canonical labels.
 
     ``parent`` is a union-find forest of a right-closed partition of n
-    points (identity or the ``ord`` of a congruence's ``_star``); it is
-    copied, not changed.  Each pair is merged, and every pair (u, v) that
-    joins two classes queues its images (su + a, sv + a) for a < g, with
+    points (identity or a congruence's ``_roots``); it is copied, not
+    changed.  Each pair is merged, and every pair (u, v) that joins two
+    classes queues its images (su + a, sv + a) for a < g, with
     su = u*g mod n and sv = v*g mod n, until fixpoint.  g = 0 queues none,
     leaving the equivalence the pairs generate on the forest (``join``).
     """
@@ -390,9 +399,9 @@ def meet(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
 def join(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
     """Smallest right congruence containing both relations.
 
-    The pairs of the finer operand are merged into the star of the coarser
-    by the union-find ``_close``, near-linear in |A^k| whatever the
-    operands.  With g = 0 it queues no image pairs: the join is
+    The pairs (x, root) of the finer operand's ``_roots`` are merged into
+    the coarser's, as a forest, by the union-find ``_close``, near-linear
+    in |A^k| whatever the operands.  With g = 0 it queues no image pairs: the join is
     right-closed already (see ``_join_star``).  The ``str.replace`` kernel
     ``_join_star`` would pay one pass over A^k per merged block, quadratic
     when the second operand merges many blocks of the first.
@@ -400,8 +409,8 @@ def join(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
     _require_same_setting(r1, r2)
     if max(r1.labels) > max(r2.labels):
         r1, r2 = r2, r1
-    parent = map(ord, _star(r1.labels))
-    labels = _close(0, parent, _star_pairs(_star(r2.labels)))
+    roots = _roots(r2.labels)
+    labels = _close(0, _roots(r1.labels), [(x, p) for x, p in enumerate(roots) if x != p])
     return RightCongruence(r1.alphabet, r1.k, labels)
 
 
@@ -447,16 +456,13 @@ def enumerate_all(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRI
     return [RightCongruence(alphabet, k, s) for s in kept]
 
 
-def enumerate_rc(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIER_BOUND) -> list[RightCongruence]:
-    """Every right congruence on A^k, as the join closure of the principal ones.
-
-    A right congruence is the join of the principal congruences theta(u, v)
-    of its pairs, so joining the identity with one theta(u, v) at a time
-    reaches every element: one join per element and principal congruence
-    instead of a closure check per set partition.  Elements are held as
-    ``_star`` strings, so the seen set hashes and compares strings and each
-    join is ``_join_star``, one ``str.replace`` per merged block.  Same
-    list, order and refusals as ``enumerate_all``.
+def _join_graph(alphabet: Alphabet, k: int, carrier_bound: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """Every right congruence on A^k as labels, in ``enumerate_all``'s
+    order, with the indices of each one's joins x v theta(u, v) with the
+    principal congruences not below it.  Every right congruence is a join of
+    principals, so the search from the identity reaches it, at one
+    ``_join_star`` per element and principal instead of a closure check per
+    set partition; each join is looked up in, or added to, the list.
     """
     n, g = _enumerable_size(alphabet, k, carrier_bound), alphabet.size
     principal: dict[str, tuple[int, int]] = {}
@@ -464,18 +470,30 @@ def enumerate_rc(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIE
         for v in range(u + 1, n):
             principal.setdefault(_star(_close(g, range(n), [(u, v)])), (u, v))
     gens = [(u, v, _star_pairs(star)) for star, (u, v) in principal.items()]
-    seen = {_star(range(n))}
-    todo = list(seen)
-    while todo:
-        x = todo.pop()
+    stars = [_star(range(n))]
+    index = {stars[0]: 0}
+    joins: list[list[int]] = []
+    for x in stars:  # a breadth-first search: the list grows as it is read
+        out = []
         for u, v, pairs in gens:
             if x[u] != x[v]:  # else theta(u, v) is below x
                 y = _join_star(x, pairs)
-                if y not in seen:
-                    seen.add(y)
-                    todo.append(y)
-    kept = sorted(map(_canonical, seen), key=_blocks)
-    return [RightCongruence(alphabet, k, s) for s in kept]
+                if y not in index:
+                    index[y] = len(stars)
+                    stars.append(y)
+                out.append(index[y])
+        joins.append(out)
+    labels = list(map(_canonical, stars))
+    order = sorted(range(len(stars)), key=lambda i: _blocks(labels[i]))
+    at = dict(zip(order, range(len(order))))
+    return [labels[i] for i in order], [[at[j] for j in joins[i]] for i in order]
+
+
+def enumerate_rc(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIER_BOUND) -> list[RightCongruence]:
+    """Every right congruence on A^k, as the join closure of the principal
+    ones (``_join_graph``).  Same list, order and refusals as
+    ``enumerate_all``."""
+    return [RightCongruence(alphabet, k, s) for s in _join_graph(alphabet, k, carrier_bound)[0]]
 
 
 @dataclass
@@ -529,6 +547,20 @@ def _pentagon_search(up, down, by_up, by_down, covers_set, require_cover: bool):
     return None
 
 
+def _covers(down: list[int], above: list[int]) -> list[tuple[int, int]]:
+    """The pairs (x, y) with y covering x, in order, given for each x a
+    bitset of elements above it that holds its covers: the minimal ones."""
+    covers = []
+    for x, rest in enumerate(above):
+        candidates = rest
+        while rest:  # the bits of rest, lowest first, without a _bits generator step each
+            low = rest & -rest
+            rest ^= low
+            if down[low.bit_length() - 1] & candidates == low:
+                covers.append((x, low.bit_length() - 1))
+    return covers
+
+
 def _first_unclosed(rel, by_rel, stars) -> str:
     """The first failing pair, in order, meet before join, as its message."""
     joins = set(stars)
@@ -542,30 +574,21 @@ def _first_unclosed(rel, by_rel, stars) -> str:
 
 
 def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
-    """Lattice checks over an explicitly enumerated set, read off its order.
+    """Lattice checks over an arbitrary list, read off its order: the oracle
+    of ``lattice_census``, which reads the same report off its enumeration.
 
-    An element is one int of relation bits (point x's block bitset at bit
-    x*N), so a meet is an AND and a lookup; every pair's is looked up, and
-    x <= y iff x meet y = x.  The order is kept as up- and down-set bitsets;
-    y covers x when up(x) & down(y) is {x, y}.  A meet-closed finite set
-    with a top is a lattice, in which the join of x and y has up-set
-    up(x) & up(y) (a meet, down-set down(x) & down(y)).  It is closed under
-    the join of right congruences if x v a is in it for every x and every
-    join-irreducible a (one lower cover), since every y is the join of the
-    join-irreducibles below it; only those joins are computed, each by
-    ``_join_star`` on the element's star (one ``str.replace`` per merged
-    block) and compared with the star of the up-set join.  On a failed check the first failing
-    pair, meet before join, is raised.  The flags rest on two theorems:
-
-    - Upper semimodularity (if a and b cover a meet b, then a join b covers
-      a and b) holds iff there is no pentagon sublattice e < c < b < a,
-      e < d < a whose d covers e in the whole lattice.
-    - The lattice is modular iff it is upper and lower semimodular (the
-      dual condition: if a join b covers a and b, then a and b cover
-      a meet b), and modular iff it has no pentagon sublattice.
-
-    Both conditions are checked locally, on pairs of covers; the exhaustive
-    ``_pentagon_search`` runs only when one fails, to find the witness.
+    An element is one int of relation bits (``_relation``), so a meet is an
+    AND and a lookup; every pair's is looked up, and x <= y iff
+    x meet y = x.  The order is kept as up- and down-set bitsets; y covers x
+    when up(x) & down(y) is {x, y}.  A meet-closed finite set with a top is
+    a lattice, in which the join of x and y has up-set up(x) & up(y).  It is
+    closed under the join of right congruences if x v a is in it for every
+    x and every join-irreducible a (one lower cover), since every y is the
+    join of the join-irreducibles below it; only those joins are computed,
+    each by ``_join_star`` on the element's star (one ``str.replace`` per
+    merged block) and compared with the star of the up-set join.  On a
+    failed check the first failing pair, meet before join, is raised.  The
+    flags are ``_report``'s.
     """
     n = len(elements)
     if n > MAX_LATTICE_ELEMENTS:
@@ -578,7 +601,7 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
     if len(set(labels)) != n:
         raise CongruenceError("duplicate elements")
 
-    rel = [sum(m << (x * len(lab)) for x, m in enumerate(_block_masks(lab))) for lab in labels]
+    rel = [_relation(lab) for lab in labels]
     by_rel = {r: i for i, r in enumerate(rel)}
     stars = [_star(lab) for lab in labels]
     up = [0] * n  # bit j of up[i]: element i refines element j
@@ -595,15 +618,77 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
             elif m is None:
                 raise CongruenceError(_first_unclosed(rel, by_rel, stars))
 
-    covers = []
-    for i, up_i in enumerate(up):
-        bit = 1 << i
-        rest = up_i ^ bit
-        while rest:  # the bits of rest, lowest first, without a _bits generator step each
-            low = rest & -rest
-            rest ^= low
-            if up_i & down[low.bit_length() - 1] == bit | low:
-                covers.append((i, low.bit_length() - 1))
+    covers = _covers(down, [up_i ^ (1 << i) for i, up_i in enumerate(up)])
+    everything = (1 << n) - 1
+    by_up = {u: i for i, u in enumerate(up)}
+    lower = Counter(j for _, j in covers)
+    irreducible = {a: _star_pairs(stars[a]) for a in range(n) if lower[a] == 1}
+    if everything not in down or not all(
+        _join_star(stars[x], pairs) == stars[by_up[up[x] & up[a]]]
+        for a, pairs in irreducible.items()
+        for x in _bits(everything & ~(up[a] | down[a]))
+    ):
+        raise CongruenceError(_first_unclosed(rel, by_rel, stars))
+    return _report(up, down, covers)
+
+
+def lattice_census(
+    alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIER_BOUND
+) -> tuple[list[RightCongruence], LatticeReport]:
+    """``enumerate_rc`` and its ``lattice_report`` (same list, report and
+    refusals), read off one ``_join_graph``.  Every z > x holds a pair
+    (u, v) that x does not, so x < x v theta(u, v) <= z: coarse to fine, the
+    up-set of x is x and the up-sets of its joins, the down-sets are the
+    reverse, and the upper covers of x are its minimal joins.
+
+    Meet closure is certified by looking up x meet m for every
+    meet-irreducible m (one upper cover) and x incomparable to it.  The
+    list holds the identity and is closed under join, so it is a finite
+    lattice L, in which every y is the lattice meet of the set M(y) of
+    meet-irreducibles above it.  By the lookups (a comparable pair meets in
+    one of the two), meeting any x in L with the m in M(y) one at a time
+    stays in L.  From the top this gives their partition meet P in L, below
+    them all, so P <= y; y refines them all, so y = P, and from x it gives
+    x meet y.
+    """
+    labels, joins = _join_graph(alphabet, k, carrier_bound)
+    n = len(labels)
+    if n > MAX_LATTICE_ELEMENTS:
+        raise BoundExceeded(f"lattice of {n} elements exceeds the exhaustive-check bound")
+    up = [1 << x for x in range(n)]
+    down = up[:]
+    coarse_first = sorted(range(n), key=lambda x: max(labels[x]))
+    for x in coarse_first:
+        for y in joins[x]:
+            up[x] |= up[y]
+    for x in reversed(coarse_first):
+        for y in joins[x]:
+            down[y] |= down[x]
+    covers = _covers(down, [sum({1 << y for y in targets}) for targets in joins])
+    upper = Counter(x for x, _ in covers)
+    irreducible = [m for m in range(n) if upper[m] == 1]
+    rel = list(map(_relation, labels))
+    kept, everything = set(rel), (1 << n) - 1
+    if any(rel[x] & rel[m] not in kept for m in irreducible for x in _bits(everything & ~(up[m] | down[m]))):
+        raise CongruenceError("input is not closed under meet")
+    return [RightCongruence(alphabet, k, lab) for lab in labels], _report(up, down, covers)
+
+
+def _report(up: list[int], down: list[int], covers: list[tuple[int, int]]) -> LatticeReport:
+    """The report of a lattice given by its up- and down-set bitsets and its
+    covers in (lower, upper) order.  The flags rest on two theorems:
+
+    - Upper semimodularity (if a and b cover a meet b, then a join b covers
+      a and b) holds iff there is no pentagon sublattice e < c < b < a,
+      e < d < a whose d covers e in the whole lattice.
+    - The lattice is modular iff it is upper and lower semimodular (the
+      dual condition: if a join b covers a and b, then a and b cover
+      a meet b), and modular iff it has no pentagon sublattice.
+
+    Both conditions are checked locally, on pairs of covers; the exhaustive
+    ``_pentagon_search`` runs only when one fails, to find the witness.
+    """
+    n = len(up)
     upper: list[list[int]] = [[] for _ in range(n)]
     lower: list[list[int]] = [[] for _ in range(n)]
     for i, j in covers:
@@ -614,15 +699,7 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
     everything = (1 << n) - 1
     by_up = {u: i for i, u in enumerate(up)}
     by_down = {d: i for i, d in enumerate(down)}
-    irreducible = {a: _star_pairs(stars[a]) for a in range(n) if len(lower[a]) == 1}
-    top = by_down.get(everything)
-    if top is None or not all(
-        _join_star(stars[x], pairs) == stars[by_up[up[x] & up[a]]]
-        for a, pairs in irreducible.items()
-        for x in _bits(everything & ~(up[a] | down[a]))
-    ):
-        raise CongruenceError(_first_unclosed(rel, by_rel, stars))
-    bottom = by_up[everything]
+    top, bottom = by_down[everything], by_up[everything]
     atoms = upper[bottom]
 
     upper_semimodular = all(

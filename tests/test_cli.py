@@ -881,7 +881,8 @@ def test_lattice_census_renders_every_witness(capsys, monkeypatch):
     # handed the pentagon of RC(A^1) over four letters as its whole lattice.
     elements = congruences.enumerate_rc(Alphabet.of_size(4), 1)
     pentagon = [elements[i] for i in congruences.lattice_report(elements).pentagon]
-    monkeypatch.setattr(congruences, "enumerate_rc", lambda *args, **kwargs: pentagon)
+    census = (pentagon, congruences.lattice_report(pentagon))
+    monkeypatch.setattr(congruences, "lattice_census", lambda *args, **kwargs: census)
     data = run_json(capsys, "lattice", "census", "-g", "4", "-k", "1")
     top, upper, lower, side, bottom = "{a,b,c,d}", "{a,b} | {c,d}", "{a} | {b} | {c,d}", "{a,c} | {b,d}", "{a} | {b} | {c} | {d}"
     assert data == {

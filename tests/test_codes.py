@@ -203,6 +203,13 @@ def test_a_word_over_another_alphabet_is_in_no_code_and_no_ideal(ab):
     assert code.in_ideal(ab.word("ba")) and ideal.contains(ab.word("ba"))
 
 
+def test_an_ideal_refuses_a_member_over_another_alphabet(ab):
+    # c over cd has a's key; z over xyz is the third letter, past A^1 of ab.
+    for word, text in [(Alphabet("cd").word("c"), "c"), (Alphabet("xyz").word("z"), "z")]:
+        with pytest.raises(CodeError, match=f"^member {text} is not over the alphabet 'ab'$"):
+            ideal_from_members(ab, 2, {ab.word("b"), word})
+
+
 def test_ideal_operations_refuse_ideals_of_different_settings(ab):
     ideal = IdealRep(mkcode(ab, ["a", "b"]), 2)
     for other in [IdealRep(mkcode(ab, ["a", "b"]), 3), IdealRep(mkcode(Alphabet("abc"), ["a", "b", "c"]), 2)]:

@@ -28,7 +28,9 @@ action-closure join, the star-string kernel ``_join_star`` against ``join``
 and the census join counts, and ``lattice_report`` (order bitsets, local cover
 checks, a join-irreducible closure certificate) against a copy of the
 cubic report it replaced, on the enumerable lattices and on sublattices of
-RC(abc, 2); the (2,4) lattice against the public meet, join and refines.
+RC(abc, 2); the (2,4) lattice against the public meet, join and refines;
+and ``lattice_census`` (the report read off the enumeration's joins, with
+a meet certificate) against ``lattice_report`` of ``enumerate_rc``.
 """
 
 import contextlib
@@ -48,6 +50,7 @@ from hypothesis import strategies as st
 
 from semwalk import (
     Alphabet,
+    BoundExceeded,
     ClosureViolation,
     CodeError,
     CongruenceError,
@@ -76,6 +79,7 @@ from semwalk import (
     is_suffix,
     join,
     lambda_of,
+    lattice_census,
     lattice_report,
     lcs,
     lcs_of,
@@ -1320,6 +1324,59 @@ def test_the_census_join_counts(monkeypatch):
     calls.clear()
     lattice_report(elements)
     assert len(calls) == 3000
+
+
+@pytest.mark.parametrize("g, k", ENUMERABLE)
+def test_the_census_is_enumerate_rc_and_its_lattice_report(g, k):
+    elements, report = lattice_census(Alphabet.of_size(g), k, carrier_bound=9)
+    assert elements == enumerate_rc(Alphabet.of_size(g), k, carrier_bound=9)
+    assert report == lattice_report(elements)
+
+
+def test_the_census_of_two_letters_at_k4(ab, monkeypatch):
+    monkeypatch.setattr(congruences, "HARD_CARRIER_BOUND", 16)
+    elements, report = lattice_census(ab, 4, carrier_bound=16)
+    assert len(elements) == 1247
+    assert elements == enumerate_rc(ab, 4, carrier_bound=16)
+    assert report == lattice_report(elements)
+
+
+def test_the_cli_census_reads_its_report_off_the_enumeration_joins(monkeypatch, capsys):
+    # `lattice census -g 3 -k 2`: the 3,105 joins of enumerate_rc, and
+    # neither the pairwise meets nor the 3,000 certificate joins of the oracle.
+    calls = []
+    join_star = congruences._join_star
+
+    def counted(star, pairs):
+        calls.append(None)
+        return join_star(star, pairs)
+
+    def refused(elements):
+        raise AssertionError("the census ran lattice_report")
+
+    monkeypatch.setattr(congruences, "_join_star", counted)
+    monkeypatch.setattr(congruences, "lattice_report", refused)
+    assert main(["lattice", "census", "-g", "3", "-k", "2", "--carrier-bound", "9"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 192
+    assert len(calls) == 3105
+
+
+def test_the_meet_certificate_refuses_a_join_closed_list_without_a_meet(monkeypatch):
+    # abc|d and abd|c join to abcd, but their meet ab|c|d is missing.
+    abcd = Alphabet("abcd")
+    four = [congruences.RightCongruence(abcd, 1, lab) for lab in [(0, 1, 2, 3), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 0, 0)]]
+    joins = [[four.index(join(x, y)) for y in four if not y.refines(x)] for x in four]
+    monkeypatch.setattr(congruences, "_join_graph", lambda *args: ([x.labels for x in four], joins))
+    for report in [lambda: lattice_census(abcd, 1), lambda: lattice_report(four)]:
+        with pytest.raises(CongruenceError, match="^input is not closed under meet$"):
+            report()
+
+
+def test_the_census_refuses_a_lattice_past_the_element_bound(ab, monkeypatch):
+    monkeypatch.setattr(congruences, "MAX_LATTICE_ELEMENTS", 4)
+    for report in [lambda: lattice_census(ab, 2), lambda: lattice_report(enumerate_rc(ab, 2))]:
+        with pytest.raises(BoundExceeded, match="^lattice of 5 elements exceeds the exhaustive-check bound$"):
+            report()
 
 
 @pytest.mark.parametrize("g, k", ENUMERABLE)
