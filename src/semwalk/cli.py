@@ -11,7 +11,10 @@ Every command prints one JSON object, with rationals as "num/den" strings,
 except graph dot, which prints DOT text; --out FILE writes it to FILE
 instead.  Exit codes are a stable contract: 0 success, 1 validation failure
 (diagnostic payload on stdout), 2 parse error, 3 internal assertion, 4
-enumeration bound exceeded.
+bound exceeded.  Exit 4 refuses a request before its work starts: more than
+65,536 words of one length, a census carrier past --carrier-bound (at most
+12 words), a lattice of more than 5,000 elements, a walk lumped matrix of
+more than 2^22 entries, or walk simulate --steps above 10^9.
 """
 
 from __future__ import annotations
@@ -384,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(json.dumps(payload))
         return EXIT_VALIDATION
-    except (congruences.BoundExceeded, WordLimitExceeded) as e:
+    except (congruences.BoundExceeded, WordLimitExceeded, walks.WalkBoundExceeded) as e:
         print(json.dumps({"error": "bound", "message": str(e)}), file=sys.stderr)
         return EXIT_BOUND
     except (congruences.NotAPartitionError, codes.CodeError, walks.WalkError, WordError, graphs.GraphError, congruences.CongruenceError) as e:

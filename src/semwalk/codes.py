@@ -10,6 +10,15 @@ are the special right congruences, and every right congruence is sandwiched
 between a best special refinement (from its reset ideal) and a best special
 coarsening (from the longest common suffixes of its blocks).
 
+This module is the engine of the ``rc`` and ``walk`` commands: codes and
+ideals held by their keys, a code's suffix view and action table, the reset
+and lcs ideals, ``tau_of``, ``is_special`` and the two approximations.
+Codes checked from their words, generated by a set of words or restricted
+to A^k, and the lattice of ideals (an ideal from its members, meet, join,
+order, ``enumerate_ideals`` and ``src_lattice``) are in ``constructions``;
+the word-by-word ``is_semaphore`` and ``suffix_classes`` are in
+``oracles``.  The CLI imports neither.
+
 Every lookup below runs on integers, as the congruence kernel does: a
 word of length n is the key (n, x), x its letters read in base g, so that
 its suffix of length j is (j, x mod g^j), and the word of A^k with integer
@@ -24,7 +33,7 @@ of its last m letters), the suffix-minimal part of a key set, and the
 words of A^n with no suffix among the keys.  ``_suffix_keys`` looks up
 the suffixes of one word, longest first.
 ``Word`` objects are built only on first use of a code's ``words`` or of
-``lambda_of``'s lcs sets, for suffix classes and messages.
+``lambda_of``'s lcs sets, and for messages.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .congruences import RightCongruence, _congruence
-from .words import Alphabet, Word, WordLimitExceeded, count_of_length, epsilon, is_suffix, words_of_length, words_up_to_length
+from .words import Alphabet, Word, WordLimitExceeded, count_of_length, is_suffix, words_of_length
 
 
 class CodeError(ValueError):
@@ -216,94 +225,6 @@ def _ideal(alphabet: Alphabet, k: int, keys) -> IdealRep:
     return IdealRep(SemaphoreCode.from_keys(alphabet, keys), k)
 
 
-def is_semaphore(alphabet: Alphabet, words: list[Word] | set[Word]) -> SemaphoreCheck:
-    """Test the two defining properties, reporting a witness on failure."""
-    ws = sorted(set(words))
-    if ws == [epsilon(alphabet)]:
-        return SemaphoreCheck(True)
-    if any(w.is_empty for w in ws):
-        return SemaphoreCheck(False, comparable=(epsilon(alphabet), next(w for w in ws if len(w))))
-    g, index = alphabet.size, {w.key: i for i, w in enumerate(ws)}
-    # In shortlex order a comparable pair is (proper suffix, word); the
-    # first such pair in pair order has the least suffix position first.
-    pairs = [(index[u], j) for j, (n, x) in enumerate(index) for u in _suffix_keys(index, g, n - 1, x)]
-    if pairs:
-        i, j = min(pairs)
-        return SemaphoreCheck(False, comparable=(ws[i], ws[j]))
-    for s, (n, x) in zip(ws, index):
-        for a in range(g):
-            if not any(_suffix_keys(index, g, n + 1, x * g + a)):
-                return SemaphoreCheck(False, stuck=(s, Word(alphabet, (a,))))
-    return SemaphoreCheck(True)
-
-
-def semaphore_code(alphabet: Alphabet, words: list[Word] | set[Word], infinite_tail: bool = False) -> SemaphoreCode:
-    """Build a SemaphoreCode after checking the defining properties.
-
-    A truncated code (``infinite_tail``) is only checked for being a suffix
-    code; the action can leave the known part, so closure is not required.
-    """
-    check = is_semaphore(alphabet, words)
-    if check.comparable is not None:
-        u, v = check.comparable
-        raise CodeError(f"not a suffix code: {u} is a suffix of {v}")
-    if not check.ok and not infinite_tail:
-        s, a = check.stuck
-        raise CodeError(f"not a semaphore code: {s}+{a} has no suffix in the code")
-    return SemaphoreCode(alphabet, tuple(words), infinite_tail)
-
-
-def _in_generated_code(x_words: set[Word], w: Word) -> bool:
-    # Membership in XA* \ A+XA*: some X word is a prefix, and no X word
-    # occurs starting at any later position.
-    n = len(w)
-    starts = [
-        i
-        for i in range(n + 1)
-        for x in x_words
-        if i + len(x) <= n and w.indices[i : i + len(x)] == x.indices
-    ]
-    return 0 in starts and all(i == 0 for i in starts)
-
-
-def from_generators(alphabet: Alphabet, x_words: set[Word] | list[Word], max_len: int) -> SemaphoreCode:
-    """The semaphore code generated by X, truncated at max_len.
-
-    The code consists of the words that start with an X word and contain no
-    later occurrence of any X word.  The ``infinite_tail`` flag is set when
-    some word of length max_len in the code still extends to a longer one.
-    """
-    xs = set(x_words)
-    if not xs:
-        raise CodeError("generator set must be nonempty")
-    if epsilon(alphabet) in xs:
-        return SemaphoreCode(alphabet, (epsilon(alphabet),))
-    if max_len < max(len(x) for x in xs):
-        raise CodeError("max_len must cover the generators")
-    kept = [w for w in words_up_to_length(alphabet, max_len) if _in_generated_code(xs, w)]
-    tail = any(
-        len(w) == max_len and _in_generated_code(xs, w.concat(a))
-        for w in kept
-        for a in alphabet
-    )
-    return SemaphoreCode(alphabet, tuple(kept), infinite_tail=tail)
-
-
-def restrict_k(code: SemaphoreCode, k: int) -> IdealRep:
-    """Restrict a semaphore code to length <= k, completing within A^k.
-
-    Keeps the code words of length at most k and adds every word of A^k
-    that has no suffix among them; the result covers A^k.
-    """
-    if code.keys[:1] == ((0, 0),):
-        raise CodeError("restriction requires a code of nonempty words")
-    if code.infinite_tail and code.max_len < k:
-        raise CodeError(f"truncated code is only known up to length {code.max_len} < k")
-    short = [key for key in code.keys if key[0] <= k]
-    view = _paint(short, code.alphabet, k)[0]
-    return _ideal(code.alphabet, k, [*short, *((k, x) for x, i in enumerate(view) if i is None)])
-
-
 def code_action(code: SemaphoreCode, s: Word, a: Word) -> Word:
     """The right action: the unique suffix of s+a that lies in the code."""
     if s not in code:
@@ -353,57 +274,12 @@ def action_table(code: SemaphoreCode) -> list[list[int]]:
     return nxt
 
 
-def ideal_from_members(alphabet: Alphabet, k: int, short_members: set[Word]) -> IdealRep:
-    """Ideal A^{>=k} union short_members, given by its suffix-minimal code.
-    A member over another alphabet is refused, as ``SemaphoreCode`` refuses
-    such a code word."""
-    stray = next((w for w in short_members if w.alphabet.letters != alphabet.letters), None)
-    if stray is not None:
-        raise CodeError(f"member {stray} is not over the alphabet {alphabet.letters!r}")
-    return _ideal_from_keys(alphabet, k, {w.key for w in short_members})
-
-
 def _ideal_from_keys(alphabet: Alphabet, k: int, keys: set[tuple[int, int]]) -> IdealRep:
     # Its code: the keys shorter than k that paint A^k, and the words of A^k that none paints.
     keys = sorted(key for key in keys if key[0] < k)  # A^k holds a suffix of every longer key
     view, clashes = _paint(keys, alphabet, k)
     painted = [key for i, key in enumerate(keys) if i not in clashes]
     return _ideal(alphabet, k, [*painted, *((k, x) for x, i in enumerate(view) if i is None)])
-
-
-def ideal_meet(i1: IdealRep, i2: IdealRep) -> IdealRep:
-    _require_same_k(i1, i2)
-    return _ideal_from_keys(i1.alphabet, i1.k, i1._keys_below_k() & i2._keys_below_k())
-
-
-def ideal_join(i1: IdealRep, i2: IdealRep) -> IdealRep:
-    _require_same_k(i1, i2)
-    return _ideal_from_keys(i1.alphabet, i1.k, i1._keys_below_k() | i2._keys_below_k())
-
-
-def ideal_leq(i1: IdealRep, i2: IdealRep) -> bool:
-    _require_same_k(i1, i2)
-    return i1._keys_below_k() <= i2._keys_below_k()
-
-
-def _require_same_k(i1: IdealRep, i2: IdealRep) -> None:
-    if i1.alphabet != i2.alphabet or i1.k != i2.k:
-        raise CodeError("ideals live in different A^k settings")
-
-
-def suffix_classes(alphabet: Alphabet, k: int, code: SemaphoreCode) -> list[list[Word]]:
-    """Partition of A^k by the unique code suffix of each word.
-
-    Defined for any suffix code covering A^k, semaphore or not; the result
-    is a right congruence exactly when the code's left ideal is two-sided.
-    """
-    buckets: dict[tuple[int, int], list[Word]] = {}
-    for x, u in enumerate(words_of_length(alphabet, k)):
-        hits = list(_suffix_keys(code._index, alphabet.size, k, x))
-        if len(hits) != 1:
-            raise CodeError(f"{u} has {len(hits)} suffixes in the code, expected exactly 1")
-        buckets.setdefault(hits[0], []).append(u)
-    return list(buckets.values())
 
 
 def tau_of(ideal: IdealRep) -> RightCongruence:
@@ -516,37 +392,3 @@ def upper_approx(rc: RightCongruence) -> tuple[RightCongruence, IdealRep]:
 def _require_nontrivial_alphabet(rc: RightCongruence) -> None:
     if rc.alphabet.size < 2:
         raise CodeError("special right congruences require at least two letters")
-
-
-def enumerate_ideals(alphabet: Alphabet, k: int) -> list[IdealRep]:
-    """All ideals of A* containing A^k.
-
-    Such an ideal is determined by its members of length < k, which form an
-    upward-closed set in the factor order (epsilon forces everything).  The
-    up-closed sets are found by closing the up-sets of single words under
-    union.
-    """
-    g = alphabet.size
-    short = [(n, x) for n in range(1, k) for x in range(count_of_length(alphabet, n))]
-
-    def occurs_in(u: tuple[int, int], w: tuple[int, int]) -> bool:
-        """Whether u is a factor of w: w with i letters cut from its end ends in u."""
-        (n, x), (m, y) = u, w
-        return any(y // g**i % g**n == x for i in range(m - n + 1))
-
-    # The up-set of each short word, as a bit mask over ``short``.
-    ups = [sum(1 << j for j, w in enumerate(short) if occurs_in(u, w)) for u in short]
-    masks = {0}
-    for up in ups:
-        masks |= {mask | up for mask in masks}
-    upsets = [{w for i, w in enumerate(short) if mask >> i & 1} for mask in masks]
-    out = [_ideal_from_keys(alphabet, k, up) for up in sorted(upsets, key=lambda s: (len(s), sorted(s)))]
-    out.append(_ideal_from_keys(alphabet, k, {(0, 0)}))
-    return out
-
-
-def src_lattice(alphabet: Alphabet, k: int) -> list[RightCongruence]:
-    """All special right congruences, one per ideal containing A^k."""
-    if alphabet.size < 2:
-        raise CodeError("special right congruences require at least two letters")
-    return [tau_of(ideal) for ideal in enumerate_ideals(alphabet, k)]

@@ -3,13 +3,17 @@
 A right congruence is a partition of A^k that is preserved by appending a
 letter (and truncating back to length k).  Under inclusion of relations the
 right congruences form a finite lattice: meet is common refinement, join is
-the generated congruence of the union.  This module provides validation,
-generation from pairs, enumeration at small parameters (the join closure of
-the principal congruences, and the exhaustive partition filter that is its
-oracle), and the lattice analytics (covers, atoms, semimodularity,
-modularity, atomisticity, equal maximal chain lengths): ``lattice_census``
-reads them off the joins of the enumeration, and ``lattice_report``, its
-oracle, off the pairwise meets of any list.
+the generated congruence of the union.  This module is the engine of the
+``rc`` and ``lattice`` commands: validation and generation from pairs on
+word keys, and ``lattice_census``, which enumerates RC(A^k) at small
+parameters as the join closure of the principal congruences and reads the
+lattice analytics (covers, atoms, semimodularity, modularity,
+atomisticity, equal maximal chain lengths) off the joins of that one
+enumeration.  Its oracles, ``enumerate_all`` (the exhaustive partition
+filter), ``lattice_report`` (the same report off the pairwise meets of any
+list) and ``validate``/``generate`` on ``Word``s, are in ``oracles``; the
+identity and universal congruences, ``meet``, ``join`` and
+``enumerate_rc`` are in ``constructions``.  The CLI imports neither.
 
 Internally A^k is the integers 0..n-1, n = g^k, in the lexicographic order
 of ``words_of_length``: a word is its letter indices read in base g, and
@@ -33,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, product as iter_product
+from itertools import combinations, product as iter_product
 
 # Unused here: perfbench/test_perfbench.py::test_tracer_restores_the_program
 # reads congruences.product to check that its tracer restores the binding.
@@ -44,10 +48,10 @@ from .words import Alphabet, Word, count_of_length, product, words_of_length  # 
 # explicit opt-in bound.
 DEFAULT_CARRIER_BOUND = 8
 HARD_CARRIER_BOUND = 12
-# lattice_report looks up n^2 meet-table entries, one AND of relation bitsets
-# each and no per-pair closure; it and lattice_census keep n-bit up- and
-# down-sets (the cubic pentagon search only finds witnesses).  Beyond this
-# both refuse, not sample.
+# lattice_census and its oracle lattice_report keep n-bit up- and down-sets
+# of n elements (the cubic pentagon search only finds witnesses), and the
+# oracle looks up n^2 meet-table entries.  Beyond this both refuse, not
+# sample: the census stops its search at the first element past the bound.
 MAX_LATTICE_ELEMENTS = 5000
 
 
@@ -324,38 +328,13 @@ def _parse_blocks(alphabet: Alphabet, k: int, blocks):
 
 
 def validate_keys(alphabet: Alphabet, k: int, blocks) -> RightCongruence:
-    """``validate`` on blocks of word keys (length, x), as read by
+    """``oracles.validate`` on blocks of word keys (length, x), as read by
     ``Alphabet.keys_of``: the same checks, messages and result."""
     return _congruence(alphabet, k, _parse_blocks(alphabet, k, blocks))
 
 
-def validate(alphabet: Alphabet, k: int, blocks: list[list[Word]]) -> RightCongruence:
-    """Canonicalize a partition of A^k and check closure under the action.
-
-    Raises NotAPartitionError when the blocks do not cover A^k exactly once,
-    and ClosureViolation with a witness (u, v, a) when they do but the
-    right action does not preserve them.
-    """
-
-    def keys(blk):
-        for w in blk:
-            if w.alphabet != alphabet:
-                raise NotAPartitionError(f"word {w} is not in A^{k}")
-            yield w.key
-
-    return validate_keys(alphabet, k, (list(keys(blk)) for blk in blocks))
-
-
-def identity(alphabet: Alphabet, k: int) -> RightCongruence:
-    return RightCongruence(alphabet, k, tuple(range(count_of_length(alphabet, k))))
-
-
-def universal(alphabet: Alphabet, k: int) -> RightCongruence:
-    return RightCongruence(alphabet, k, (0,) * count_of_length(alphabet, k))
-
-
 def generate_keys(alphabet: Alphabet, k: int, pairs) -> RightCongruence:
-    """``generate`` on pairs of word keys (length, x), as read by
+    """``oracles.generate`` on pairs of word keys (length, x), as read by
     ``Alphabet.keys_of``: the same checks, in the same order, and result."""
     if k < 1:
         raise CongruenceError("k must be >= 1")
@@ -366,69 +345,6 @@ def generate_keys(alphabet: Alphabet, k: int, pairs) -> RightCongruence:
             raise CongruenceError(f"pair ({alphabet.word_at(*u)}, {alphabet.word_at(*v)}) is not in A^{k} x A^{k}")
         work.append((u[1], v[1]))
     return RightCongruence(alphabet, k, _close(alphabet.size, range(n), work))
-
-
-def generate(
-    pairs: set[tuple[Word, Word]] | list[tuple[Word, Word]],
-    alphabet: Alphabet,
-    k: int,
-) -> RightCongruence:
-    """Smallest right congruence containing the given pairs.
-
-    Disjoint-set closure with a worklist: merge each input pair, then keep
-    merging the images of merged pairs under every letter until fixpoint.
-    The result does not depend on merge order; canonical form is restored
-    at the end regardless.
-    """
-
-    def keys():
-        for u, v in pairs:
-            if u.alphabet != alphabet or v.alphabet != alphabet:
-                raise CongruenceError(f"pair ({u}, {v}) is not in A^{k} x A^{k}")
-            yield u.key, v.key
-
-    return generate_keys(alphabet, k, keys())
-
-
-def meet(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
-    """Common refinement: u ~ v iff related in both."""
-    _require_same_setting(r1, r2)
-    return RightCongruence(r1.alphabet, r1.k, _canonical(zip(r1.labels, r2.labels)))
-
-
-def join(r1: RightCongruence, r2: RightCongruence) -> RightCongruence:
-    """Smallest right congruence containing both relations.
-
-    The pairs (x, root) of the finer operand's ``_roots`` are merged into
-    the coarser's, as a forest, by the union-find ``_close``, near-linear
-    in |A^k| whatever the operands.  With g = 0 it queues no image pairs: the join is
-    right-closed already (see ``_join_star``).  The ``str.replace`` kernel
-    ``_join_star`` would pay one pass over A^k per merged block, quadratic
-    when the second operand merges many blocks of the first.
-    """
-    _require_same_setting(r1, r2)
-    if max(r1.labels) > max(r2.labels):
-        r1, r2 = r2, r1
-    roots = _roots(r2.labels)
-    labels = _close(0, _roots(r1.labels), [(x, p) for x, p in enumerate(roots) if x != p])
-    return RightCongruence(r1.alphabet, r1.k, labels)
-
-
-def _set_partitions(items):
-    """All set partitions of items, as restricted-growth strings: item i
-    goes to block s[i], and each block first appears after the ones before."""
-    n = len(items)
-    codes = [0] * n
-
-    def rec(i: int, maxcode: int):
-        if i == n:
-            yield tuple(codes)
-            return
-        for c in range(maxcode + 2):
-            codes[i] = c
-            yield from rec(i + 1, max(maxcode, c))
-
-    yield from rec(0, -1)
 
 
 def _enumerable_size(alphabet: Alphabet, k: int, carrier_bound: int) -> int:
@@ -443,26 +359,17 @@ def _enumerable_size(alphabet: Alphabet, k: int, carrier_bound: int) -> int:
     return n
 
 
-def enumerate_all(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIER_BOUND) -> list[RightCongruence]:
-    """Every right congruence on A^k, by filtering all set partitions.
-
-    Deliberately brute force: this is the oracle that lattice results are
-    checked against, so it must stay definitional.  Each partition goes
-    through the same closure check as ``validate``.
-    """
-    n, g = _enumerable_size(alphabet, k, carrier_bound), alphabet.size
-    kept = [s for s in _set_partitions(range(n)) if _closure_witness(g, s, _blocks(s)) is None]
-    kept.sort(key=_blocks)
-    return [RightCongruence(alphabet, k, s) for s in kept]
-
-
-def _join_graph(alphabet: Alphabet, k: int, carrier_bound: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """Every right congruence on A^k as labels, in ``enumerate_all``'s
+def _join_graph(
+    alphabet: Alphabet, k: int, carrier_bound: int, max_elements: int | None = None
+) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """Every right congruence on A^k as labels, in ``oracles.enumerate_all``'s
     order, with the indices of each one's joins x v theta(u, v) with the
     principal congruences not below it.  Every right congruence is a join of
     principals, so the search from the identity reaches it, at one
     ``_join_star`` per element and principal instead of a closure check per
-    set partition; each join is looked up in, or added to, the list.
+    set partition; each join is looked up in, or added to, the list.  Given
+    ``max_elements``, the search raises BoundExceeded as soon as the list
+    holds one element more.
     """
     n, g = _enumerable_size(alphabet, k, carrier_bound), alphabet.size
     principal: dict[str, tuple[int, int]] = {}
@@ -479,6 +386,8 @@ def _join_graph(alphabet: Alphabet, k: int, carrier_bound: int) -> tuple[list[tu
             if x[u] != x[v]:  # else theta(u, v) is below x
                 y = _join_star(x, pairs)
                 if y not in index:
+                    if len(stars) == max_elements:
+                        raise BoundExceeded(f"lattice of more than {max_elements} elements exceeds the exhaustive-check bound")
                     index[y] = len(stars)
                     stars.append(y)
                 out.append(index[y])
@@ -487,13 +396,6 @@ def _join_graph(alphabet: Alphabet, k: int, carrier_bound: int) -> tuple[list[tu
     order = sorted(range(len(stars)), key=lambda i: _blocks(labels[i]))
     at = dict(zip(order, range(len(order))))
     return [labels[i] for i in order], [[at[j] for j in joins[i]] for i in order]
-
-
-def enumerate_rc(alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIER_BOUND) -> list[RightCongruence]:
-    """Every right congruence on A^k, as the join closure of the principal
-    ones (``_join_graph``).  Same list, order and refusals as
-    ``enumerate_all``."""
-    return [RightCongruence(alphabet, k, s) for s in _join_graph(alphabet, k, carrier_bound)[0]]
 
 
 @dataclass
@@ -561,82 +463,12 @@ def _covers(down: list[int], above: list[int]) -> list[tuple[int, int]]:
     return covers
 
 
-def _first_unclosed(rel, by_rel, stars) -> str:
-    """The first failing pair, in order, meet before join, as its message."""
-    joins = set(stars)
-    for i, j in combinations_with_replacement(range(len(rel)), 2):
-        m = by_rel.get(rel[i] & rel[j])
-        if m is None:
-            return "input is not closed under meet"
-        if m != i and m != j and _join_star(stars[i], _star_pairs(stars[j])) not in joins:
-            return "input is not closed under join"
-    raise AssertionError("a failed closure check has a failing pair")
-
-
-def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
-    """Lattice checks over an arbitrary list, read off its order: the oracle
-    of ``lattice_census``, which reads the same report off its enumeration.
-
-    An element is one int of relation bits (``_relation``), so a meet is an
-    AND and a lookup; every pair's is looked up, and x <= y iff
-    x meet y = x.  The order is kept as up- and down-set bitsets; y covers x
-    when up(x) & down(y) is {x, y}.  A meet-closed finite set with a top is
-    a lattice, in which the join of x and y has up-set up(x) & up(y).  It is
-    closed under the join of right congruences if x v a is in it for every
-    x and every join-irreducible a (one lower cover), since every y is the
-    join of the join-irreducibles below it; only those joins are computed,
-    each by ``_join_star`` on the element's star (one ``str.replace`` per
-    merged block) and compared with the star of the up-set join.  On a
-    failed check the first failing pair, meet before join, is raised.  The
-    flags are ``_report``'s.
-    """
-    n = len(elements)
-    if n > MAX_LATTICE_ELEMENTS:
-        raise BoundExceeded(f"lattice of {n} elements exceeds the exhaustive-check bound")
-    if not elements:
-        raise CongruenceError("a lattice has at least one element")
-    for rc in elements[1:]:
-        _require_same_setting(elements[0], rc)
-    labels = [rc.labels for rc in elements]
-    if len(set(labels)) != n:
-        raise CongruenceError("duplicate elements")
-
-    rel = [_relation(lab) for lab in labels]
-    by_rel = {r: i for i, r in enumerate(rel)}
-    stars = [_star(lab) for lab in labels]
-    up = [0] * n  # bit j of up[i]: element i refines element j
-    down = [0] * n  # bit i of down[j]: the same
-    for i, r in enumerate(rel):
-        for j in range(i, n):
-            m = by_rel.get(r & rel[j])
-            if m == i:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-            elif m == j:
-                up[j] |= 1 << i
-                down[i] |= 1 << j
-            elif m is None:
-                raise CongruenceError(_first_unclosed(rel, by_rel, stars))
-
-    covers = _covers(down, [up_i ^ (1 << i) for i, up_i in enumerate(up)])
-    everything = (1 << n) - 1
-    by_up = {u: i for i, u in enumerate(up)}
-    lower = Counter(j for _, j in covers)
-    irreducible = {a: _star_pairs(stars[a]) for a in range(n) if lower[a] == 1}
-    if everything not in down or not all(
-        _join_star(stars[x], pairs) == stars[by_up[up[x] & up[a]]]
-        for a, pairs in irreducible.items()
-        for x in _bits(everything & ~(up[a] | down[a]))
-    ):
-        raise CongruenceError(_first_unclosed(rel, by_rel, stars))
-    return _report(up, down, covers)
-
-
 def lattice_census(
     alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIER_BOUND
 ) -> tuple[list[RightCongruence], LatticeReport]:
-    """``enumerate_rc`` and its ``lattice_report`` (same list, report and
-    refusals), read off one ``_join_graph``.  Every z > x holds a pair
+    """``constructions.enumerate_rc`` and its ``oracles.lattice_report``
+    (same list and report), read off one ``_join_graph``, which stops at
+    the first element past ``MAX_LATTICE_ELEMENTS``.  Every z > x holds a pair
     (u, v) that x does not, so x < x v theta(u, v) <= z: coarse to fine, the
     up-set of x is x and the up-sets of its joins, the down-sets are the
     reverse, and the upper covers of x are its minimal joins.
@@ -651,10 +483,8 @@ def lattice_census(
     them all, so P <= y; y refines them all, so y = P, and from x it gives
     x meet y.
     """
-    labels, joins = _join_graph(alphabet, k, carrier_bound)
+    labels, joins = _join_graph(alphabet, k, carrier_bound, MAX_LATTICE_ELEMENTS)
     n = len(labels)
-    if n > MAX_LATTICE_ELEMENTS:
-        raise BoundExceeded(f"lattice of {n} elements exceeds the exhaustive-check bound")
     up = [1 << x for x in range(n)]
     down = up[:]
     coarse_first = sorted(range(n), key=lambda x: max(labels[x]))

@@ -1,12 +1,15 @@
-"""Deterministic complete edge-labelled graphs and reset words.
+"""Deterministic complete edge-labelled graphs: the Cayley graph of a right
+congruence and its DOT export.
 
 Cayley graphs of right congruences are the bridge between the relation
 lattice and automata: vertices are the congruence classes, edges append a
 letter.  Conversely, a strongly connected graph in which every word of
 length k acts as a constant map gives back a congruence by identifying the
-length-k words with equal one-point images.  These two constructions are
-mutually inverse, which the test suite checks exhaustively on every
-congruence of (2,2), (2,3) and (2,4).
+length-k words with equal one-point images (``constructions.zeta``).  These
+two constructions are mutually inverse, which the test suite checks
+exhaustively on every congruence of (2,2), (2,3) and (2,4).  The de Bruijn
+graph, reset words and the morphism search are in ``constructions`` too,
+which the CLI does not import.
 
 Reset checks run on the integer carrier of ``congruences``: the images of
 all words of length k are extended level by level, x -> x*g + a, so no
@@ -18,10 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .congruences import RightCongruence, _congruence, identity
+from .congruences import RightCongruence
 from .words import Alphabet, Word, count_of_length
-
-MAX_MORPHISM_VERTICES = 10_000
 
 
 class GraphError(ValueError):
@@ -102,101 +103,9 @@ class AGraph:
         return all(len(image) == 1 for image in self.images(k))
 
 
-def is_reset(graph: AGraph, word: Word) -> bool:
-    """Whether all paths labelled by the word end at one common vertex."""
-    return len(graph.image(word)) == 1
-
-
 def cayley(rc: RightCongruence) -> AGraph:
     """The Cayley graph of a congruence: blocks as vertices, letters as edges."""
     return AGraph(rc.alphabet, rc.block_labels, rc.block_action)
-
-
-def debruijn(alphabet: Alphabet, k: int) -> AGraph:
-    """The k-dimensional de Bruijn graph, vertices in enumeration order."""
-    return cayley(identity(alphabet, k))
-
-
-def zeta(graph: AGraph, k: int) -> RightCongruence:
-    """The congruence identifying length-k words with equal images.
-
-    Inverse of the Cayley construction on strongly connected graphs where
-    every length-k word is a reset; both preconditions are checked.
-    """
-    if not graph.strongly_connected:
-        raise GraphError("zeta requires a strongly connected graph")
-    images = graph.images(k)
-    for x, img in enumerate(images):
-        if len(img) != 1:
-            raise GraphError(f"not a {k}-reset graph: {graph.alphabet.word_at(k, x)} has image of size {len(img)}")
-    return _congruence(graph.alphabet, k, images)
-
-
-def morphism(source: AGraph, target: AGraph) -> tuple[int, ...] | None:
-    """A label-preserving vertex map between the graphs, or None.
-
-    Determinism makes the image of one vertex propagate along edges, so the
-    search fixes a seed image per unexplored region and backtracks over the
-    target's vertices.  Exact, not heuristic.
-    """
-    if source.alphabet != target.alphabet:
-        raise GraphError("graphs are over different alphabets")
-    if max(source.vertex_count, target.vertex_count) > MAX_MORPHISM_VERTICES:
-        raise GraphError("graph too large for exact morphism search")
-
-    n = source.vertex_count
-    assignment: list[int | None] = [None] * n
-
-    def propagate(v: int, image: int, trail: list[int]) -> bool:
-        """BFS from v := image; record assignments in trail; False on clash."""
-        queue = [(v, image)]
-        while queue:
-            x, y = queue.pop()
-            if assignment[x] is not None:
-                if assignment[x] != y:
-                    return False
-                continue
-            assignment[x] = y
-            trail.append(x)
-            for i in range(source.alphabet.size):
-                queue.append((source.transitions[x][i], target.transitions[y][i]))
-        return True
-
-    def solve(start: int) -> bool:
-        while start < n and assignment[start] is not None:
-            start += 1
-        if start == n:
-            return True
-        for image in range(target.vertex_count):
-            trail: list[int] = []
-            if propagate(start, image, trail) and solve(start + 1):
-                return True
-            for x in trail:
-                assignment[x] = None
-        return False
-
-    if solve(0):
-        return tuple(assignment)  # type: ignore[arg-type]
-    return None
-
-
-def is_morphism(source: AGraph, target: AGraph, mapping: tuple[int, ...]) -> bool:
-    return all(
-        target.transitions[mapping[v]][i] == mapping[source.transitions[v][i]]
-        for v in range(source.vertex_count)
-        for i in range(source.alphabet.size)
-    )
-
-
-def isomorphic(g1: AGraph, g2: AGraph) -> bool:
-    """Morphisms both ways certify isomorphism for strongly connected
-    deterministic complete graphs."""
-    if g1.vertex_count != g2.vertex_count:
-        return False
-    f = morphism(g1, g2)
-    if f is None or morphism(g2, g1) is None:
-        return False
-    return len(set(f)) == g1.vertex_count and is_morphism(g1, g2, f)
 
 
 def _dot_string(text: str) -> str:
@@ -215,13 +124,3 @@ def to_dot(graph: AGraph) -> str:
             lines.append(f"  n{v} -> n{graph.transitions[v][i]} [label={letter}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def graph_json(graph: AGraph) -> dict:
-    """Transition-table payload; row order follows the vertex labels, which
-    for de Bruijn graphs is the word enumeration order."""
-    return {
-        "alphabet": graph.alphabet.letters,
-        "vertices": list(graph.labels),
-        "transitions": [list(row) for row in graph.transitions],
-    }

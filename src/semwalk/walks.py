@@ -1,11 +1,23 @@
 """Exact random-walk analytics on semaphore codes and congruence classes.
 
-Every analytic quantity here is an exact rational: stationary vectors are
-verified fixpoints, reset probabilities are polynomial identities checked
-on grids, and the lumped chain is the class walk of the Cayley table,
-checked letter by letter against the walk on the reset code, with a
-stationary vector computed two independent ways that must agree to the
-last bit.  Floating point appears only in the Monte-Carlo reporting layer.
+Every analytic quantity here is an exact rational: a code's stationary
+weights are checked on integers to be a fixpoint of one walk step, reset
+probabilities are sums of the same weights, and the lumped chain is the
+class walk of the Cayley table, checked letter by letter against the walk
+on the reset code, with a stationary vector computed two independent ways
+that must agree to the last bit.  Floating point appears only in the
+Monte-Carlo reporting layer.
+
+This is the engine of the ``walk`` commands.  The closed-form stationary
+vector as ``Fraction``s is ``constructions.stationary``; the dense matrix of
+a code's walk, one step on ``Fraction``s, the Gaussian-elimination solver
+and the grid check of the reset polynomial, its oracles, are in
+``oracles``.  Neither module is imported by the CLI.
+
+Two bounds refuse a request before its work starts, with
+``WalkBoundExceeded``: the dense matrix of the class walk has at most
+``MAX_MATRIX_ENTRIES`` entries, and ``simulate`` runs at most
+``MAX_SIMULATION_STEPS`` steps.
 """
 
 from __future__ import annotations
@@ -24,11 +36,22 @@ from .codes import CodeError, IdealRep, action_table, reset_code
 from .codes import code_action  # noqa: F401
 from .congruences import RightCongruence
 from .graphs import _strongly_connected
-from .words import Alphabet, Word, words_of_length
+from .words import Alphabet, Word
+
+# Refused before the work starts: a dense class-walk matrix of more entries
+# (2^22 is 2,048 classes, k = 11 over two letters, and the CLI prints every
+# entry), and more simulated steps (10^9 take about a minute at 17-19
+# million steps per second).
+MAX_MATRIX_ENTRIES = 1 << 22
+MAX_SIMULATION_STEPS = 10**9
 
 
 class WalkError(ValueError):
     pass
+
+
+class WalkBoundExceeded(WalkError):
+    """A walk was refused because its size exceeds its bound."""
 
 
 @dataclass(frozen=True)
@@ -136,12 +159,6 @@ class StationaryVector:
         return dict(zip(self.labels, self.values))
 
 
-def debruijn_stationary(pi: LetterDistribution, k: int) -> StationaryVector:
-    """The product distribution over A^k, in enumeration order."""
-    ws = words_of_length(pi.alphabet, k)
-    return StationaryVector(tuple(str(w) for w in ws), tuple(pi.word_prob(w) for w in ws))
-
-
 def _code_table(ideal: IdealRep, pi: LetterDistribution) -> list[list[int]]:
     if pi.alphabet != ideal.alphabet:
         raise WalkError("the letter distribution and the code are over different alphabets")
@@ -157,13 +174,6 @@ def _matrix(labels: tuple[str, ...], nxt, pi: LetterDistribution) -> TransitionM
         for p, j in zip(pi.probs, succ):
             row[j] += p
     return TransitionMatrix(labels, tuple(tuple(r) for r in rows))
-
-
-def transition_matrix(ideal: IdealRep, pi: LetterDistribution) -> TransitionMatrix:
-    """Transition matrix of the walk on the code words of an ideal."""
-    if ideal.code.is_epsilon:
-        raise CodeError("the one-word code has no action; use the 1x1 chain directly")
-    return _matrix(tuple(str(w) for w in ideal.code.words), _code_table(ideal, pi), pi)
 
 
 def _weights(pi: LetterDistribution, g: int, keys: list[tuple[int, int]], top: int) -> list[int]:
@@ -202,20 +212,13 @@ def _is_fixpoint(nxt: list[list[int]], pi: LetterDistribution, weights: list[int
     return all(y == d * x for x, y in zip(weights, out))
 
 
-def advance(nxt: list[list[int]], pi: LetterDistribution, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """One step of the walk on a distribution: ``vec`` times the transition
-    matrix, read off the action table in O(n*g) exact operations."""
-    out = [Fraction(0)] * len(nxt)
-    for x, succ in zip(vec, nxt):
-        for p, j in zip(pi.probs, succ):
-            out[j] += x * p
-    return tuple(out)
-
-
 def congruence_transition_matrix(rc: RightCongruence, pi: LetterDistribution) -> TransitionMatrix:
     """Transition matrix of the walk on congruence classes."""
     if pi.alphabet != rc.alphabet:
         raise WalkError("the letter distribution and the congruence are over different alphabets")
+    n = max(rc.labels) + 1
+    if n * n > MAX_MATRIX_ENTRIES:
+        raise WalkBoundExceeded(f"refusing to build a {n}x{n} transition matrix (limit {MAX_MATRIX_ENTRIES} entries)")
     return _matrix(rc.block_labels, rc.block_action, pi)
 
 
@@ -235,54 +238,6 @@ def stationary_weights(ideal: IdealRep, pi: LetterDistribution) -> tuple[list[in
     if sum(weights) != total:
         raise WalkError("stationary vector must sum to 1")
     return weights, total
-
-
-def stationary(ideal: IdealRep, pi: LetterDistribution) -> StationaryVector:
-    """Closed-form stationary distribution: the word probabilities.
-
-    The result is asserted to be an exact fixpoint of one walk step, taken
-    through the action table on integers: with d the common denominator and
-    L the longest code word, word w has probability N_w / d^L, where
-    N_w = d^(L-|w|) times the numerators of its letters, and the N_w must
-    sum to d^L.  A non-positive distribution still satisfies the equations
-    but loses the uniqueness argument, hence the warning.
-    """
-    weights, total = stationary_weights(ideal, pi)
-    return StationaryVector(tuple(str(w) for w in ideal.code.words), tuple(Fraction(x, total) for x in weights))
-
-
-def solve_stationary(matrix: TransitionMatrix) -> StationaryVector:
-    """Independent oracle: exact Gaussian elimination for I with I T = I.
-
-    Solves the n fixpoint equations plus the normalization row; raises if
-    the solution is not unique (reducible chain).
-    """
-    n = matrix.size
-    # Unknowns I_0..I_{n-1}; equations indexed by column, then the sum row.
-    aug: list[list[Fraction]] = []
-    for j in range(n):
-        row = [matrix.rows[i][j] - (1 if i == j else 0) for i in range(n)]
-        aug.append([Fraction(x) for x in row] + [Fraction(0)])
-    aug.append([Fraction(1)] * n + [Fraction(1)])
-
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise WalkError("stationary distribution is not unique (reducible chain)")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][n] != 0:
-            raise WalkError("inconsistent stationary system")
-    values = tuple(aug[i][n] for i in range(n))
-    return StationaryVector(matrix.labels, values)
 
 
 @dataclass(frozen=True)
@@ -326,43 +281,6 @@ def reset_profile(rc: RightCongruence, pi: LetterDistribution) -> ResetProfile:
     if rc.alphabet.size < 2:
         raise WalkError("reset profiles require at least two letters")
     return profile_of_ideal(reset_code(rc), pi)
-
-
-def _grid_distributions(alphabet: Alphabet, points: int) -> list[LetterDistribution]:
-    """A deterministic evaluation grid: `points` distinct positive values
-    per free letter, the last letter absorbing the remainder."""
-    g = alphabet.size
-    denom = (points + 1) * (g - 1)
-    grids = [[Fraction(j, denom) for j in range(1, points + 1)] for _ in range(g - 1)]
-    out = []
-
-    def rec(i: int, chosen: list[Fraction]):
-        if i == g - 1:
-            rest = 1 - sum(chosen, Fraction(0))
-            out.append(LetterDistribution(alphabet, tuple(chosen) + (rest,)))
-            return
-        for v in grids[i]:
-            rec(i + 1, chosen + [v])
-
-    rec(0, [])
-    return out
-
-
-def polynomial_identity_holds(ideal: IdealRep) -> bool:
-    """Whether P(k) = 1 holds identically in the letter probabilities.
-
-    P(k) - 1 has degree at most k in each letter probability, so vanishing
-    on a grid of k+2 values per free variable proves the identity.
-    """
-    g, keys, k = ideal.alphabet.size, ideal.code.keys, ideal.k
-    return all(sum(_weights(pi, g, keys, k)) == pi._denominator**k for pi in _grid_distributions(ideal.alphabet, k + 2))
-
-
-def check_polynomial_identity(rc: RightCongruence) -> bool:
-    """Grid-verify that the congruence's reset probabilities reach exactly 1."""
-    if rc.alphabet.size < 2:
-        raise WalkError("the identity check needs at least two letters")
-    return polynomial_identity_holds(reset_code(rc))
 
 
 @dataclass(frozen=True)
@@ -500,6 +418,8 @@ def simulate(ideal: IdealRep, pi: LetterDistribution, steps: int, seed: int) -> 
     """
     if type(steps) is not int or steps < 1:
         raise WalkError("steps must be an integer >= 1")
+    if steps > MAX_SIMULATION_STEPS:
+        raise WalkBoundExceeded(f"refusing to simulate {steps} steps (limit {MAX_SIMULATION_STEPS})")
     if not pi.positive:
         raise WalkError("simulation requires a positive letter distribution")
     code = ideal.code

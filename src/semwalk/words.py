@@ -1,10 +1,15 @@
 """Alphabets and words.
 
 Words over a finite alphabet are the carrier of everything else in this
-package: the truncated product that keeps only the last ``k`` letters, the
-suffix/prefix/factor orders, and longest common suffixes.  Words are stored
-as index tuples so the internals never depend on how letters are rendered;
-rendering uses ``a..z``.
+package.  Words are stored as index tuples so the internals never depend on
+how letters are rendered; rendering uses ``a..z``.  The engine reads a word
+as its key (length, letters in base g): ``Alphabet.keys_of`` parses texts
+straight to keys, ``Alphabet.word_at`` renders one back, and
+``count_of_length`` bounds every enumeration of A^n.  The truncated product
+that keeps only the last ``k`` letters and the suffix order are here; the
+rest of the ``Word`` algebra (prefix and factor orders, longest common
+suffixes, the words of length 1..n) is in ``oracles``, which the CLI does
+not import.
 """
 
 from __future__ import annotations
@@ -134,10 +139,6 @@ class Word:
         return Word(self.alphabet, self.indices + other.indices)
 
 
-def epsilon(alphabet: Alphabet) -> Word:
-    return Word(alphabet, ())
-
-
 def _require_same_alphabet(u: Word, v: Word) -> None:
     if u.alphabet != v.alphabet:
         raise WordError("words are over different alphabets")
@@ -170,47 +171,6 @@ def is_suffix(u: Word, v: Word) -> bool:
     return n <= len(v) and (n == 0 or v.indices[-n:] == u.indices)
 
 
-def is_prefix(u: Word, v: Word) -> bool:
-    _require_same_alphabet(u, v)
-    n = len(u)
-    return n <= len(v) and v.indices[:n] == u.indices
-
-
-def is_factor(u: Word, v: Word) -> bool:
-    _require_same_alphabet(u, v)
-    n = len(u)
-    if n == 0:
-        return True
-    return any(v.indices[i : i + n] == u.indices for i in range(len(v) - n + 1))
-
-
-def lcs(u: Word, v: Word) -> Word:
-    """Longest common suffix; the empty word when the last letters differ."""
-    _require_same_alphabet(u, v)
-    n = 0
-    while n < len(u) and n < len(v) and u.indices[-1 - n] == v.indices[-1 - n]:
-        n += 1
-    return Word(u.alphabet, u.indices[len(u) - n :])
-
-
-def lcs_of(words: Iterable[Word]) -> Word:
-    """Longest common suffix of a nonempty collection."""
-    it = iter(words)
-    try:
-        out = next(it)
-    except StopIteration:
-        raise WordError("lcs_of requires at least one word") from None
-    for w in it:
-        out = lcs(out, w)
-    return out
-
-
-def suffixes(u: Word) -> Iterator[Word]:
-    """All suffixes of ``u``, shortest first, epsilon included."""
-    for n in range(len(u) + 1):
-        yield Word(u.alphabet, u.indices[len(u) - n :])
-
-
 def count_of_length(alphabet: Alphabet, length: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
     """The number g^length of words of the given length, refused with
     WordLimitExceeded past the limit, as an enumeration of them would be."""
@@ -237,11 +197,3 @@ def words_of_length(alphabet: Alphabet, length: int, limit: int = DEFAULT_ENUMER
     """
     count_of_length(alphabet, length, limit)
     return [Word(alphabet, idx) for idx in iter_product(range(alphabet.size), repeat=length)]
-
-
-def words_up_to_length(alphabet: Alphabet, max_len: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Word]:
-    """All nonempty words of length 1..max_len, in shortlex order."""
-    out: list[Word] = []
-    for n in range(1, max_len + 1):
-        out.extend(words_of_length(alphabet, n, limit=limit))
-    return out

@@ -46,7 +46,7 @@ from semwalk import (
     words_of_length,
     zeta,
 )
-from semwalk.codes import ideal_from_members
+from semwalk.constructions import ideal_from_members
 
 F = Fraction
 
@@ -110,7 +110,7 @@ def test_acceptance_2_approximation_fidelity(ab, five_class, five_class_variant)
 
     # Resets: the full ideal is every length-3-or-longer word plus {aa, ab};
     # checked on all words up to length 5.
-    from semwalk.words import words_up_to_length
+    from semwalk.oracles import words_up_to_length
 
     ideal = reset_code(five_class)
     for w in words_up_to_length(ab, 5):

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, find, given, settings
 from hypothesis.errors import NoSuchExample
 from hypothesis import strategies as st
 
-from semwalk import cli, codes, congruences
+from semwalk import cli, codes, congruences, constructions, oracles, walks
 from semwalk.cli import main
 from semwalk.words import Alphabet, Word
 
@@ -258,6 +258,43 @@ def test_walk_lumped_in_input_order(files, capsys):
     # Matrix rows follow the same block order and stay row-stochastic.
     first_row = [x for x in data["matrix"][0]]
     assert first_row == ["1/2", "0", "1/2", "0", "0"]
+
+
+def test_walk_lumped_refuses_a_matrix_past_the_entry_bound(files, capsys, monkeypatch):
+    # Five classes make a 5x5 matrix: refused before it is allocated.
+    def unbuilt(*args):
+        raise AssertionError("the matrix was built")
+
+    infile = files("five_class.json", FIVE_CLASS)
+    matrix = walks._matrix
+    monkeypatch.setattr(walks, "_matrix", unbuilt)
+    monkeypatch.setattr(walks, "MAX_MATRIX_ENTRIES", 24)
+    code, out, err = run(capsys, "walk", "lumped", "--in", infile, "--pi", "a=1/2,b=1/2")
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {"error": "bound", "message": "refusing to build a 5x5 transition matrix (limit 24 entries)"}
+    monkeypatch.setattr(walks, "_matrix", matrix)
+    monkeypatch.setattr(walks, "MAX_MATRIX_ENTRIES", 25)
+    assert run_json(capsys, "walk", "lumped", "--in", infile, "--pi", "a=1/2,b=1/2")["stationary"][0] == "3/8"
+
+
+def test_walk_simulate_refuses_steps_past_the_bound(files, capsys, monkeypatch):
+    # Refused before any letter is drawn.
+    def undrawn(*args):
+        raise AssertionError("a letter was drawn")
+
+    argv = ["walk", "simulate", "--code", files("ba3.json", BA_RESTRICTED), "--pi", "a=1/2,b=1/2", "--steps"]
+    letter_blocks = walks._letter_blocks
+    monkeypatch.setattr(walks, "_letter_blocks", undrawn)
+    monkeypatch.setattr(walks, "MAX_SIMULATION_STEPS", 1000)
+    code, out, err = run(capsys, *argv, "1001")
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {"error": "bound", "message": "refusing to simulate 1001 steps (limit 1000)"}
+    monkeypatch.setattr(walks, "_letter_blocks", letter_blocks)
+    assert run_json(capsys, *argv, "1000")["steps"] == 1000
+
+
+def test_the_walk_bounds_are_the_documented_ones():
+    assert walks.MAX_SIMULATION_STEPS == 10**9 and walks.MAX_MATRIX_ENTRIES == 2**22
 
 
 def test_walk_simulate_seeded_determinism(files, capsys):
@@ -879,9 +916,9 @@ def test_walk_profile_needs_two_letters(files, capsys):
 def test_lattice_census_renders_every_witness(capsys, monkeypatch):
     # Every enumerated RC(A^k) is semimodular and graded, so the census is
     # handed the pentagon of RC(A^1) over four letters as its whole lattice.
-    elements = congruences.enumerate_rc(Alphabet.of_size(4), 1)
-    pentagon = [elements[i] for i in congruences.lattice_report(elements).pentagon]
-    census = (pentagon, congruences.lattice_report(pentagon))
+    elements = constructions.enumerate_rc(Alphabet.of_size(4), 1)
+    pentagon = [elements[i] for i in oracles.lattice_report(elements).pentagon]
+    census = (pentagon, oracles.lattice_report(pentagon))
     monkeypatch.setattr(congruences, "lattice_census", lambda *args, **kwargs: census)
     data = run_json(capsys, "lattice", "census", "-g", "4", "-k", "1")
     top, upper, lower, side, bottom = "{a,b,c,d}", "{a,b} | {c,d}", "{a} | {b} | {c,d}", "{a,c} | {b,d}", "{a} | {b} | {c} | {d}"

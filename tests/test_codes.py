@@ -37,9 +37,10 @@ from semwalk import (
     validate,
     words_of_length,
 )
-from semwalk.codes import ideal_from_members
+from semwalk.constructions import ideal_from_members
 from semwalk.congruences import validate_keys
-from semwalk.words import Word, words_up_to_length
+from semwalk.oracles import words_up_to_length
+from semwalk.words import Word
 
 EQ3_CODE = ["aa", "ab", "aba", "bba", "abb", "bbb"]
 

@@ -24,7 +24,7 @@ from semwalk import (
     words_of_length,
 )
 from semwalk import congruences
-from semwalk.congruences import _set_partitions
+from semwalk.oracles import _set_partitions
 
 
 def blocks_of(rc):

@@ -25,8 +25,9 @@ from semwalk import (
     zeta,
 )
 from semwalk import congruences
-from semwalk.graphs import is_morphism
-from semwalk.words import WordLimitExceeded, words_up_to_length
+from semwalk.constructions import is_morphism
+from semwalk.oracles import words_up_to_length
+from semwalk.words import WordLimitExceeded
 
 
 def test_cayley_edge_set_of_running_example(five_class):

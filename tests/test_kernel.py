@@ -99,10 +99,12 @@ from semwalk import (
     validate,
     words_of_length,
 )
-from semwalk import codes, congruences, walks
+from semwalk import codes, congruences, oracles, walks
 from semwalk.cli import main
-from semwalk.codes import SemaphoreCheck, ideal_from_members
-from semwalk.words import WordLimitExceeded, suffixes, words_up_to_length
+from semwalk.codes import SemaphoreCheck
+from semwalk.constructions import ideal_from_members
+from semwalk.oracles import suffixes, words_up_to_length
+from semwalk.words import WordLimitExceeded
 
 SETTINGS = [(2, 2), (2, 3), (3, 1), (3, 2)]
 
@@ -1355,7 +1357,7 @@ def test_the_cli_census_reads_its_report_off_the_enumeration_joins(monkeypatch, 
         raise AssertionError("the census ran lattice_report")
 
     monkeypatch.setattr(congruences, "_join_star", counted)
-    monkeypatch.setattr(congruences, "lattice_report", refused)
+    monkeypatch.setattr(oracles, "lattice_report", refused)
     assert main(["lattice", "census", "-g", "3", "-k", "2", "--carrier-bound", "9"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 192
     assert len(calls) == 3105
@@ -1373,10 +1375,34 @@ def test_the_meet_certificate_refuses_a_join_closed_list_without_a_meet(monkeypa
 
 
 def test_the_census_refuses_a_lattice_past_the_element_bound(ab, monkeypatch):
+    # The search stops at the first element past the bound; enumerate_rc,
+    # which has no bound, still lists all five.
     monkeypatch.setattr(congruences, "MAX_LATTICE_ELEMENTS", 4)
-    for report in [lambda: lattice_census(ab, 2), lambda: lattice_report(enumerate_rc(ab, 2))]:
-        with pytest.raises(BoundExceeded, match="^lattice of 5 elements exceeds the exhaustive-check bound$"):
-            report()
+    with pytest.raises(BoundExceeded, match="^lattice of more than 4 elements exceeds the exhaustive-check bound$"):
+        lattice_census(ab, 2)
+    assert len(enumerate_rc(ab, 2)) == 5
+
+
+def test_the_census_search_stops_at_the_first_element_past_the_bound(monkeypatch):
+    # RC(abc, 2) has 192 elements and its search makes 3,105 joins.
+    calls = []
+    join_star = congruences._join_star
+
+    def counted(star, pairs):
+        calls.append(None)
+        return join_star(star, pairs)
+
+    monkeypatch.setattr(congruences, "_join_star", counted)
+    monkeypatch.setattr(congruences, "MAX_LATTICE_ELEMENTS", 20)
+    with pytest.raises(BoundExceeded, match="^lattice of more than 20 elements exceeds the exhaustive-check bound$"):
+        lattice_census(Alphabet("abc"), 2, carrier_bound=9)
+    assert 0 < len(calls) < 3105
+
+
+def test_lattice_report_refuses_a_list_past_the_element_bound(ab, monkeypatch):
+    monkeypatch.setattr(congruences, "MAX_LATTICE_ELEMENTS", 4)
+    with pytest.raises(BoundExceeded, match="^lattice of 5 elements exceeds the exhaustive-check bound$"):
+        lattice_report(enumerate_rc(ab, 2))
 
 
 @pytest.mark.parametrize("g, k", ENUMERABLE)

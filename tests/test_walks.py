@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semwalk import walks
+from semwalk import oracles, walks
 from semwalk import (
     Alphabet,
     CodeError,
@@ -287,7 +287,7 @@ def test_polynomial_identity_detects_corruption(ab, five_class):
 def test_polynomial_identity_on_one_letter():
     a = Alphabet("a")
     # The grid is the one distribution, its probability an exact Fraction.
-    (point,) = walks._grid_distributions(a, 5)
+    (point,) = oracles._grid_distributions(a, 5)
     assert point.probs == (F(1),) and type(point.probs[0]) is F
     for k in (1, 2, 3):
         for j in (1, k):

@@ -20,7 +20,8 @@ from semwalk import (
     truncate_suffix,
     words_of_length,
 )
-from semwalk.words import DEFAULT_ENUMERATION_LIMIT, WordLimitExceeded, count_of_length, suffixes, words_up_to_length
+from semwalk.oracles import suffixes, words_up_to_length
+from semwalk.words import DEFAULT_ENUMERATION_LIMIT, WordLimitExceeded, count_of_length
 
 
 @pytest.fixture
