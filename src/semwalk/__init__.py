@@ -27,19 +27,17 @@ _MODULE_OF = {
             " reset_code tau_of upper_approx"
         ),
         "graphs": "AGraph GraphError cayley to_dot",
-        "walks": (
-            "LetterDistribution LumpedWalk ResetProfile SimulationResult StationaryVector TransitionMatrix"
-            " WalkError congruence_transition_matrix lumped profile_of_ideal reset_profile simulate"
-        ),
+        "walks": "LetterDistribution ResetProfile SimulationResult WalkError profile_of_ideal reset_profile simulate",
         "oracles": (
             "epsilon is_factor is_prefix lcs lcs_of enumerate_all generate lattice_report validate"
-            " is_semaphore suffix_classes advance check_polynomial_identity debruijn_stationary"
-            " polynomial_identity_holds solve_stationary transition_matrix"
+            " is_semaphore suffix_classes StationaryVector TransitionMatrix advance check_polynomial_identity"
+            " congruence_transition_matrix debruijn_stationary polynomial_identity_holds solve_stationary"
+            " transition_matrix"
         ),
         "constructions": (
             "enumerate_rc identity join meet universal enumerate_ideals from_generators ideal_join ideal_leq"
             " ideal_meet restrict_k semaphore_code src_lattice debruijn graph_json is_reset isomorphic"
-            " morphism zeta stationary"
+            " morphism zeta LumpedWalk lumped stationary"
         ),
     }.items()
     for name in names.split()

@@ -15,6 +15,11 @@ bound exceeded.  Exit 4 refuses a request before its work starts: more than
 65,536 words of one length, a census carrier past --carrier-bound (at most
 12 words), a lattice of more than 5,000 elements, a walk lumped matrix of
 more than 2^22 entries, or walk simulate --steps above 10^9.
+
+Every command runs on the engine's integer kernels: walk lumped reads each
+row of its matrix off the Cayley table, as numerators over the common
+denominator of the letter probabilities, and no command builds a matrix of
+fractions.
 """
 
 from __future__ import annotations
@@ -230,12 +235,20 @@ def _walk_profile(args) -> dict:
 
 def _walk_lumped(args) -> dict:
     rc, order = _read_congruence(args)
-    lw = walks.lumped(rc, _pi_arg(rc.alphabet, args.pi))
-    # Align output to the block order given in the input file.
+    weights, total, rows, d = walks.lumped_weights(rc, _pi_arg(rc.alphabet, args.pi))
+    # Align output to the block order given in the input file: class b is
+    # column at[b].  A row has at most g entries that are not zero.
+    at = {b: i for i, b in enumerate(order)}
+    matrix = []
+    for b in order:
+        row = ["0"] * len(order)
+        for c, num in rows[b].items():
+            row[at[c]] = _ratio(num, d)
+        matrix.append(row)
     return {
         "blocks": [rc.block_texts[b] for b in order],
-        "stationary": [str(lw.stationary.values[b]) for b in order],
-        "matrix": [[str(lw.matrix.rows[b][c]) for c in order] for b in order],
+        "stationary": [_ratio(weights[b], total) for b in order],
+        "matrix": matrix,
     }
 
 

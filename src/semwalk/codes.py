@@ -51,23 +51,6 @@ class CodeError(ValueError):
     """Raised on inputs outside a code operation's domain."""
 
 
-@dataclass(frozen=True)
-class SemaphoreCheck:
-    """Outcome of the semaphore test, with a witness when it fails.
-
-    Exactly one of the witnesses is set on failure: ``comparable`` names two
-    code words where one is a suffix of the other, ``stuck`` names a pair
-    (s, a) such that s+a has no suffix in the code.
-    """
-
-    ok: bool
-    comparable: tuple[Word, Word] | None = None
-    stuck: tuple[Word, Word] | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 @dataclass(frozen=True, init=False)
 class SemaphoreCode:
     """A finite semaphore code, or the finite prefix of an infinite one.

@@ -16,7 +16,10 @@ their names.  They are built on the engine's integer kernels:
 - the de Bruijn graph, reset words, the inverse ``zeta`` of the Cayley
   construction, exact morphism search and isomorphism of automata, and a
   graph's transition table as JSON;
-- the closed-form stationary vector of a code's walk (``stationary``).
+- the closed-form stationary vector of a code's walk (``stationary``), and
+  the walk on a congruence's classes (``lumped``), as ``Fraction``s: the
+  engine's integer weights over their denominator, with the oracle's dense
+  matrix of the class walk.
 
 The routines and bounds of ``congruences``, ``codes``, ``graphs`` and
 ``walks`` are read through their module at call time, so a bound or a
@@ -25,14 +28,22 @@ kernel replaced there reaches these constructions too.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import codes, congruences, graphs, walks
 from .codes import CodeError, IdealRep, SemaphoreCode
 from .congruences import RightCongruence
 from .graphs import AGraph, GraphError
-from .oracles import epsilon, is_semaphore, words_up_to_length
-from .walks import LetterDistribution, StationaryVector
+from .oracles import (
+    StationaryVector,
+    TransitionMatrix,
+    congruence_transition_matrix,
+    epsilon,
+    is_semaphore,
+    words_up_to_length,
+)
+from .walks import LetterDistribution
 from .words import Alphabet, Word, count_of_length
 
 MAX_MORPHISM_VERTICES = 10_000
@@ -335,3 +346,25 @@ def stationary(ideal: IdealRep, pi: LetterDistribution) -> StationaryVector:
     """
     weights, total = walks.stationary_weights(ideal, pi)
     return StationaryVector(tuple(str(w) for w in ideal.code.words), tuple(Fraction(x, total) for x in weights))
+
+
+@dataclass(frozen=True)
+class LumpedWalk:
+    """The walk on congruence classes, which the walk on the reset code
+    lumps onto: its Cayley-table matrix and its stationary vector."""
+
+    matrix: TransitionMatrix
+    stationary: StationaryVector
+
+
+def lumped(rc: RightCongruence, pi: LetterDistribution) -> LumpedWalk:
+    """Lump the walk on the reset code of ``rc`` onto its classes.
+
+    The stationary vector is the weights of ``walks.lumped_weights`` over
+    their sum; that routine checks lumpability letter by letter and the
+    vector two ways.  The matrix is the oracle's dense class walk,
+    ``congruence_transition_matrix``.
+    """
+    weights, total, _, _ = walks.lumped_weights(rc, pi)
+    matrix = congruence_transition_matrix(rc, pi)
+    return LumpedWalk(matrix, StationaryVector(matrix.labels, tuple(Fraction(x, total) for x in weights)))

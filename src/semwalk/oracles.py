@@ -12,30 +12,36 @@ definitional:
   filters every set partition of A^k through the closure check, and
   ``lattice_report``, the lattice checks of any list of congruences read
   off its pairwise meets, the oracle of ``congruences.lattice_census``;
-- ``is_semaphore`` and ``suffix_classes``, which look up the suffixes of
-  each word one by one;
-- the dense ``transition_matrix`` of a code's walk, one ``advance`` step on
-  ``Fraction``s, ``solve_stationary`` by exact Gaussian elimination, the
-  product distribution ``debruijn_stationary``, and the grid check of the
-  reset polynomial.
+- ``is_semaphore``, with its witness in a ``SemaphoreCheck``, and
+  ``suffix_classes``, which look up the suffixes of each word one by one;
+- the dense ``Fraction`` matrices (``TransitionMatrix``) of a code's walk,
+  ``transition_matrix``, and of a congruence's class walk,
+  ``congruence_transition_matrix``, which ``walk lumped`` prints from the
+  Cayley table on integers instead; one ``advance`` step on ``Fraction``s;
+  the ``StationaryVector``s of ``solve_stationary``, by exact Gaussian
+  elimination, and of the product distribution ``debruijn_stationary``;
+  and the grid check of the reset polynomial.
 
 The routines and bounds of ``congruences``, ``codes`` and ``walks`` are
 read through their module at call time (``congruences.MAX_LATTICE_ELEMENTS``,
-``congruences._join_star``), so a bound or a kernel replaced there reaches
-these checks too.
+``congruences._join_star``, ``walks.MAX_MATRIX_ENTRIES``), so a bound or a
+kernel replaced there reaches these checks too.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Iterable, Iterator
 
 from . import codes, congruences, walks
-from .codes import CodeError, IdealRep, SemaphoreCheck, SemaphoreCode
+from .codes import CodeError, IdealRep, SemaphoreCode
 from .congruences import BoundExceeded, CongruenceError, LatticeReport, NotAPartitionError, RightCongruence
-from .walks import LetterDistribution, StationaryVector, TransitionMatrix, WalkError
+from .graphs import _strongly_connected
+from .walks import LetterDistribution, WalkBoundExceeded, WalkError
 from .words import DEFAULT_ENUMERATION_LIMIT, Alphabet, Word, WordError, _require_same_alphabet, words_of_length
 
 # ------------------------------------------------------------------- words
@@ -243,6 +249,23 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
 # ------------------------------------------------------------------- codes
 
 
+@dataclass(frozen=True)
+class SemaphoreCheck:
+    """Outcome of the semaphore test, with a witness when it fails.
+
+    Exactly one of the witnesses is set on failure: ``comparable`` names two
+    code words where one is a suffix of the other, ``stuck`` names a pair
+    (s, a) such that s+a has no suffix in the code.
+    """
+
+    ok: bool
+    comparable: tuple[Word, Word] | None = None
+    stuck: tuple[Word, Word] | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
 def is_semaphore(alphabet: Alphabet, words: list[Word] | set[Word]) -> SemaphoreCheck:
     """Test the two defining properties, reporting a witness on failure."""
     ws = sorted(set(words))
@@ -282,6 +305,82 @@ def suffix_classes(alphabet: Alphabet, k: int, code: SemaphoreCode) -> list[list
 # ------------------------------------------------------------------- walks
 
 
+@dataclass(frozen=True)
+class TransitionMatrix:
+    """Row-stochastic matrix over explicitly labelled states."""
+
+    labels: tuple[str, ...]
+    rows: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.labels)
+        if n == 0:
+            raise WalkError("a transition matrix needs at least one state")
+        if len(self.rows) != n or any(len(r) != n for r in self.rows):
+            raise WalkError("matrix shape does not match the state labels")
+        for i, row in enumerate(self.rows):
+            total = sum(filter(None, row))  # zeros add nothing; rows are mostly zeros
+            if total != 1:
+                raise WalkError(f"row {i} sums to {total}, not 1")
+
+    @property
+    def size(self) -> int:
+        return len(self.labels)
+
+    def left_apply(self, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+        """vec times the matrix, summing only the nonzero terms."""
+        out = [Fraction(0)] * self.size
+        for x, row in zip(vec, self.rows):
+            if x:
+                for j, p in enumerate(row):
+                    if p:
+                        out[j] += x * p
+        return tuple(out)
+
+    def irreducible(self) -> bool:
+        """Strong connectivity of the positive-entry support graph."""
+        return _strongly_connected([[j for j, p in enumerate(row) if p > 0] for row in self.rows])
+
+
+@dataclass(frozen=True)
+class StationaryVector:
+    labels: tuple[str, ...]
+    values: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.labels) != len(self.values):
+            raise WalkError("one value per state required")
+        den = lcm(*(v.denominator for v in self.values))  # the sum on integers, over one denominator
+        if sum(v.numerator * (den // v.denominator) for v in self.values) != den:
+            raise WalkError("stationary vector must sum to 1")
+
+    def as_dict(self) -> dict[str, Fraction]:
+        return dict(zip(self.labels, self.values))
+
+
+def _matrix(labels: tuple[str, ...], nxt, pi: LetterDistribution) -> TransitionMatrix:
+    """The dense matrix of the walk with action table ``nxt``: row x puts
+    pi(a) on column nxt[x][a]."""
+    n = len(nxt)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for row, succ in zip(rows, nxt):
+        for p, j in zip(pi.probs, succ):
+            row[j] += p
+    return TransitionMatrix(labels, tuple(tuple(r) for r in rows))
+
+
+def congruence_transition_matrix(rc: RightCongruence, pi: LetterDistribution) -> TransitionMatrix:
+    """Transition matrix of the walk on congruence classes."""
+    if pi.alphabet != rc.alphabet:
+        raise WalkError("the letter distribution and the congruence are over different alphabets")
+    n = max(rc.labels) + 1
+    if n * n > walks.MAX_MATRIX_ENTRIES:
+        raise WalkBoundExceeded(
+            f"refusing to build a {n}x{n} transition matrix (limit {walks.MAX_MATRIX_ENTRIES} entries)"
+        )
+    return _matrix(rc.block_labels, rc.block_action, pi)
+
+
 def debruijn_stationary(pi: LetterDistribution, k: int) -> StationaryVector:
     """The product distribution over A^k, in enumeration order."""
     ws = words_of_length(pi.alphabet, k)
@@ -292,7 +391,7 @@ def transition_matrix(ideal: IdealRep, pi: LetterDistribution) -> TransitionMatr
     """Transition matrix of the walk on the code words of an ideal."""
     if ideal.code.is_epsilon:
         raise CodeError("the one-word code has no action; use the 1x1 chain directly")
-    return walks._matrix(tuple(str(w) for w in ideal.code.words), walks._code_table(ideal, pi), pi)
+    return _matrix(tuple(str(w) for w in ideal.code.words), walks._code_table(ideal, pi), pi)
 
 
 def advance(nxt: list[list[int]], pi: LetterDistribution, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:

@@ -5,18 +5,22 @@ weights are checked on integers to be a fixpoint of one walk step, reset
 probabilities are sums of the same weights, and the lumped chain is the
 class walk of the Cayley table, checked letter by letter against the walk
 on the reset code, with a stationary vector computed two independent ways
-that must agree to the last bit.  Floating point appears only in the
-Monte-Carlo reporting layer.
+that must agree to the last bit.  A walk is held as its action table, with
+the letter probabilities as integer numerators over their common
+denominator d; a row of the class walk is read off the Cayley table as at
+most g numerators over d.  Floating point appears only in the Monte-Carlo
+reporting layer.
 
 This is the engine of the ``walk`` commands.  The closed-form stationary
-vector as ``Fraction``s is ``constructions.stationary``; the dense matrix of
-a code's walk, one step on ``Fraction``s, the Gaussian-elimination solver
-and the grid check of the reset polynomial, its oracles, are in
-``oracles``.  Neither module is imported by the CLI.
+vector and the lumped walk as ``Fraction``s are ``constructions.stationary``
+and ``constructions.lumped``; the dense ``Fraction`` matrices of a code's
+walk and of the class walk, one step on ``Fraction``s, the
+Gaussian-elimination solver and the grid check of the reset polynomial,
+its oracles, are in ``oracles``.  Neither module is imported by the CLI.
 
 Two bounds refuse a request before its work starts, with
-``WalkBoundExceeded``: the dense matrix of the class walk has at most
-``MAX_MATRIX_ENTRIES`` entries, and ``simulate`` runs at most
+``WalkBoundExceeded``: the class walk printed by ``walk lumped`` has at
+most ``MAX_MATRIX_ENTRIES`` entries, and ``simulate`` runs at most
 ``MAX_SIMULATION_STEPS`` steps.
 """
 
@@ -35,13 +39,12 @@ from .codes import CodeError, IdealRep, action_table, reset_code
 # reads walks.code_action to check that its tracer restores the binding.
 from .codes import code_action  # noqa: F401
 from .congruences import RightCongruence
-from .graphs import _strongly_connected
 from .words import Alphabet, Word
 
-# Refused before the work starts: a dense class-walk matrix of more entries
-# (2^22 is 2,048 classes, k = 11 over two letters, and the CLI prints every
-# entry), and more simulated steps (10^9 take about a minute at 17-19
-# million steps per second).
+# Refused before the work starts: a class walk of more matrix entries (2^22
+# is 2,048 classes, k = 11 over two letters, and the CLI prints every entry),
+# and more simulated steps (10^9 take about a minute at 17-19 million steps
+# per second).
 MAX_MATRIX_ENTRIES = 1 << 22
 MAX_SIMULATION_STEPS = 10**9
 
@@ -106,74 +109,10 @@ class LetterDistribution:
         return Fraction(num, self._denominator ** len(w))
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic matrix over explicitly labelled states."""
-
-    labels: tuple[str, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.labels)
-        if n == 0:
-            raise WalkError("a transition matrix needs at least one state")
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
-            raise WalkError("matrix shape does not match the state labels")
-        for i, row in enumerate(self.rows):
-            total = sum(filter(None, row))  # zeros add nothing; rows are mostly zeros
-            if total != 1:
-                raise WalkError(f"row {i} sums to {total}, not 1")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def left_apply(self, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        """vec times the matrix, summing only the nonzero terms."""
-        out = [Fraction(0)] * self.size
-        for x, row in zip(vec, self.rows):
-            if x:
-                for j, p in enumerate(row):
-                    if p:
-                        out[j] += x * p
-        return tuple(out)
-
-    def irreducible(self) -> bool:
-        """Strong connectivity of the positive-entry support graph."""
-        return _strongly_connected([[j for j, p in enumerate(row) if p > 0] for row in self.rows])
-
-
-@dataclass(frozen=True)
-class StationaryVector:
-    labels: tuple[str, ...]
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.values):
-            raise WalkError("one value per state required")
-        den = lcm(*(v.denominator for v in self.values))  # the sum on integers, over one denominator
-        if sum(v.numerator * (den // v.denominator) for v in self.values) != den:
-            raise WalkError("stationary vector must sum to 1")
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(zip(self.labels, self.values))
-
-
 def _code_table(ideal: IdealRep, pi: LetterDistribution) -> list[list[int]]:
     if pi.alphabet != ideal.alphabet:
         raise WalkError("the letter distribution and the code are over different alphabets")
     return action_table(ideal.code)
-
-
-def _matrix(labels: tuple[str, ...], nxt, pi: LetterDistribution) -> TransitionMatrix:
-    """The dense matrix of the walk with action table ``nxt``: row x puts
-    pi(a) on column nxt[x][a]."""
-    n = len(nxt)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for row, succ in zip(rows, nxt):
-        for p, j in zip(pi.probs, succ):
-            row[j] += p
-    return TransitionMatrix(labels, tuple(tuple(r) for r in rows))
 
 
 def _weights(pi: LetterDistribution, g: int, keys: list[tuple[int, int]], top: int) -> list[int]:
@@ -210,16 +149,6 @@ def _is_fixpoint(nxt: list[list[int]], pi: LetterDistribution, weights: list[int
             out[j] += x * p
     d = pi._denominator
     return all(y == d * x for x, y in zip(weights, out))
-
-
-def congruence_transition_matrix(rc: RightCongruence, pi: LetterDistribution) -> TransitionMatrix:
-    """Transition matrix of the walk on congruence classes."""
-    if pi.alphabet != rc.alphabet:
-        raise WalkError("the letter distribution and the congruence are over different alphabets")
-    n = max(rc.labels) + 1
-    if n * n > MAX_MATRIX_ENTRIES:
-        raise WalkBoundExceeded(f"refusing to build a {n}x{n} transition matrix (limit {MAX_MATRIX_ENTRIES} entries)")
-    return _matrix(rc.block_labels, rc.block_action, pi)
 
 
 def stationary_weights(ideal: IdealRep, pi: LetterDistribution) -> tuple[list[int], int]:
@@ -283,55 +212,60 @@ def reset_profile(rc: RightCongruence, pi: LetterDistribution) -> ResetProfile:
     return profile_of_ideal(reset_code(rc), pi)
 
 
-@dataclass(frozen=True)
-class LumpedWalk:
-    """The walk on congruence classes, which the walk on the reset code
-    lumps onto: its Cayley-table matrix and its stationary vector."""
+def lumped_weights(
+    rc: RightCongruence, pi: LetterDistribution
+) -> tuple[list[int], int, list[dict[int, int]], int]:
+    """Lump the walk on the reset code of ``rc`` onto its classes, on integers.
 
-    matrix: TransitionMatrix
-    stationary: StationaryVector
-
-
-def lumped(rc: RightCongruence, pi: LetterDistribution) -> LumpedWalk:
-    """Lump the walk on the reset code of ``rc`` onto its classes.
-
-    The matrix is the class walk of ``congruence_transition_matrix``.
-    Lumpability is checked letter by letter on integers, whatever ``pi``:
-    each code word lies in one class, and the code word its letter a leads
-    to must lie in the class the Cayley table gives for that class and a.
-    The stationary vector is computed both from code-word probabilities and
-    by summing the product distribution over each class, as integers over
-    d^k; the two must agree exactly, and the result must be a fixpoint of
-    the class walk.
+    Returns the stationary weight of each class, in canonical class order,
+    with their sum d^k, and each class's row of the class walk: the class
+    the Cayley table gives for it and a letter, mapped to the sum of those
+    letters' numerators over their common denominator d, which is returned
+    last.  Lumpability is checked letter by letter, whatever ``pi``: each
+    code word lies in one class, and the code word its letter a leads to
+    must lie in the class the Cayley table gives for that class and a.  The
+    weights are computed both from code-word probabilities and by summing
+    the product distribution over each class; the two must agree exactly,
+    and they must be a fixpoint of the class walk.
     """
     if rc.alphabet.size < 2:
         raise WalkError("lumping requires at least two letters")
-    matrix = congruence_transition_matrix(rc, pi)
-    labels = matrix.labels
-    if rc.is_universal:
-        # The reset code is {epsilon}: one state, and no action table.
-        return LumpedWalk(matrix, StationaryVector(labels, (Fraction(1),)))
+    if pi.alphabet != rc.alphabet:
+        raise WalkError("the letter distribution and the congruence are over different alphabets")
+    n = max(rc.labels) + 1
+    if n * n > MAX_MATRIX_ENTRIES:
+        raise WalkBoundExceeded(f"refusing to build a {n}x{n} transition matrix (limit {MAX_MATRIX_ENTRIES} entries)")
+    g, k, d = rc.alphabet.size, rc.k, pi._denominator
+    weights = [d**k]
+    # The universal congruence's reset code is {epsilon}: one state, and no
+    # action table.
+    if not rc.is_universal:
+        code = reset_code(rc).code
+        # Each code word's bucket of A^k words lies inside one class of rc; the
+        # code word padded on the left with letter 0 is in it and has its integer.
+        cls = [rc.labels[x] for _, x in code.keys]
+        for key, b, succ in zip(code.keys, cls, action_table(code)):
+            if tuple(map(cls.__getitem__, succ)) != rc.block_action[b]:
+                raise AssertionError(f"lumpability violated at code word {rc.alphabet.word_at(*key)}")
 
-    code = reset_code(rc).code
-    # Each code word's bucket of A^k words lies inside one class of rc; the
-    # code word padded on the left with letter 0 is in it and has its integer.
-    cls = [rc.labels[x] for _, x in code.keys]
-    for key, b, succ in zip(code.keys, cls, action_table(code)):
-        if tuple(map(cls.__getitem__, succ)) != rc.block_action[b]:
-            raise AssertionError(f"lumpability violated at code word {rc.alphabet.word_at(*key)}")
+        by_debruijn = [0] * n
+        for b, weight in zip(rc.labels, _weights(pi, g, [(k, x) for x in range(len(rc.labels))], k)):
+            by_debruijn[b] += weight
+        weights = [0] * n
+        for b, weight in zip(cls, _weights(pi, g, code.keys, k)):
+            weights[b] += weight
+        if weights != by_debruijn:
+            raise AssertionError("code-word and de Bruijn lumped stationary vectors differ")
+        if not _is_fixpoint(rc.block_action, pi, weights):
+            raise AssertionError("lumped stationary vector is not a fixpoint")
 
-    g, k, n = rc.alphabet.size, rc.k, len(labels)
-    by_debruijn = [0] * n
-    for b, weight in zip(rc.labels, _weights(pi, g, [(k, x) for x in range(len(rc.labels))], k)):
-        by_debruijn[b] += weight
-    by_code = [0] * n
-    for b, weight in zip(cls, _weights(pi, g, code.keys, k)):
-        by_code[b] += weight
-    if by_code != by_debruijn:
-        raise AssertionError("code-word and de Bruijn lumped stationary vectors differ")
-    if not _is_fixpoint(rc.block_action, pi, by_code):
-        raise AssertionError("lumped stationary vector is not a fixpoint")
-    return LumpedWalk(matrix, StationaryVector(labels, tuple(Fraction(x, pi._denominator**k) for x in by_code)))
+    rows = []
+    for succ in rc.block_action:
+        row: dict[int, int] = {}
+        for p, c in zip(pi._numerators, succ):
+            row[c] = row.get(c, 0) + p
+        rows.append(row)
+    return weights, d**k, rows, d
 
 
 @dataclass(frozen=True)

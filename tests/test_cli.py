@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -266,15 +267,39 @@ def test_walk_lumped_refuses_a_matrix_past_the_entry_bound(files, capsys, monkey
         raise AssertionError("the matrix was built")
 
     infile = files("five_class.json", FIVE_CLASS)
-    matrix = walks._matrix
-    monkeypatch.setattr(walks, "_matrix", unbuilt)
+    reset_code = walks.reset_code
+    monkeypatch.setattr(walks, "reset_code", unbuilt)
     monkeypatch.setattr(walks, "MAX_MATRIX_ENTRIES", 24)
     code, out, err = run(capsys, "walk", "lumped", "--in", infile, "--pi", "a=1/2,b=1/2")
     assert (code, out) == (4, "")
     assert json.loads(err) == {"error": "bound", "message": "refusing to build a 5x5 transition matrix (limit 24 entries)"}
-    monkeypatch.setattr(walks, "_matrix", matrix)
+    monkeypatch.setattr(walks, "reset_code", reset_code)
     monkeypatch.setattr(walks, "MAX_MATRIX_ENTRIES", 25)
     assert run_json(capsys, "walk", "lumped", "--in", infile, "--pi", "a=1/2,b=1/2")["stationary"][0] == "3/8"
+
+
+def test_walk_lumped_prints_the_oracle_class_walk_in_file_order(rc_a2, rc_a3, tmp_path, capsys):
+    # On every congruence of RC(ab, 2), RC(ab, 3) and RC(abc, 2), blocks and
+    # words in shuffled order: the printed matrix is the oracle's dense class
+    # walk, zero entries included, and at a positive distribution the printed
+    # stationary vector is the one Gaussian elimination solves for.
+    abc_2 = constructions.enumerate_rc(Alphabet("abc"), 2, carrier_bound=9)
+    assert len(abc_2) == 192
+    distributions = {"ab": ("a=2/7,b=5/7", "a=0,b=1"), "abc": ("a=1/2,b=1/3,c=1/6", "a=1/4,b=0,c=3/4")}
+    rng, infile = random.Random(22), tmp_path / "rc.json"
+    for rc in rc_a2 + rc_a3 + abc_2:
+        order = rng.sample(range(len(rc.block_texts)), len(rc.block_texts))
+        blocks = [rng.sample(rc.block_texts[b], len(rc.block_texts[b])) for b in order]
+        infile.write_text(json.dumps({"alphabet": rc.alphabet.letters, "k": rc.k, "blocks": blocks}))
+        positive, zero = distributions[rc.alphabet.letters]
+        for text in (positive, zero):
+            matrix = oracles.congruence_transition_matrix(rc, walks.LetterDistribution.parse(rc.alphabet, text))
+            data = run_json(capsys, "walk", "lumped", "--in", str(infile), "--pi", text)
+            assert data["blocks"] == [list(rc.block_texts[b]) for b in order]
+            assert data["matrix"] == [[str(matrix.rows[b][c]) for c in order] for b in order]
+            if text == positive:
+                stationary = oracles.solve_stationary(matrix).values
+                assert data["stationary"] == [str(stationary[b]) for b in order]
 
 
 def test_walk_simulate_refuses_steps_past_the_bound(files, capsys, monkeypatch):
@@ -412,7 +437,7 @@ def test_internal_assertion_exit_code(files, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("lumpability violated (synthetic)")
 
-    monkeypatch.setattr(cli_mod.walks, "lumped", boom)
+    monkeypatch.setattr(cli_mod.walks, "lumped_weights", boom)
     code, out, err = run(
         capsys, "walk", "lumped", "--in", files("five_class.json", FIVE_CLASS), "--pi", "a=1/2,b=1/2"
     )

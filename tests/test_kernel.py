@@ -101,9 +101,8 @@ from semwalk import (
 )
 from semwalk import codes, congruences, oracles, walks
 from semwalk.cli import main
-from semwalk.codes import SemaphoreCheck
 from semwalk.constructions import ideal_from_members
-from semwalk.oracles import suffixes, words_up_to_length
+from semwalk.oracles import SemaphoreCheck, suffixes, words_up_to_length
 from semwalk.words import WordLimitExceeded
 
 SETTINGS = [(2, 2), (2, 3), (3, 1), (3, 2)]

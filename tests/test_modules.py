@@ -34,40 +34,47 @@ HOMES = {
         " tau_of upper_approx"
     ),
     "graphs": "AGraph GraphError cayley to_dot",
-    "walks": (
-        "LetterDistribution LumpedWalk ResetProfile SimulationResult StationaryVector TransitionMatrix WalkError"
-        " congruence_transition_matrix lumped profile_of_ideal reset_profile simulate"
-    ),
+    "walks": "LetterDistribution ResetProfile SimulationResult WalkError profile_of_ideal reset_profile simulate",
     "oracles": (
         "epsilon is_factor is_prefix lcs lcs_of enumerate_all generate lattice_report validate is_semaphore"
-        " suffix_classes advance check_polynomial_identity debruijn_stationary polynomial_identity_holds"
-        " solve_stationary transition_matrix"
+        " suffix_classes StationaryVector TransitionMatrix advance check_polynomial_identity"
+        " congruence_transition_matrix debruijn_stationary polynomial_identity_holds solve_stationary"
+        " transition_matrix"
     ),
     "constructions": (
         "enumerate_rc identity join meet universal enumerate_ideals from_generators ideal_join ideal_leq"
         " ideal_meet restrict_k semaphore_code src_lattice debruijn graph_json is_reset isomorphic morphism"
-        " zeta stationary"
+        " zeta LumpedWalk lumped stationary"
     ),
 }
 NAMES = {name: module for module, names in HOMES.items() for name in names.split()}
 
-# One request per command group, run in process after `import semwalk.cli`.
+# One request per leaf command, run in process after `import semwalk.cli`.
 REQUESTS = """
 import json, sys, tempfile
 from pathlib import Path
 from semwalk.cli import main
 
-five = {"alphabet": "ab", "k": 3, "blocks": [["aaa", "baa", "aba"], ["bba"], ["aab", "bab"], ["abb"], ["bbb"]]}
+inputs = {
+    "five": {"alphabet": "ab", "k": 3, "blocks": [["aaa", "baa", "aba"], ["bba"], ["aab", "bab"], ["abb"], ["bbb"]]},
+    "pairs": {"alphabet": "ab", "k": 3, "pairs": [["aaa", "baa"], ["aab", "bab"]]},
+    "code": {"alphabet": "ab", "code": ["b", "ba", "baa", "aaa"], "k": 3, "infinite_tail": False},
+}
 with tempfile.TemporaryDirectory() as tmp:
-    infile = str(Path(tmp) / "five.json")
-    Path(infile).write_text(json.dumps(five))
-    out = str(Path(tmp) / "out")
+    path = {}
+    for name, payload in inputs.items():
+        path[name] = str(Path(tmp) / f"{name}.json")
+        Path(path[name]).write_text(json.dumps(payload))
+    infile, pi, out = ["--in", path["five"]], ["--pi", "a=1/2,b=1/2"], ["--out", str(Path(tmp) / "out")]
     codes = [
-        main(["rc", "upper", "--in", infile, "--out", out]),
-        main(["walk", "lumped", "--in", infile, "--pi", "a=1/2,b=1/2", "--out", out]),
-        main(["walk", "simulate", "--in", infile, "--pi", "a=1/2,b=1/2", "--steps", "100", "--out", out]),
-        main(["lattice", "census", "-g", "2", "-k", "2", "--out", out]),
-        main(["graph", "dot", "--in", infile, "--out", out]),
+        *(main(["rc", leaf, *infile, *out]) for leaf in ("validate", "lower", "upper", "resets", "is-special")),
+        main(["rc", "generate", "--in", path["pairs"], *out]),
+        main(["walk", "stationary", "--code", path["code"], *pi, *out]),
+        main(["walk", "profile", *infile, *pi, *out]),
+        main(["walk", "lumped", *infile, *pi, *out]),
+        main(["walk", "simulate", *infile, *pi, "--steps", "100", *out]),
+        main(["lattice", "census", "-g", "2", "-k", "2", *out]),
+        main(["graph", "dot", *infile, *out]),
     ]
 print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("semwalk"))]))
 """
@@ -80,7 +87,7 @@ def python(code: str) -> str:
 
 def test_the_cli_and_its_commands_import_the_engine_alone():
     codes, loaded = json.loads(python(REQUESTS))
-    assert codes == [0] * 5
+    assert codes == [0] * 12
     assert loaded == ["semwalk"] + [f"semwalk.{m}" for m in ("cli", "codes", "congruences", "graphs", "walks", "words")]
 
 
