@@ -12,7 +12,9 @@ coarsening (from the longest common suffixes of its blocks).
 
 This module is the engine of the ``rc`` and ``walk`` commands: codes and
 ideals held by their keys, a code's suffix view and action table, the reset
-and lcs ideals, ``tau_of``, ``is_special`` and the two approximations.
+and lcs ideals, ``tau_of``, ``is_special`` and the two approximations.  One
+test on the suffix view decides whether a code is semaphore: an ``IdealRep``
+runs it on construction, and ``action_table`` runs it too.
 Codes checked from their words, generated by a set of words or restricted
 to A^k, and the lattice of ideals (an ideal from its members, meet, join,
 order, ``enumerate_ideals`` and ``src_lattice``) are in ``constructions``;
@@ -57,8 +59,9 @@ class SemaphoreCode:
 
     Given by its words or, through ``from_keys``, their keys, it holds the
     keys sorted, that is its words in shortlex order, and refuses a repeated
-    word.  ``infinite_tail`` marks a code that was truncated at some maximal
-    length and continues beyond it.
+    word.  It checks nothing else: an ``IdealRep``'s code is checked to be
+    semaphore.  ``infinite_tail`` marks a code that was truncated at some
+    maximal length and continues beyond it.
     """
 
     alphabet: Alphabet
@@ -128,12 +131,10 @@ class SemaphoreCode:
 class IdealRep:
     """An ideal of A* containing A^k, held by its finite code.
 
-    Invariants enforced on construction: all code words have length <= k,
-    no code word is a suffix of another, and every word of A^k has a (then
-    unique) suffix in the code: a covering suffix code, whose left ideal
-    need not be two-sided.  Both hold iff the code's suffix view exists.
-    A code that is not semaphore is refused where it is used, by
-    ``action_table`` (CodeError) and ``tau_of`` (ClosureViolation).
+    Invariant enforced on construction: the code is a semaphore code of
+    words of length <= k that covers A^k.  It is a covering suffix code iff
+    its suffix view exists, and then semaphore iff ``_require_semaphore``
+    passes.
     """
 
     code: SemaphoreCode
@@ -152,8 +153,8 @@ class IdealRep:
                     raise CodeError(f"not a suffix code: {alphabet.word_at(*u)} is a suffix of {alphabet.word_at(n, x)}")
             x = _paint(self.code.keys, alphabet, self.k)[0].index(None)
             raise CodeError(f"word {alphabet.word_at(self.k, x)} of A^{self.k} has no suffix in the code")
-        else:
-            count_of_length(self.alphabet, self.k)  # with a view of A^m, m <= k: refuses an A^k too large to list
+        count_of_length(self.alphabet, self.k)  # with a view of A^m, m <= k: refuses an A^k too large to list
+        _require_semaphore(self.code)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -218,40 +219,52 @@ def code_action(code: SemaphoreCode, s: Word, a: Word) -> Word:
     for t in sorted(code.words, key=len, reverse=True):
         if is_suffix(t, sa):
             return t
-    raise CodeError(f"no suffix of {sa} in the code; code is not semaphore or is truncated")
+    raise _no_suffix(code.alphabet, *sa.key)
+
+
+def _require_semaphore(code: SemaphoreCode) -> None:
+    """Refuses a code with a suffix view that is not semaphore, naming the
+    first (s, a), in row-major order, such that s+a has no code suffix.
+
+    With t = x*g mod g^m, the words t + a of A^m end in s+a when n < m,
+    and are its last m letters when n = m.  Row (n, x) of the view,
+    ``view[t : t + g]``, then gives the code suffix of s+a: always when
+    n = m, and when n < m iff the entry is no longer than s+a.
+    """
+    view, keys, g = code.suffix_index, code.keys, code.alphabet.size
+    for n, x in keys[: bisect_left(keys, (code.max_len, 0))]:
+        t = x * g % len(view)
+        for a, j in enumerate(view[t : t + g]):
+            if keys[j][0] > n + 1:
+                raise _no_suffix(code.alphabet, n + 1, x * g + a)
+
+
+def _no_suffix(alphabet: Alphabet, n: int, x: int) -> CodeError:
+    return CodeError(f"no suffix of {alphabet.word_at(n, x)} in the code; code is not semaphore or is truncated")
 
 
 def action_table(code: SemaphoreCode) -> list[list[int]]:
     """The right action on state numbers: ``nxt[i][a]`` is the position in
     ``code.words`` of ``code_action(code, code.words[i], letter a)``.
 
-    A covering code has its table in its suffix view.  With t = x*g mod g^m,
-    the words t + a of A^m end in s+a when n < m, and are its last m
-    letters when n = m.  Row (n, x) is then ``view[t : t + g]``, provided
-    s+a has a code suffix: always when n = m, and when n < m iff the row's
-    entries are no longer than s+a.  So the code is semaphore iff the rows
-    of its words shorter than m pass.  Any other code has each suffix of
-    s+a looked up in its key index, longest first, and the first pair
-    (s, a) without a code suffix, in row-major order, raises the same error
-    as ``code_action``.
+    Read off the suffix view once ``_require_semaphore`` passes; a code
+    with no view (truncated, not covering, or with A^m too large to list)
+    has each suffix of s+a looked up, longest first.  The first (s, a)
+    with no code suffix raises the same error as ``code_action``.
     """
     if code.keys[:1] == ((0, 0),):
         raise CodeError("the action is not defined on the epsilon code")
-    view, g, keys = code.suffix_index, code.alphabet.size, code.keys
+    view, g = code.suffix_index, code.alphabet.size
     if view is not None:
-        size, short = len(view), bisect_left(keys, (code.max_len, 0))
-        nxt = [list(view[t : t + g]) for t in [x * g % size for _, x in keys]]
-        if all(keys[j][0] <= n + 1 for (n, _), row in zip(keys[:short], nxt) for j in row):
-            return nxt
+        _require_semaphore(code)
+        return [list(view[t : t + g]) for t in [x * g % len(view) for _, x in code.keys]]
     index, nxt = code._index, []
     for n, x in index:
         row = []
         for sa in range(x * g, x * g + g):
             u = next(_suffix_keys(index, g, n + 1, sa), None)
             if u is None:
-                raise CodeError(
-                    f"no suffix of {code.alphabet.word_at(n + 1, sa)} in the code; code is not semaphore or is truncated"
-                )
+                raise _no_suffix(code.alphabet, n + 1, sa)
             row.append(index[u])
         nxt.append(row)
     return nxt
@@ -269,9 +282,9 @@ def tau_of(ideal: IdealRep) -> RightCongruence:
     """The right congruence of an ideal: u ~ v iff they share a suffix in it.
 
     Its labels are the code's suffix view, read g^(k-m) times over: word x
-    of A^k has the code suffix of its last m letters, x mod g^m.  Raises
-    ClosureViolation when the code covers A^k but is not semaphore: its
-    left ideal is not two-sided, so the classes are not closed.
+    of A^k has the code suffix of its last m letters, x mod g^m.  The
+    code is semaphore, so the classes are closed; ``_congruence`` still
+    checks it.
     """
     view = ideal.code.suffix_index
     return _congruence(ideal.alphabet, ideal.k, view * (ideal.alphabet.size**ideal.k // len(view)))

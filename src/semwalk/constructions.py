@@ -151,7 +151,8 @@ def restrict_k(code: SemaphoreCode, k: int) -> IdealRep:
     """Restrict a semaphore code to length <= k, completing within A^k.
 
     Keeps the code words of length at most k and adds every word of A^k
-    that has no suffix among them; the result covers A^k.
+    that has no suffix among them; the result covers A^k, and is refused
+    as ``IdealRep`` refuses it when it is not semaphore.
     """
     if code.keys[:1] == ((0, 0),):
         raise CodeError("restriction requires a code of nonempty words")
@@ -165,7 +166,7 @@ def restrict_k(code: SemaphoreCode, k: int) -> IdealRep:
 def ideal_from_members(alphabet: Alphabet, k: int, short_members: set[Word]) -> IdealRep:
     """Ideal A^{>=k} union short_members, given by its suffix-minimal code.
     A member over another alphabet is refused, as ``SemaphoreCode`` refuses
-    such a code word."""
+    such a code word, and so is a set whose left ideal is not two-sided."""
     stray = next((w for w in short_members if w.alphabet.letters != alphabet.letters), None)
     if stray is not None:
         raise CodeError(f"member {stray} is not over the alphabet {alphabet.letters!r}")

@@ -559,6 +559,18 @@ def test_walk_rejects_a_covering_code_that_is_not_semaphore(files, capsys):
         }
 
 
+def test_walk_reports_a_code_that_is_not_semaphore_before_its_other_arguments(files, capsys):
+    # The code file is read, and its ideal built, before --pi and --steps are checked.
+    infile = files("nsem.json", {"alphabet": "ab", "code": ["a", "aab", "bab", "abb", "bbb"], "k": 3})
+    for action in (["stationary", "--pi", "a=1/2"], ["simulate", "--pi", "a=1/2,b=1/2", "--steps", "0"]):
+        code, out, err = run(capsys, "walk", *action, "--code", infile)
+        assert code == 1 and err == ""
+        assert json.loads(out) == {
+            "error": "validation",
+            "message": "no suffix of ab in the code; code is not semaphore or is truncated",
+        }
+
+
 @pytest.mark.parametrize(
     "argv_head, payload",
     [

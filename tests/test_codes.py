@@ -268,17 +268,32 @@ def test_tau_of_left_ideal_counterexample(ab):
         validate(ab, 3, blocks)
 
 
+NOT_SEMAPHORE = "^no suffix of ab in the code; code is not semaphore or is truncated$"
+
+
 def test_tau_of_a_covering_code_that_is_not_semaphore_raises_the_witness(ab):
-    # {a, bb, aab, bab} covers A^3, but a+b has no suffix in it.
-    ideal = IdealRep(mkcode(ab, ["a", "bb", "aab", "bab"]), 3)
+    # {a, bb, aab, bab} covers A^3, but a+b has no suffix in it: IdealRep
+    # refuses it, so tau_of never sees it.  Its classes are not closed, and
+    # validate raises the witness.
+    code = mkcode(ab, ["a", "bb", "aab", "bab"])
+    with pytest.raises(CodeError, match=NOT_SEMAPHORE):
+        IdealRep(code, 3)
 
     @contextmanager
     def passing_through():
         yield
 
     with pytest.raises(ClosureViolation) as info, passing_through():
-        tau_of(ideal)
+        validate(ab, 3, suffix_classes(ab, 3, code))
     assert (str(info.value.u), str(info.value.v), str(info.value.letter)) == ("aaa", "aba", "b")
+
+
+def test_constructions_refuse_an_ideal_that_is_only_a_left_ideal(ab):
+    # A*a and A*{a, aab, bab, abb, bbb} are left ideals, not two-sided: ab has no suffix in the code.
+    with pytest.raises(CodeError, match=NOT_SEMAPHORE):
+        ideal_from_members(ab, 3, {ab.word("a")})
+    with pytest.raises(CodeError, match=NOT_SEMAPHORE):
+        restrict_k(mkcode(ab, ["a", "aab", "bab", "abb", "bbb"]), 3)
 
 
 def test_suffix_classes_requires_unique_suffix(ab):

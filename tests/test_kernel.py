@@ -317,12 +317,13 @@ def test_action_table_raises_the_first_code_action_error(data):
 
 def test_action_table_rejects_a_covering_code_that_is_not_semaphore():
     ab = Alphabet("ab")
-    ideal = IdealRep(SemaphoreCode(ab, tuple(ab.word(w) for w in ["a", "aab", "bab", "abb", "bbb"])), 3)
+    code = SemaphoreCode(ab, tuple(ab.word(w) for w in ["a", "aab", "bab", "abb", "bbb"]))
     message = "no suffix of ab in the code; code is not semaphore or is truncated"
-    assert first_action_error(ideal.code) == message
-    with pytest.raises(CodeError) as info:
-        action_table(ideal.code)
-    assert str(info.value) == message
+    assert first_action_error(code) == message
+    for refused in (lambda: action_table(code), lambda: IdealRep(code, 3)):
+        with pytest.raises(CodeError) as info:
+            refused()
+        assert str(info.value) == message
 
 
 @given(generated_ideals(), st.data())
@@ -640,12 +641,17 @@ def word_suffix_classes(alphabet, k, code):
     return list(buckets.values())
 
 
-def word_ideal_from_members(alphabet, k, short_members):
+def word_ideal_code(alphabet, k, short_members):
+    """The suffix-minimal words of A^{>=k} union short_members."""
     if epsilon(alphabet) in short_members:
-        return IdealRep(SemaphoreCode(alphabet, (epsilon(alphabet),)), k)
+        return SemaphoreCode(alphabet, (epsilon(alphabet),))
     members = set(short_members) | set(words_of_length(alphabet, k))
     minimal = sorted(w for w in members if not any(v != w and is_suffix(v, w) for v in members))
-    return IdealRep(SemaphoreCode(alphabet, tuple(minimal)), k)
+    return SemaphoreCode(alphabet, tuple(minimal))
+
+
+def word_ideal_from_members(alphabet, k, short_members):
+    return IdealRep(word_ideal_code(alphabet, k, short_members), k)
 
 
 def word_lambda_of(rc):
@@ -728,7 +734,9 @@ def test_ideal_from_members_matches_the_word_level_scan(data):
     alphabet = Alphabet.of_size(g)
     short = [epsilon(alphabet)] + words_up_to_length(alphabet, k - 1)
     members = data.draw(st.sets(st.sampled_from(short), max_size=4))
-    assert ideal_from_members(alphabet, k, members) == word_ideal_from_members(alphabet, k, members)
+    # A set whose left ideal is not two-sided is refused at its first (s, a).
+    expected = word_ideal_or_refusal(word_ideal_code(alphabet, k, members), k)
+    assert value_or_message(ideal_from_members, alphabet, k, members) == expected
 
 
 @pytest.mark.parametrize(
@@ -784,6 +792,13 @@ def word_ideal_refusal(code, k):
     return None
 
 
+def word_ideal_or_refusal(code, k):
+    """IdealRep(code, k), or the message it refuses the code with, from the
+    word-level scans: not a covering suffix code, or not semaphore."""
+    refusal = word_ideal_refusal(code, k) or (None if code.is_epsilon else first_action_error(code))
+    return refusal or IdealRep(code, k)
+
+
 def word_restricted_words(code, k):
     short = [w for w in code.words if len(w) <= k]
     return short + [w for w in words_of_length(code.alphabet, k) if not any(is_suffix(s, w) for s in short)]
@@ -800,7 +815,7 @@ def value_or_message(fn, *args):
 def assert_restrict_k_matches(code):
     for k in range(1, 4):
         restricted = SemaphoreCode(code.alphabet, tuple(word_restricted_words(code, k)))
-        assert value_or_message(restrict_k, code, k) == (word_ideal_refusal(restricted, k) or IdealRep(restricted, k))
+        assert value_or_message(restrict_k, code, k) == word_ideal_or_refusal(restricted, k)
 
 
 def congruence_or_witness(fn, *args):
@@ -813,10 +828,8 @@ def congruence_or_witness(fn, *args):
 
 def assert_ideal_scans_match(ideal):
     alphabet, k, code = ideal.alphabet, ideal.k, ideal.code
-    # A covering suffix code that is not semaphore has classes that are not
-    # closed: tau_of must then raise validate's witness.
-    classes = word_suffix_classes(alphabet, k, code)
-    assert congruence_or_witness(tau_of, ideal) == congruence_or_witness(validate, alphabet, k, classes)
+    # An IdealRep holds a semaphore code: its classes are closed, and tau_of raises nothing.
+    assert tau_of(ideal) == validate(alphabet, k, word_suffix_classes(alphabet, k, code))
     for w in [epsilon(alphabet)] + words_up_to_length(alphabet, k + 1):
         assert code.in_ideal(w) == any(is_suffix(s, w) for s in code.words)
 
@@ -840,9 +853,8 @@ def test_keyed_code_checks_match_the_word_level_scans(case, extra):
         assert_restrict_k_matches(code)
     k = min(code.max_len + extra, 3)
     ideal = value_or_message(IdealRep, code, k)
-    expected = word_ideal_refusal(code, k)
-    assert ideal == (expected or IdealRep(code, k))
-    if expected is None and k >= 1:
+    assert ideal == word_ideal_or_refusal(code, k)
+    if isinstance(ideal, IdealRep) and k >= 1:
         assert_ideal_scans_match(ideal)
 
 
@@ -949,14 +961,16 @@ def pinned_code(texts):
 @example(pinned_code(["a", "bb", "aab", "bab"]), 0)
 @settings(max_examples=200, deadline=None)
 def test_action_table_on_the_view_matches_is_semaphore(code, extra):
-    ideal = IdealRep(code, code.max_len + extra)  # k = 3 for the pinned codes
+    k = code.max_len + extra  # 3 for the pinned codes
     semaphore = bool(is_semaphore(code.alphabet, code.words))
-    # action_table reads the view, or names the first (s, a) that code_action rejects.
+    # IdealRep and action_table read the view, or name the first (s, a) that code_action rejects.
     expected = first_action_error(code)
     assert (expected is None) == semaphore
     assert value_or_message(action_table, code) == (oracle_table(code) if semaphore else expected)
-    classes = word_suffix_classes(code.alphabet, ideal.k, code)
-    assert congruence_or_witness(tau_of, ideal) == congruence_or_witness(validate, code.alphabet, ideal.k, classes)
+    assert value_or_message(IdealRep, code, k) == (expected or IdealRep(code, k))
+    # The classes are closed iff the code is semaphore; tau_of builds them on an IdealRep.
+    closed = congruence_or_witness(validate, code.alphabet, k, word_suffix_classes(code.alphabet, k, code))
+    assert (closed == tau_of(IdealRep(code, k))) if semaphore else isinstance(closed, tuple)
 
 
 def test_action_table_and_tau_of_read_the_view_with_no_suffix_scan(monkeypatch, enumerated_ideals):
@@ -980,10 +994,15 @@ def test_action_table_and_tau_of_read_the_view_with_no_suffix_scan(monkeypatch, 
         if not ideal.code.is_epsilon:
             action_table(ideal.code)
         tau_of(ideal)
-    assert calls == []
-    # The refusal paths still scan.
-    with pytest.raises(CodeError):
+    # A covering code that is not semaphore is refused off its view too.
+    with pytest.raises(CodeError, match="^no suffix of ab in the code"):
         action_table(pinned_code(["a", "aab", "bab", "abb", "bbb"]))
+    assert calls == []
+    # A code with no view still scans: {b, ba} does not cover A^2.
+    partial = pinned_code(["b", "ba"])
+    with pytest.raises(CodeError) as info:
+        action_table(partial)
+    assert str(info.value) == first_action_error(partial)
     assert calls
 
 
@@ -1000,7 +1019,16 @@ def counted_suffix_scans(monkeypatch):
 
 
 def test_codes_and_ideal_operations_read_a_painting_with_no_suffix_scan(monkeypatch, enumerated_ideals):
-    elements = [rc for g, k in [(2, 3), (3, 2)] for rc in enumerate_rc(Alphabet.of_size(g), k, carrier_bound=9)]
+    # Every ideal built here passes IdealRep's semaphore test, since the
+    # engine builds only two-sided ideals.  Resets are closed under right
+    # extension: the words ending in w+a are those ending in w with a
+    # appended, cut to length k.  If w is the lcs of a block B, the lcs v
+    # of the block holding B+a is a suffix of w+a; were w+a a proper suffix
+    # of v, all of B would share a suffix longer than w.
+    monkeypatch.setattr(congruences, "HARD_CARRIER_BOUND", 16)
+    cases = [(2, 3, 9), (3, 2, 9), (2, 4, 16)]
+    elements = [rc for g, k, bound in cases for rc in enumerate_rc(Alphabet.of_size(g), k, carrier_bound=bound)]
+    assert len(elements) == 30 + 192 + 1247
     calls = counted_suffix_scans(monkeypatch)
     for rc in elements:
         reset_code(rc), lambda_of(rc), is_special(rc), lower_approx(rc), upper_approx(rc)
