@@ -130,7 +130,7 @@ def _congruence_json(rc: congruences.RightCongruence) -> dict:
 def _code_json(ideal: codes.IdealRep) -> dict:
     payload = {
         "alphabet": ideal.alphabet.letters,
-        "code": [str(w) for w in ideal.code.words],
+        "code": list(ideal.code.texts),
         "k": ideal.k,
         "infinite_tail": ideal.code.infinite_tail,
     }

@@ -14,7 +14,8 @@ This module is the engine of the ``rc`` and ``walk`` commands: codes and
 ideals held by their keys, a code's suffix view and action table, the reset
 and lcs ideals, ``tau_of``, ``is_special`` and the two approximations.  One
 test on the suffix view decides whether a code is semaphore: an ``IdealRep``
-runs it on construction, and ``action_table`` runs it too.
+runs it on construction, ``action_table`` runs it on a bare code, and
+``semaphore_table`` reads an ideal's table off the view with no second test.
 Codes checked from their words, generated by a set of words or restricted
 to A^k, and the lattice of ideals (an ideal from its members, meet, join,
 order, ``enumerate_ideals`` and ``src_lattice``) are in ``constructions``;
@@ -34,27 +35,26 @@ length, to its code suffix; a word of A^k, k >= m, has the code suffix
 of its last m letters), the suffix-minimal part of a key set, and the
 words of A^n with no suffix among the keys.  ``_suffix_keys`` looks up
 the suffixes of one word, longest first.
-``Word`` objects are built only on first use of a code's ``words`` or of
-``lambda_of``'s lcs sets, and for messages.
+A code's ``texts`` are rendered from its keys; ``Word`` objects are built
+only on first use of a code's ``words`` or of ``lambda_of``'s lcs sets, and
+for messages.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property
 
 from .congruences import RightCongruence, _congruence
-from .words import Alphabet, Word, WordLimitExceeded, count_of_length, is_suffix, words_of_length
+from .words import Alphabet, Word, WordLimitExceeded, _Frozen, count_of_length, is_suffix, words_of_length
 
 
 class CodeError(ValueError):
     """Raised on inputs outside a code operation's domain."""
 
 
-@dataclass(frozen=True, init=False)
-class SemaphoreCode:
+class SemaphoreCode(_Frozen):
     """A finite semaphore code, or the finite prefix of an infinite one.
 
     Given by its words or, through ``from_keys``, their keys, it holds the
@@ -64,16 +64,13 @@ class SemaphoreCode:
     maximal length and continues beyond it.
     """
 
-    alphabet: Alphabet
-    keys: tuple[tuple[int, int], ...]
-    infinite_tail: bool = False
+    _fields = ("alphabet", "keys", "infinite_tail")
 
     def __init__(self, alphabet: Alphabet, words: Iterable[Word], infinite_tail: bool = False):
         words, letters = tuple(words), alphabet.letters  # equal letters are equal alphabets, and cheaper to compare
         stray = next((w for w in words if w.alphabet.letters != letters), None)
         if stray is not None:
             raise CodeError(f"code word {stray} is not over the alphabet {letters!r}")
-        # A frozen dataclass: its fields are set past its __setattr__.
         self.__dict__.update(SemaphoreCode.from_keys(alphabet, [w.key for w in words], infinite_tail).__dict__)
 
     @classmethod
@@ -92,6 +89,28 @@ class SemaphoreCode:
     def words(self) -> tuple[Word, ...]:
         """The code words in shortlex order."""
         return tuple(self.alphabet.word_at(n, x) for n, x in self.keys)
+
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        """The code words rendered, in shortlex order, epsilon as "", built
+        without a ``Word``: the texts of A^j are rendered length by length
+        from the letters, for j up to the largest m <= ``max_len`` with g^m
+        at most the number of code words, and a longer word is read off its
+        key m letters at a time, as ``walks._weights`` reads its probability."""
+        letters, keys = self.alphabet.letters, self.keys
+        g, levels = len(letters), [("",), letters]
+        while len(levels) <= self.max_len and g * len(levels[-1]) <= len(keys):
+            levels.append([text + c for text in levels[-1] for c in letters])
+        m, out = len(levels) - 1, []
+        for n, x in keys:
+            parts = []
+            while n > m:
+                x, r = divmod(x, g**m)
+                parts.append(levels[m][r])
+                n -= m
+            parts.append(levels[n][x])
+            out.append("".join(reversed(parts)))
+        return tuple(out)
 
     @property
     def max_len(self) -> int:
@@ -124,11 +143,10 @@ class SemaphoreCode:
         return w.alphabet == self.alphabet and any(_suffix_keys(self._index, self.alphabet.size, *w.key))
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(w) if len(w) else "eps" for w in self.words) + "}"
+        return "{" + ",".join(text or "eps" for text in self.texts) + "}"
 
 
-@dataclass(frozen=True)
-class IdealRep:
+class IdealRep(_Frozen):
     """An ideal of A* containing A^k, held by its finite code.
 
     Invariant enforced on construction: the code is a semaphore code of
@@ -137,8 +155,11 @@ class IdealRep:
     passes.
     """
 
-    code: SemaphoreCode
-    k: int
+    _fields = ("code", "k")
+
+    def __init__(self, code: SemaphoreCode, k: int):
+        self.__dict__.update(code=code, k=k)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.code.infinite_tail:
@@ -252,11 +273,19 @@ def action_table(code: SemaphoreCode) -> list[list[int]]:
     has each suffix of s+a looked up, longest first.  The first (s, a)
     with no code suffix raises the same error as ``code_action``.
     """
+    if code.suffix_index is not None:
+        _require_semaphore(code)
+    return semaphore_table(code)
+
+
+def semaphore_table(code: SemaphoreCode) -> list[list[int]]:
+    """``action_table`` of a code already checked to be semaphore, as an
+    ``IdealRep``'s code is: the rows are read off its suffix view with no
+    second test."""
     if code.keys[:1] == ((0, 0),):
         raise CodeError("the action is not defined on the epsilon code")
     view, g = code.suffix_index, code.alphabet.size
     if view is not None:
-        _require_semaphore(code)
         return [list(view[t : t + g]) for t in [x * g % len(view) for _, x in code.keys]]
     index, nxt = code._index, []
     for n, x in index:
@@ -290,14 +319,16 @@ def tau_of(ideal: IdealRep) -> RightCongruence:
     return _congruence(ideal.alphabet, ideal.k, view * (ideal.alphabet.size**ideal.k // len(view)))
 
 
-@dataclass(frozen=True)
-class LambdaResult:
-    """Longest common suffix data of a congruence and the ideal it spans;
-    the lcs sets as words are built on first read."""
+class LambdaResult(_Frozen):
+    """Longest common suffix data of a congruence and the ideal it spans:
+    ``keys`` holds the key (length, x) of each block's lcs, in canonical
+    block order, and ``ideal`` is A* times the lcs set.  The lcs sets as
+    words are built on first read."""
 
-    rc: RightCongruence
-    keys: tuple[tuple[int, int], ...]  # (length, x) of each block's lcs, canonical block order
-    ideal: IdealRep  # A* times the lcs set
+    _fields = ("rc", "keys", "ideal")
+
+    def __init__(self, rc: RightCongruence, keys: tuple[tuple[int, int], ...], ideal: IdealRep):
+        self.__dict__.update(rc=rc, keys=keys, ideal=ideal)
 
     @cached_property
     def per_block(self) -> tuple[Word, ...]:

@@ -35,13 +35,12 @@ blocks by one C-level ``str.replace``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product as iter_product
 
 # Unused here: perfbench/test_perfbench.py::test_tracer_restores_the_program
 # reads congruences.product to check that its tracer restores the binding.
-from .words import Alphabet, Word, count_of_length, product, words_of_length  # noqa: F401
+from .words import Alphabet, Word, _Frozen, count_of_length, product, words_of_length  # noqa: F401
 
 # The oracle enumeration is a Bell-number filter.  Both enumerations refuse
 # carriers of more than 12 points outright, and more than 8 requires an
@@ -67,17 +66,30 @@ class BoundExceeded(CongruenceError):
     """An enumeration was refused because it would blow past its size bound."""
 
 
-@dataclass(eq=False)
 class ClosureViolation(CongruenceError):
     """Witness that a partition is not closed under the right action.
 
-    Not frozen: re-raising an exception assigns ``__traceback__`` (as
-    ``contextlib.contextmanager`` does) and ``add_note`` sets ``__notes__``.
+    Its fields are read-only, and it compares by identity, as exceptions
+    do; ``copy`` and ``pickle`` rebuild it from them.  Other attributes stay
+    assignable: re-raising an exception assigns
+    ``__traceback__`` (as ``contextlib.contextmanager`` does) and
+    ``add_note`` sets ``__notes__``.
     """
 
-    u: Word
-    v: Word
-    letter: Word
+    _fields = ("u", "v", "letter")
+
+    def __init__(self, u: Word, v: Word, letter: Word):
+        super().__init__(u, v, letter)
+        self.__dict__.update(u=u, v=v, letter=letter)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in self._fields:
+            raise AttributeError(f"cannot assign to field {name!r}")
+        super().__setattr__(name, value)
+
+    def __reduce__(self):
+        # BaseException would restore the fields from __dict__ by setattr.
+        return type(self), (self.u, self.v, self.letter)
 
     def __str__(self) -> str:
         return (
@@ -202,8 +214,7 @@ def _closure_witness(g: int, labels: tuple[int, ...], blocks) -> tuple[int, int,
 # ------------------------------------------------------------- congruences
 
 
-@dataclass(frozen=True)
-class RightCongruence:
+class RightCongruence(_Frozen):
     """A partition of A^k closed under the right action, in canonical form.
 
     ``labels`` is the block index of each word of A^k, in carrier order,
@@ -212,9 +223,10 @@ class RightCongruence:
     canonical key, so equality and hashing compare labels.
     """
 
-    alphabet: Alphabet
-    k: int
-    labels: tuple[int, ...]
+    _fields = ("alphabet", "k", "labels")
+
+    def __init__(self, alphabet: Alphabet, k: int, labels: tuple[int, ...]):
+        self.__dict__.update(alphabet=alphabet, k=k, labels=labels)
 
     @cached_property
     def block_points(self) -> tuple[tuple[int, ...], ...]:
@@ -398,24 +410,41 @@ def _join_graph(
     return [labels[i] for i in order], [[at[j] for j in joins[i]] for i in order]
 
 
-@dataclass
-class LatticeReport:
-    """Result of the definitional lattice checks on an enumerated set."""
+class LatticeReport(_Frozen):
+    """Result of the definitional lattice checks on an enumerated set.
 
-    size: int
-    bottom: int
-    top: int
-    covers: list[tuple[int, int]]  # (lower, upper) pairs of element indices
-    atoms: list[int]
-    semimodular: bool
-    modular: bool
-    atomistic: bool
-    jordan_dedekind: bool
-    # Witnesses for the failed flags, by element index.
-    pentagon: tuple[int, int, int, int, int] | None = None  # (top, b, c, d, bottom)
-    semimodular_pentagon: tuple[int, int, int, int, int] | None = None
-    non_atomistic_witness: int | None = None
-    unequal_chains: tuple[list[int], list[int]] | None = None
+    ``covers`` holds the (lower, upper) pairs of element indices.  The
+    witnesses of the failed flags are by element index: ``pentagon`` and
+    ``semimodular_pentagon`` as (top, b, c, d, bottom).
+    """
+
+    _fields = (
+        "size", "bottom", "top", "covers", "atoms", "semimodular", "modular", "atomistic", "jordan_dedekind",
+        "pentagon", "semimodular_pentagon", "non_atomistic_witness", "unequal_chains",
+    )
+
+    def __init__(
+        self,
+        size: int,
+        bottom: int,
+        top: int,
+        covers: list[tuple[int, int]],
+        atoms: list[int],
+        semimodular: bool,
+        modular: bool,
+        atomistic: bool,
+        jordan_dedekind: bool,
+        pentagon: tuple[int, int, int, int, int] | None = None,
+        semimodular_pentagon: tuple[int, int, int, int, int] | None = None,
+        non_atomistic_witness: int | None = None,
+        unequal_chains: tuple[list[int], list[int]] | None = None,
+    ):
+        self.__dict__.update(
+            size=size, bottom=bottom, top=top, covers=covers, atoms=atoms, semimodular=semimodular,
+            modular=modular, atomistic=atomistic, jordan_dedekind=jordan_dedekind, pentagon=pentagon,
+            semimodular_pentagon=semimodular_pentagon, non_atomistic_witness=non_atomistic_witness,
+            unequal_chains=unequal_chains,
+        )
 
     @property
     def flags(self) -> dict[str, bool]:

@@ -28,7 +28,6 @@ kernel replaced there reaches these constructions too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import codes, congruences, graphs, walks
@@ -44,7 +43,7 @@ from .oracles import (
     words_up_to_length,
 )
 from .walks import LetterDistribution
-from .words import Alphabet, Word, count_of_length
+from .words import Alphabet, Word, _Frozen, count_of_length
 
 MAX_MORPHISM_VERTICES = 10_000
 
@@ -346,16 +345,17 @@ def stationary(ideal: IdealRep, pi: LetterDistribution) -> StationaryVector:
     but loses the uniqueness argument, hence the warning.
     """
     weights, total = walks.stationary_weights(ideal, pi)
-    return StationaryVector(tuple(str(w) for w in ideal.code.words), tuple(Fraction(x, total) for x in weights))
+    return StationaryVector(ideal.code.texts, tuple(Fraction(x, total) for x in weights))
 
 
-@dataclass(frozen=True)
-class LumpedWalk:
+class LumpedWalk(_Frozen):
     """The walk on congruence classes, which the walk on the reset code
     lumps onto: its Cayley-table matrix and its stationary vector."""
 
-    matrix: TransitionMatrix
-    stationary: StationaryVector
+    _fields = ("matrix", "stationary")
+
+    def __init__(self, matrix: TransitionMatrix, stationary: StationaryVector):
+        self.__dict__.update(matrix=matrix, stationary=stationary)
 
 
 def lumped(rc: RightCongruence, pi: LetterDistribution) -> LumpedWalk:

@@ -18,11 +18,10 @@ all words of length k are extended level by level, x -> x*g + a, so no
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .congruences import RightCongruence
-from .words import Alphabet, Word, count_of_length
+from .words import Alphabet, Word, _Frozen, count_of_length
 
 
 class GraphError(ValueError):
@@ -49,8 +48,7 @@ def _strongly_connected(succ) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class AGraph:
+class AGraph(_Frozen):
     """A deterministic complete edge-labelled graph.
 
     ``transitions[v][i]`` is the vertex reached from vertex v by the i-th
@@ -58,9 +56,11 @@ class AGraph:
     complete by construction.
     """
 
-    alphabet: Alphabet
-    labels: tuple[str, ...]
-    transitions: tuple[tuple[int, ...], ...]
+    _fields = ("alphabet", "labels", "transitions")
+
+    def __init__(self, alphabet: Alphabet, labels: tuple[str, ...], transitions: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(alphabet=alphabet, labels=labels, transitions=transitions)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = len(self.labels)

@@ -31,7 +31,6 @@ kernel replaced there reaches these checks too.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
@@ -42,7 +41,7 @@ from .codes import CodeError, IdealRep, SemaphoreCode
 from .congruences import BoundExceeded, CongruenceError, LatticeReport, NotAPartitionError, RightCongruence
 from .graphs import _strongly_connected
 from .walks import LetterDistribution, WalkBoundExceeded, WalkError
-from .words import DEFAULT_ENUMERATION_LIMIT, Alphabet, Word, WordError, _require_same_alphabet, words_of_length
+from .words import DEFAULT_ENUMERATION_LIMIT, Alphabet, Word, WordError, _Frozen, _require_same_alphabet, words_of_length
 
 # ------------------------------------------------------------------- words
 
@@ -249,8 +248,7 @@ def lattice_report(elements: list[RightCongruence]) -> LatticeReport:
 # ------------------------------------------------------------------- codes
 
 
-@dataclass(frozen=True)
-class SemaphoreCheck:
+class SemaphoreCheck(_Frozen):
     """Outcome of the semaphore test, with a witness when it fails.
 
     Exactly one of the witnesses is set on failure: ``comparable`` names two
@@ -258,9 +256,10 @@ class SemaphoreCheck:
     (s, a) such that s+a has no suffix in the code.
     """
 
-    ok: bool
-    comparable: tuple[Word, Word] | None = None
-    stuck: tuple[Word, Word] | None = None
+    _fields = ("ok", "comparable", "stuck")
+
+    def __init__(self, ok: bool, comparable: tuple[Word, Word] | None = None, stuck: tuple[Word, Word] | None = None):
+        self.__dict__.update(ok=ok, comparable=comparable, stuck=stuck)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -305,12 +304,14 @@ def suffix_classes(alphabet: Alphabet, k: int, code: SemaphoreCode) -> list[list
 # ------------------------------------------------------------------- walks
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(_Frozen):
     """Row-stochastic matrix over explicitly labelled states."""
 
-    labels: tuple[str, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    _fields = ("labels", "rows")
+
+    def __init__(self, labels: tuple[str, ...], rows: tuple[tuple[Fraction, ...], ...]):
+        self.__dict__.update(labels=labels, rows=rows)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -342,10 +343,12 @@ class TransitionMatrix:
         return _strongly_connected([[j for j, p in enumerate(row) if p > 0] for row in self.rows])
 
 
-@dataclass(frozen=True)
-class StationaryVector:
-    labels: tuple[str, ...]
-    values: tuple[Fraction, ...]
+class StationaryVector(_Frozen):
+    _fields = ("labels", "values")
+
+    def __init__(self, labels: tuple[str, ...], values: tuple[Fraction, ...]):
+        self.__dict__.update(labels=labels, values=values)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.values):

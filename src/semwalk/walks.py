@@ -29,17 +29,16 @@ from __future__ import annotations
 import random
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import lcm
 
-from .codes import CodeError, IdealRep, action_table, reset_code
+from .codes import CodeError, IdealRep, reset_code, semaphore_table
 # Unused here: perfbench/test_perfbench.py::test_tracer_restores_the_program
 # reads walks.code_action to check that its tracer restores the binding.
 from .codes import code_action  # noqa: F401
 from .congruences import RightCongruence
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _Frozen
 
 # Refused before the work starts: a class walk of more matrix entries (2^22
 # is 2,048 classes, k = 11 over two letters, and the CLI prints every entry),
@@ -57,12 +56,14 @@ class WalkBoundExceeded(WalkError):
     """A walk was refused because its size exceeds its bound."""
 
 
-@dataclass(frozen=True)
-class LetterDistribution:
+class LetterDistribution(_Frozen):
     """Exact letter probabilities, summing to one."""
 
-    alphabet: Alphabet
-    probs: tuple[Fraction, ...]
+    _fields = ("alphabet", "probs")
+
+    def __init__(self, alphabet: Alphabet, probs: tuple[Fraction, ...]):
+        self.__dict__.update(alphabet=alphabet, probs=probs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.probs) != self.alphabet.size:
@@ -73,8 +74,8 @@ class LetterDistribution:
             raise WalkError(f"letter probabilities sum to {sum(self.probs)}, not 1")
         # Each probability as numerator / denominator over one common denominator.
         denom = lcm(*(p.denominator for p in self.probs))
-        object.__setattr__(self, "_denominator", denom)
-        object.__setattr__(self, "_numerators", tuple(p.numerator * (denom // p.denominator) for p in self.probs))
+        numerators = tuple(p.numerator * (denom // p.denominator) for p in self.probs)
+        self.__dict__.update(_denominator=denom, _numerators=numerators)
 
     @classmethod
     def uniform(cls, alphabet: Alphabet) -> "LetterDistribution":
@@ -112,7 +113,7 @@ class LetterDistribution:
 def _code_table(ideal: IdealRep, pi: LetterDistribution) -> list[list[int]]:
     if pi.alphabet != ideal.alphabet:
         raise WalkError("the letter distribution and the code are over different alphabets")
-    return action_table(ideal.code)
+    return semaphore_table(ideal.code)
 
 
 def _weights(pi: LetterDistribution, g: int, keys: list[tuple[int, int]], top: int) -> list[int]:
@@ -169,13 +170,14 @@ def stationary_weights(ideal: IdealRep, pi: LetterDistribution) -> tuple[list[in
     return weights, total
 
 
-@dataclass(frozen=True)
-class ResetProfile:
+class ResetProfile(_Frozen):
     """Cumulative reset probabilities P(1..k), increments, and hitting time."""
 
-    cumulative: tuple[Fraction, ...]
-    increments: tuple[Fraction, ...]
-    hitting_time: Fraction
+    _fields = ("cumulative", "increments", "hitting_time")
+
+    def __init__(self, cumulative: tuple[Fraction, ...], increments: tuple[Fraction, ...], hitting_time: Fraction):
+        self.__dict__.update(cumulative=cumulative, increments=increments, hitting_time=hitting_time)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         P = self.cumulative
@@ -244,7 +246,7 @@ def lumped_weights(
         # Each code word's bucket of A^k words lies inside one class of rc; the
         # code word padded on the left with letter 0 is in it and has its integer.
         cls = [rc.labels[x] for _, x in code.keys]
-        for key, b, succ in zip(code.keys, cls, action_table(code)):
+        for key, b, succ in zip(code.keys, cls, semaphore_table(code)):
             if tuple(map(cls.__getitem__, succ)) != rc.block_action[b]:
                 raise AssertionError(f"lumpability violated at code word {rc.alphabet.word_at(*key)}")
 
@@ -268,16 +270,18 @@ def lumped_weights(
     return weights, d**k, rows, d
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(_Frozen):
     """Empirical statistics from a seeded walk; reporting is float-valued."""
 
-    labels: tuple[str, ...]
-    visits: tuple[int, ...]
-    steps: int
-    seed: int
-    episodes: int
-    mean_reset_time: float
+    _fields = ("labels", "visits", "steps", "seed", "episodes", "mean_reset_time")
+
+    def __init__(
+        self, labels: tuple[str, ...], visits: tuple[int, ...], steps: int, seed: int, episodes: int,
+        mean_reset_time: float,
+    ):
+        self.__dict__.update(
+            labels=labels, visits=visits, steps=steps, seed=seed, episodes=episodes, mean_reset_time=mean_reset_time
+        )
 
     @property
     def frequencies(self) -> tuple[float, ...]:
@@ -423,7 +427,7 @@ def simulate(ideal: IdealRep, pi: LetterDistribution, steps: int, seed: int) -> 
     unfinished = a - offset[bisect_right(offset, a) - 1]  # letters of the last, open episode
     mean = (steps - unfinished) / episodes if episodes else float("nan")
     return SimulationResult(
-        labels=tuple(str(w) for w in code.words),
+        labels=code.texts,
         visits=tuple(sum(aug[i:j]) for i, j in zip(offset, offset[1:])),
         steps=steps,
         seed=seed,

@@ -9,12 +9,13 @@ straight to keys, ``Alphabet.word_at`` renders one back, and
 that keeps only the last ``k`` letters and the suffix order are here; the
 rest of the ``Word`` algebra (prefix and factor orders, longest common
 suffixes, the words of length 1..n) is in ``oracles``, which the CLI does
-not import.
+not import.  ``_Frozen`` is the base of the package's value types:
+written once, equality, hashing, ``repr`` and refused assignment over a
+``_fields`` tuple, so that no class generates methods when it is defined.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product, repeat
 from typing import Iterable, Iterator
 
@@ -35,18 +36,57 @@ class WordLimitExceeded(WordError):
     """An enumeration of words was refused because it exceeds its limit."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Frozen:
+    """An immutable value, the base of the package's value types.
+
+    ``==`` and ``hash`` compare the tuple of the attributes named in
+    ``_fields``, between objects of one class only, and ``repr`` shows them.
+    Assignment is refused: ``__init__`` sets the fields through
+    ``__dict__``, as ``cached_property`` sets its views, and any attribute
+    outside ``_fields`` (a view, an index) takes no part in ``==``, hash or
+    ``repr``.  A subclass that validates does so in ``__post_init__``,
+    called at the end of its ``__init__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alphabet(_Frozen):
     """An ordered alphabet of distinct letters, rendered ``a, b, c, ...``."""
 
-    letters: str
+    _fields = ("letters",)
+
+    def __init__(self, letters: str):
+        self.__dict__["letters"] = letters
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not (1 <= len(self.letters) <= len(LETTER_POOL)):
             raise WordError(f"alphabet size must be in 1..{len(LETTER_POOL)}")
         if len(set(self.letters)) != len(self.letters):
             raise WordError(f"alphabet letters must be distinct: {self.letters!r}")
-        object.__setattr__(self, "_digits", str.maketrans(self.letters, _DIGITS[: len(self.letters)]))
+        self.__dict__["_digits"] = str.maketrans(self.letters, _DIGITS[: len(self.letters)])
 
     @classmethod
     def of_size(cls, g: int) -> "Alphabet":
@@ -95,23 +135,25 @@ class Alphabet:
             yield Word(self, (i,))
 
 
-@dataclass(frozen=True, order=True)
-class Word:
+class Word(_Frozen):
     """A finite word, possibly empty.  Ordered by shortlex."""
 
     # Field order matters: shortlex = (alphabet, length, indices).
-    alphabet: Alphabet
-    _sort_len: int
-    indices: tuple[int, ...]
+    _fields = ("alphabet", "_sort_len", "indices")
 
     def __init__(self, alphabet: Alphabet, indices: Iterable[int]):
         idx = tuple(indices)
         g = alphabet.size
         if any(not (0 <= i < g) for i in idx):
             raise WordError(f"letter index out of range for alphabet {alphabet.letters!r}")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "_sort_len", len(idx))
-        object.__setattr__(self, "indices", idx)
+        self.__dict__.update(alphabet=alphabet, _sort_len=len(idx), indices=idx)
+
+    # u > v and u >= v are answered by v < u and v <= u.
+    def __lt__(self, other):
+        return self._values() < other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self._values() <= other._values() if other.__class__ is self.__class__ else NotImplemented
 
     def __len__(self) -> int:
         return len(self.indices)

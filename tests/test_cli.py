@@ -921,6 +921,45 @@ def test_rc_generate_builds_no_word(files, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["rc", "resets", "--in"],
+        ["rc", "lower", "--in"],
+        ["rc", "upper", "--in"],
+        ["walk", "simulate", "--pi", "a=1/2,b=1/2", "--steps", "100", "--in"],
+    ],
+)
+def test_code_output_builds_no_word(files, capsys, monkeypatch, argv):
+    # Code words are rendered from their keys.
+    built = []
+    init = Word.__init__
+    monkeypatch.setattr(Word, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    run_json(capsys, *argv, files("five_class.json", FIVE_CLASS))
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["walk", "stationary", "--pi", "a=1/2,b=1/2", "--code", "code.json"],
+        ["walk", "simulate", "--pi", "a=1/2,b=1/2", "--steps", "100", "--code", "code.json"],
+        ["walk", "simulate", "--pi", "a=1/2,b=1/2", "--steps", "100", "--in", "five_class.json"],
+        ["walk", "lumped", "--pi", "a=1/2,b=1/2", "--in", "five_class.json"],
+    ],
+)
+def test_a_walk_request_runs_the_semaphore_test_once(files, capsys, monkeypatch, argv):
+    # The ideal checks its code when it is built; its action table is read
+    # off the checked view.
+    inputs = {"code.json": files("code.json", BA_RESTRICTED), "five_class.json": files("five_class.json", FIVE_CLASS)}
+    calls = []
+    check = codes._require_semaphore
+    monkeypatch.setattr(codes, "_require_semaphore", lambda code: calls.append(code) or check(code))
+    code, _, err = run(capsys, *[inputs.get(arg, arg) for arg in argv])
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
     "argv, derived",
     [(["graph", "dot"], 1), (["rc", "validate"], 1), (["walk", "lumped", "--pi", "a=1/2,b=1/2"], 1), (["rc", "upper"], 2)],
 )

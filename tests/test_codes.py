@@ -498,3 +498,17 @@ def test_upper_approx_and_is_special_build_no_word(monkeypatch, name):
     upper_approx(rc)
     is_special(rc)
     assert built == []
+
+
+def test_code_texts_render_the_code_words_from_their_keys(ab):
+    codes = [ideal.code for g, k in [(2, 3), (3, 2)] for ideal in enumerate_ideals(Alphabet.of_size(g), k)]
+    golden = sorted((Path(__file__).parent / "golden").glob("code_*.json"))
+    assert len(golden) == 5
+    for path in golden:
+        data = json.loads(path.read_text())
+        alphabet = Alphabet(data["alphabet"])
+        codes.append(SemaphoreCode.from_keys(alphabet, alphabet.keys_of(data["code"])))
+    for code in codes:
+        assert code.texts == tuple(map(str, code.words))
+    eps = SemaphoreCode(ab, [epsilon(ab)])
+    assert eps.texts == ("",) and str(eps) == "{eps}"

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -63,14 +64,22 @@ def test_is_reset_examples(ab, five_class):
         assert is_reset(g, w)
 
 
-def test_is_reset_agrees_with_reset_ideal_membership(ab, five_class, rc_a2):
+def test_is_reset_agrees_with_reset_ideal_membership(five_class, rc_a2, rc_a3):
     # Dual-route check: graph-walk resets versus suffix membership in the
-    # congruence-derived generator code, for every word up to k+2.
-    cases = [(five_class, 3)] + [(rc, 2) for rc in rc_a2]
+    # congruence-derived generator code, for every word up to k+2, epsilon
+    # included.
+    cases = [(five_class, 3)] + [(rc, 2) for rc in rc_a2] + [(rc, 3) for rc in rc_a3]
+    cases += [(rc, 2) for rc in enumerate_rc(Alphabet("abc"), 2, carrier_bound=9)]
+    rng = random.Random(7)
+    for g, k in [(2, 6), (2, 7), (3, 4)]:
+        alphabet, n = Alphabet.of_size(g), g**k
+        for _ in range(10):
+            pairs = [((k, rng.randrange(n)), (k, rng.randrange(n))) for _ in range(rng.randint(1, 3))]
+            cases.append((congruences.generate_keys(alphabet, k, pairs), k))
     for rc, k in cases:
         g = cayley(rc)
         ideal = reset_code(rc)
-        for w in words_up_to_length(ab, k + 2):
+        for w in [rc.alphabet.word(""), *words_up_to_length(rc.alphabet, k + 2)]:
             assert is_reset(g, w) == ideal.code.in_ideal(w)
 
 

@@ -1,5 +1,6 @@
-"""The package split: the CLI imports the engine alone, and every public
-name still resolves from ``semwalk``.
+"""The package split: the CLI imports the engine alone, without
+``dataclasses`` or ``inspect``, and every public name still resolves from
+``semwalk``.
 
 ``oracles`` (the definitional checks) and ``constructions`` (the paper's
 constructions that no command runs) are imported on first use of one of
@@ -76,7 +77,11 @@ with tempfile.TemporaryDirectory() as tmp:
         main(["lattice", "census", "-g", "2", "-k", "2", *out]),
         main(["graph", "dot", *infile, *out]),
     ]
-print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("semwalk"))]))
+print(json.dumps([
+    codes,
+    sorted(m for m in sys.modules if m.startswith("semwalk")),
+    [m for m in ("dataclasses", "inspect") if m in sys.modules],
+]))
 """
 
 
@@ -86,9 +91,11 @@ def python(code: str) -> str:
 
 
 def test_the_cli_and_its_commands_import_the_engine_alone():
-    codes, loaded = json.loads(python(REQUESTS))
+    codes, loaded, stdlib = json.loads(python(REQUESTS))
     assert codes == [0] * 12
     assert loaded == ["semwalk"] + [f"semwalk.{m}" for m in ("cli", "codes", "congruences", "graphs", "walks", "words")]
+    # The engine's value types generate no code at import, and nothing else on the path loads inspect.
+    assert stdlib == []
 
 
 def test_every_public_name_resolves_to_its_home():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from itertools import product as iproduct
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import semwalk as sw
 from semwalk import (
     Alphabet,
     Word,
@@ -21,7 +24,8 @@ from semwalk import (
     words_of_length,
 )
 from semwalk.oracles import suffixes, words_up_to_length
-from semwalk.words import DEFAULT_ENUMERATION_LIMIT, WordLimitExceeded, count_of_length
+from semwalk.congruences import validate_keys
+from semwalk.words import DEFAULT_ENUMERATION_LIMIT, WordLimitExceeded, _Frozen, count_of_length
 
 
 @pytest.fixture
@@ -264,3 +268,71 @@ def test_count_of_length_refuses_as_words_of_length(g, length, limit):
             count_of_length(alphabet, length, limit=limit)
     else:
         assert count_of_length(alphabet, length, limit=limit) == expected
+
+
+
+def _values_of_every_type():
+    """One constructor per value type of the package: each call builds an
+    equal, separate object."""
+
+    def rc():
+        return validate_keys(Alphabet("ab"), 2, [[(2, 0), (2, 2)], [(2, 1), (2, 3)]])
+
+    def ideal():
+        return sw.IdealRep(sw.SemaphoreCode.from_keys(Alphabet("ab"), [(1, 0), (1, 1)]), 2)
+
+    def pi():
+        return sw.LetterDistribution.uniform(Alphabet("ab"))
+
+    def words(*texts):
+        return [Alphabet("ab").word(text) for text in texts]
+
+    return {
+        "Alphabet": lambda: Alphabet("ab"),
+        "Word": lambda: Alphabet("ab").word("ab"),
+        "ClosureViolation": lambda: sw.ClosureViolation(*words("aa", "ab", "a")),
+        "RightCongruence": rc,
+        "LatticeReport": lambda: sw.lattice_census(Alphabet("ab"), 1)[1],
+        "SemaphoreCode": lambda: ideal().code,
+        "IdealRep": ideal,
+        "LambdaResult": lambda: sw.lambda_of(rc()),
+        "LetterDistribution": pi,
+        "ResetProfile": lambda: sw.reset_profile(rc(), pi()),
+        "SimulationResult": lambda: sw.simulate(ideal(), pi(), steps=10, seed=1),
+        "AGraph": lambda: sw.cayley(rc()),
+        "SemaphoreCheck": lambda: sw.is_semaphore(Alphabet("ab"), words("a", "b")),
+        "TransitionMatrix": lambda: sw.transition_matrix(ideal(), pi()),
+        "StationaryVector": lambda: sw.stationary(ideal(), pi()),
+        "LumpedWalk": lambda: sw.lumped(rc(), pi()),
+    }
+
+
+VALUES = _values_of_every_type()
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_types_refuse_assignment_and_compare_by_their_fields(name):
+    a, b = VALUES[name](), VALUES[name]()
+    cls = type(a)
+    assert cls.__name__ == name and repr(a).startswith(f"{name}(")
+    for field in cls._fields:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(a, field, getattr(b, field))
+    if name == "ClosureViolation":  # an exception: equal to itself only
+        assert a == a and a != b
+    else:
+        assert a == b and a is not b
+        if name == "LatticeReport":  # it holds lists, and was never hashable
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+    # An object of another class with the same field values is not equal.
+    twin = object.__new__(type(name, (_Frozen,), {"_fields": cls._fields}))
+    twin.__dict__.update((field, getattr(a, field)) for field in cls._fields)
+    assert twin._values() == tuple(getattr(a, field) for field in cls._fields)
+    assert a != twin and twin != a
+    # copy and pickle rebuild an object with the same fields.
+    for clone in (copy.copy(a), pickle.loads(pickle.dumps(a))):
+        assert type(clone) is cls
+        assert [getattr(clone, field) for field in cls._fields] == [getattr(a, field) for field in cls._fields]
