@@ -28,6 +28,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import repeat
 from math import gcd
 
 from . import codes, congruences, graphs, walks
@@ -91,18 +92,27 @@ def _as_list(value) -> list:
     return value
 
 
+def _bool_of(value) -> bool:
+    """A JSON boolean field, never a string or number read as true."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a JSON boolean, got {json.dumps(value)}")
+    return value
+
+
 def _parse_code_file(path: str) -> tuple[codes.IdealRep, list[str], list[tuple[int, int]]]:
     """Returns the ideal, and the code words as written in the file with
-    their keys, so that output can be aligned back to the input."""
+    their keys, so that output can be aligned back to the input.  A code
+    marked "infinite_tail" is truncated, and no ideal holds it."""
     data = _load_json(path)
     alphabet = _alphabet_of(data, path)
     try:
         order = [str(w) for w in _as_list(data["code"])]
         keys = alphabet.keys_of(order)
         k = _k_of(data["k"]) if "k" in data else max((n for n, _ in keys), default=1)
+        infinite_tail = _bool_of(data.get("infinite_tail", False))
     except _FIELD_ERRORS as e:
         raise ParseFailure(f"{path}: malformed code: {e}") from e
-    return codes.IdealRep(codes.SemaphoreCode.from_keys(alphabet, keys), k), order, keys
+    return codes.IdealRep(codes.SemaphoreCode.from_keys(alphabet, keys, infinite_tail), k), order, keys
 
 
 def _pi_arg(alphabet: Alphabet, text: str) -> walks.LetterDistribution:
@@ -144,7 +154,7 @@ def _write(text: str, out: str | None) -> None:
     """``text`` to the ``--out`` file if one is given, else to stdout."""
     if out is not None:
         try:
-            with open(out, "w") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as e:
             raise ParseFailure(f"cannot write {out}: {e}") from e
@@ -218,9 +228,14 @@ def _walk_stationary(args) -> dict:
     ideal, order, keys = _parse_code_file(args.code)
     pi = _pi_arg(ideal.alphabet, args.pi)
     weights, total = walks.stationary_weights(ideal, pi)
-    # Align output to the code order given in the input file.
-    at = ideal.code._index
-    return {"states": order, "stationary": [_ratio(weights[at[key]], total) for key in keys]}
+    # Align output to the code order given in the input file, each weight
+    # rendered as _ratio(weight, total) renders it.
+    aligned = list(map(weights.__getitem__, map(ideal.code._index.__getitem__, keys)))
+    stationary = [
+        f"{w // c}/{total // c}" if c != total else str(w // c)
+        for w, c in zip(aligned, map(gcd, aligned, repeat(total)))
+    ]
+    return {"states": order, "stationary": stationary}
 
 
 def _walk_profile(args) -> dict:

@@ -45,6 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable
 from functools import cached_property
+from operator import itemgetter
 
 from .congruences import RightCongruence, _congruence
 from .words import Alphabet, Word, WordLimitExceeded, _Frozen, count_of_length, is_suffix, words_of_length
@@ -76,7 +77,8 @@ class SemaphoreCode(_Frozen):
     @classmethod
     def from_keys(cls, alphabet: Alphabet, keys: Iterable[tuple[int, int]], infinite_tail: bool = False) -> "SemaphoreCode":
         """The code of the words with the given keys (length, x), 0 <= x < g^length."""
-        keys = sorted(keys)
+        keys = sorted(keys, key=itemgetter(1))
+        keys.sort(key=itemgetter(0))  # stable: by length, then by x, as the tuples sort
         index = {key: i for i, key in enumerate(keys)}  # each key to its position, in key order
         if len(index) < len(keys):
             n, x = next(u for u, v in zip(keys, keys[1:]) if u == v)

@@ -9,7 +9,8 @@ definitional:
 - the ``Word`` algebra: prefix and factor orders, longest common suffixes,
   the suffixes of a word, and the words of length 1..n;
 - ``validate`` and ``generate`` on ``Word``s, ``enumerate_all``, which
-  filters every set partition of A^k through the closure check, and
+  filters every set partition of A^k through the closure check,
+  ``join_graph``, the census search with every join computed, and
   ``lattice_report``, the lattice checks of any list of congruences read
   off its pairwise meets, the oracle of ``congruences.lattice_census``;
 - ``is_semaphore``, with its witness in a ``SemaphoreCheck``, and
@@ -171,6 +172,36 @@ def enumerate_all(
     kept = [s for s in _set_partitions(range(n)) if congruences._closure_witness(g, s, congruences._blocks(s)) is None]
     kept.sort(key=congruences._blocks)
     return [RightCongruence(alphabet, k, s) for s in kept]
+
+
+def join_graph(
+    alphabet: Alphabet, k: int, carrier_bound: int, max_elements: int | None = None
+) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """``congruences._join_graph`` with every entry computed: one
+    ``_join_star`` per element and principal congruence not below it, each
+    join looked up in, or added to, the list.  Same list, order, joins and
+    refusals, with no entry read off another element's row."""
+    n = congruences._enumerable_size(alphabet, k, carrier_bound)
+    gens = congruences._principals(alphabet.size, n)
+    stars = [congruences._star(range(n))]
+    index = {stars[0]: 0}
+    joins: list[list[int]] = []
+    for x in stars:  # a breadth-first search: the list grows as it is read
+        out = []
+        for u, v, pairs in gens:
+            if x[u] != x[v]:  # else theta(u, v) is below x
+                y = congruences._join_star(x, pairs)
+                if y not in index:
+                    if len(stars) == max_elements:
+                        raise BoundExceeded(f"lattice of more than {max_elements} elements exceeds the exhaustive-check bound")
+                    index[y] = len(stars)
+                    stars.append(y)
+                out.append(index[y])
+        joins.append(out)
+    labels = list(map(congruences._canonical, stars))
+    order = sorted(range(len(stars)), key=lambda i: congruences._blocks(labels[i]))
+    at = dict(zip(order, range(len(order))))
+    return [labels[i] for i in order], [[at[j] for j in joins[i]] for i in order]
 
 
 def _first_unclosed(rel, by_rel, stars) -> str:

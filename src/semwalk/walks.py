@@ -142,11 +142,11 @@ def _is_fixpoint(nxt: list[list[int]], pi: LetterDistribution, weights: list[int
     """Whether the vector ``weights`` / c, for any c > 0, is fixed by one
     walk step: ``advance`` on integers, with the letter probabilities as
     numerators over their common denominator d.  The step sends weight
-    w_i * num_a to state nxt[i][a], and the vector is fixed iff every state
-    then holds d times its own weight."""
+    w_i * num_a to state nxt[i][a], letter column by letter column, and the
+    vector is fixed iff every state then holds d times its own weight."""
     out = [0] * len(nxt)
-    for x, succ in zip(weights, nxt):
-        for p, j in zip(pi._numerators, succ):
+    for p, column in zip(pi._numerators, zip(*nxt)):
+        for x, j in zip(weights, column):
             out[j] += x * p
     d = pi._denominator
     return all(y == d * x for x, y in zip(weights, out))

@@ -86,6 +86,10 @@ class Alphabet(_Frozen):
             raise WordError(f"alphabet size must be in 1..{len(LETTER_POOL)}")
         if len(set(self.letters)) != len(self.letters):
             raise WordError(f"alphabet letters must be distinct: {self.letters!r}")
+        try:
+            self.letters.encode()
+        except UnicodeEncodeError:  # a lone surrogate: valid JSON, but no output can encode it
+            raise WordError(f"alphabet letters must not be surrogate code points: {self.letters!r}") from None
         self.__dict__["_digits"] = str.maketrans(self.letters, _DIGITS[: len(self.letters)])
 
     @classmethod

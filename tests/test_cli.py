@@ -250,6 +250,16 @@ def test_walk_stationary_in_input_order(files, capsys):
     assert data["stationary"] == ["1/2", "1/4", "1/8", "1/8"]
 
 
+def test_walk_stationary_renders_zero_and_whole_weights(files, capsys):
+    # Each entry as _ratio renders it: a zero weight is "0", the whole mass "1".
+    path = files("ba3.json", BA_RESTRICTED)
+    with pytest.warns(UserWarning, match="^non-positive letter distribution"):
+        data = run_json(capsys, "walk", "stationary", "--code", path, "--pi", "a=0,b=1")
+    assert data["stationary"] == ["1", "0", "0", "0"]
+    data = run_json(capsys, "walk", "stationary", "--code", path, "--pi", "a=2/3,b=1/3")
+    assert data["stationary"] == [cli._ratio(w, 27) for w in (9, 6, 4, 8)]
+
+
 def test_walk_lumped_in_input_order(files, capsys):
     data = run_json(
         capsys, "walk", "lumped", "--in", files("five_class.json", FIVE_CLASS), "--pi", "a=1/2,b=1/2"
@@ -718,6 +728,59 @@ def test_a_repeated_code_word_is_refused(files, capsys):
         code, out, err = run_file(capsys, command, "--code", path)
         assert (code, err) == (1, "")
         assert json.loads(out) == {"error": "validation", "message": "repeated code word 'a'"}
+
+
+def test_a_truncated_code_is_refused(files, capsys):
+    # A code marked "infinite_tail" continues past its last length, so no
+    # ideal holds it; unmarked, or marked false, it is the full code.
+    path = files("code.json", {**BA_RESTRICTED, "infinite_tail": True})
+    for command in CODE_COMMANDS:
+        code, out, err = run_file(capsys, command, "--code", path)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": "validation", "message": "an ideal representation requires the full finite code"}
+    unmarked = {key: value for key, value in BA_RESTRICTED.items() if key != "infinite_tail"}
+    for payload in [unmarked, BA_RESTRICTED]:
+        data = run_json(capsys, "walk", "stationary", "--code", files("code.json", payload), "--pi", "a=1/2,b=1/2")
+        assert data["stationary"] == ["1/2", "1/4", "1/8", "1/8"]
+
+
+@pytest.mark.parametrize("tail", ["yes", "false", 1, 0, None, [True]])
+def test_an_infinite_tail_that_is_not_a_boolean_is_a_parse_error(files, capsys, tail):
+    path = files("code.json", {**BA_RESTRICTED, "infinite_tail": tail})
+    message = f"{path}: malformed code: expected a JSON boolean, got {json.dumps(tail)}"
+    for command in CODE_COMMANDS:
+        code, out, err = run_file(capsys, command, "--code", path)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "parse", "message": message}
+
+
+def run_process(argv, **env):
+    """A CLI run in its own interpreter, on real stdout and stderr streams:
+    capsys's StringIO takes strings that no encoding of a stream can write."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), **env}
+    return subprocess.run([sys.executable, "-m", "semwalk", *argv], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("command", [["graph", "dot"], ["rc", "validate"]])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_a_surrogate_letter_is_a_parse_error(files, tmp_path, command, to_file):
+    # Valid JSON, but a lone surrogate cannot be encoded as a letter of the output.
+    path = files("rc.json", {"alphabet": "a\ud800", "k": 1, "blocks": [["a"], ["\ud800"]]})
+    target = tmp_path / "out.txt"
+    done = run_process([*command, "--in", path, *(["--out", str(target)] if to_file else [])])
+    assert (done.returncode, done.stdout) == (2, "")
+    message = f"{path}: alphabet letters must not be surrogate code points: 'a\\ud800'"
+    assert json.loads(done.stderr) == {"error": "parse", "message": message}
+    assert not target.exists()
+
+
+def test_out_writes_a_non_ascii_letter_as_utf8_in_any_locale(files, tmp_path):
+    path = files("rc.json", {"alphabet": "a\u00e9", "k": 1, "blocks": [["a"], ["\u00e9"]]})
+    target = tmp_path / "graph.dot"
+    ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    done = run_process(["graph", "dot", "--in", path, "--out", str(target)], **ascii_locale)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert '  n1 [label="{\u00e9}"];\n' in target.read_bytes().decode("utf-8")
 
 
 # ------------------------------------------------- random argv and payloads

@@ -23,7 +23,9 @@ too long to view; and the integer ``word_prob`` and sparse ``left_apply``
 against their Fraction loops.
 
 Lattice order: ``enumerate_rc`` (join closure of the principal
-congruences) against ``enumerate_all``, the equivalence join against the
+congruences) against ``enumerate_all``, its join graph (most joins read off
+finished rows) against ``oracles.join_graph`` (every join computed), the
+(2,4) graph included, the equivalence join against the
 action-closure join, the star-string kernel ``_join_star`` against ``join``
 and the census join counts, and ``lattice_report`` (order bitsets, local cover
 checks, a join-irreducible closure certificate) against a copy of the
@@ -1340,9 +1342,10 @@ def test_join_at_2_16_is_generate_of_both_pairs():
 
 
 def test_the_census_join_counts(monkeypatch):
-    # The work of `lattice census -g 3 -k 2`: one join per element and
-    # principal congruence not below it, and one per join-irreducible a and
-    # element incomparable to a.
+    # The work of `lattice census -g 3 -k 2`: 423 of the 3,105 entries x v
+    # theta(u, v) with theta(u, v) not below x are computed, the rest read off
+    # finished rows; and one join per join-irreducible a and element
+    # incomparable to a.
     calls = []
     join_star = congruences._join_star
 
@@ -1352,7 +1355,7 @@ def test_the_census_join_counts(monkeypatch):
 
     monkeypatch.setattr(congruences, "_join_star", counted)
     elements = enumerate_rc(Alphabet("abc"), 2, carrier_bound=9)
-    assert len(calls) == 3105
+    assert len(calls) == 423
     calls.clear()
     lattice_report(elements)
     assert len(calls) == 3000
@@ -1373,8 +1376,21 @@ def test_the_census_of_two_letters_at_k4(ab, monkeypatch):
     assert report == lattice_report(elements)
 
 
+@pytest.mark.parametrize("g, k", ENUMERABLE)
+def test_the_join_graph_reads_what_the_direct_search_computes(g, k):
+    alphabet = Alphabet.of_size(g)
+    assert congruences._join_graph(alphabet, k, 9) == oracles.join_graph(alphabet, k, 9)
+
+
+def test_the_join_graph_of_two_letters_at_k4_reads_what_the_direct_search_computes(ab, monkeypatch):
+    monkeypatch.setattr(congruences, "HARD_CARRIER_BOUND", 16)
+    labels, joins = congruences._join_graph(ab, 4, 16)
+    assert (len(labels), sum(map(len, joins))) == (1247, 31622)
+    assert (labels, joins) == oracles.join_graph(ab, 4, 16)
+
+
 def test_the_cli_census_reads_its_report_off_the_enumeration_joins(monkeypatch, capsys):
-    # `lattice census -g 3 -k 2`: the 3,105 joins of enumerate_rc, and
+    # `lattice census -g 3 -k 2`: the 423 computed joins of enumerate_rc, and
     # neither the pairwise meets nor the 3,000 certificate joins of the oracle.
     calls = []
     join_star = congruences._join_star
@@ -1390,7 +1406,7 @@ def test_the_cli_census_reads_its_report_off_the_enumeration_joins(monkeypatch, 
     monkeypatch.setattr(oracles, "lattice_report", refused)
     assert main(["lattice", "census", "-g", "3", "-k", "2", "--carrier-bound", "9"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 192
-    assert len(calls) == 3105
+    assert len(calls) == 423
 
 
 def test_the_meet_certificate_refuses_a_join_closed_list_without_a_meet(monkeypatch):
@@ -1414,7 +1430,7 @@ def test_the_census_refuses_a_lattice_past_the_element_bound(ab, monkeypatch):
 
 
 def test_the_census_search_stops_at_the_first_element_past_the_bound(monkeypatch):
-    # RC(abc, 2) has 192 elements and its search makes 3,105 joins.
+    # RC(abc, 2) has 192 elements and 3,105 joins, 423 of them computed.
     calls = []
     join_star = congruences._join_star
 

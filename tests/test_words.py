@@ -336,3 +336,9 @@ def test_value_types_refuse_assignment_and_compare_by_their_fields(name):
     for clone in (copy.copy(a), pickle.loads(pickle.dumps(a))):
         assert type(clone) is cls
         assert [getattr(clone, field) for field in cls._fields] == [getattr(a, field) for field in cls._fields]
+
+
+@pytest.mark.parametrize("letters", ["a\ud800", "\udfff", "ab\udc00c"])
+def test_an_alphabet_refuses_a_surrogate_letter(letters):
+    with pytest.raises(WordError, match="^alphabet letters must not be surrogate code points: "):
+        Alphabet(letters)
