@@ -4,8 +4,9 @@
 For each small (alphabet size, k) pair this enumerates every right
 congruence as the join closure of the principal congruences, counts the
 special ones, and reads the lattice checks off that enumeration's joins.
-Carriers of up to 9 words are enumerated; the library's hard carrier bound
-refuses anything larger.
+The script passes a carrier bound of 9 words, which covers every pair
+above; the library refuses anything past it, and a carrier of more than 12
+words under any bound.
 """
 
 from semwalk import enumerate_ideals, lattice_census, src_lattice

@@ -65,38 +65,42 @@ def _load_json(path: str) -> dict:
     return data
 
 
+# What a field must be, by the JSON type it must have; k is the one integer field.
+_EXPECTED = {
+    int: "k must be an integer",
+    list: "expected a JSON list",
+    bool: "expected a JSON boolean",
+    str: "expected a JSON string",
+}
+
+
+def _typed(value, kind: type):
+    """``value`` if it has the JSON type ``kind``, else a TypeError that
+    shows it: a float or boolean is never an integer, a string never a list
+    of letters, and no other value is read as a boolean or a word."""
+    if type(value) is not kind:
+        raise TypeError(f"{_EXPECTED[kind]}, got {json.dumps(value)}")
+    return value
+
+
 def _alphabet_of(data: dict, path: str) -> Alphabet:
     if "alphabet" not in data:
         raise ParseFailure(f"{path}: missing 'alphabet'")
     try:
-        return Alphabet(str(data["alphabet"]))
-    except WordError as e:
+        return Alphabet(_typed(data["alphabet"], str))
+    except (TypeError, WordError) as e:
         raise ParseFailure(f"{path}: {e}") from e
 
 
-# Raised while reading a missing or malformed field (int(), _as_list, words).
-_FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, WordError)
+def _texts(value) -> list[str]:
+    """A JSON list of words, each a JSON string."""
+    return [_typed(text, str) for text in _typed(value, list)]
 
 
-def _k_of(value) -> int:
-    """The "k" field: a JSON integer, never a float or boolean truncated by int()."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"k must be an integer, got {json.dumps(value)}")
-    return value
-
-
-def _as_list(value) -> list:
-    """A JSON array; a string would otherwise be iterated letter by letter."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected a JSON list, got {json.dumps(value)}")
-    return value
-
-
-def _bool_of(value) -> bool:
-    """A JSON boolean field, never a string or number read as true."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected a JSON boolean, got {json.dumps(value)}")
-    return value
+# Raised while reading a missing or malformed field: KeyError for a missing
+# one, TypeError from _typed, and ValueError for a pair that is not two
+# words or, as a WordError, for a letter that is not in the alphabet.
+_FIELD_ERRORS = (KeyError, TypeError, ValueError)
 
 
 def _parse_code_file(path: str) -> tuple[codes.IdealRep, list[str], list[tuple[int, int]]]:
@@ -106,10 +110,10 @@ def _parse_code_file(path: str) -> tuple[codes.IdealRep, list[str], list[tuple[i
     data = _load_json(path)
     alphabet = _alphabet_of(data, path)
     try:
-        order = [str(w) for w in _as_list(data["code"])]
+        order = _texts(data["code"])
         keys = alphabet.keys_of(order)
-        k = _k_of(data["k"]) if "k" in data else max((n for n, _ in keys), default=1)
-        infinite_tail = _bool_of(data.get("infinite_tail", False))
+        k = _typed(data["k"], int) if "k" in data else max((n for n, _ in keys), default=1)
+        infinite_tail = _typed(data.get("infinite_tail", False), bool)
     except _FIELD_ERRORS as e:
         raise ParseFailure(f"{path}: malformed code: {e}") from e
     return codes.IdealRep(codes.SemaphoreCode.from_keys(alphabet, keys, infinite_tail), k), order, keys
@@ -172,8 +176,8 @@ def _read_congruence(args) -> tuple[congruences.RightCongruence, list[int]]:
     data = _load_json(path)
     alphabet = _alphabet_of(data, path)
     try:
-        k = _k_of(data["k"])
-        blocks = [alphabet.keys_of([str(w) for w in _as_list(blk)]) for blk in _as_list(data["blocks"])]
+        k = _typed(data["k"], int)
+        blocks = [alphabet.keys_of(_texts(blk)) for blk in _typed(data["blocks"], list)]
     except _FIELD_ERRORS as e:
         raise ParseFailure(f"{path}: malformed congruence: {e}") from e
     rc = congruences.validate_keys(alphabet, k, blocks)
@@ -208,14 +212,9 @@ def _rc_generate(args) -> dict:
     data = _load_json(args.infile)
     alphabet = _alphabet_of(data, args.infile)
     try:
-        k = _k_of(data["k"])
+        k = _typed(data["k"], int)
         # Read pair by pair and deduplicated in file order, so any error names the first bad pair.
-        pairs = list(
-            dict.fromkeys(
-                tuple(alphabet.keys_of([str(u), str(v)]))
-                for u, v in map(_as_list, _as_list(data["pairs"]))
-            )
-        )
+        pairs = list(dict.fromkeys(tuple(alphabet.keys_of([u, v])) for u, v in map(_texts, _typed(data["pairs"], list))))
     except _FIELD_ERRORS as e:
         raise ParseFailure(f"{args.infile}: malformed pair set: {e}") from e
     return {"congruence": _congruence_json(congruences.generate_keys(alphabet, k, pairs))}

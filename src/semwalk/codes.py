@@ -15,7 +15,8 @@ ideals held by their keys, a code's suffix view and action table, the reset
 and lcs ideals, ``tau_of``, ``is_special`` and the two approximations.  One
 test on the suffix view decides whether a code is semaphore: an ``IdealRep``
 runs it on construction, ``action_table`` runs it on a bare code, and
-``semaphore_table`` reads an ideal's table off the view with no second test.
+``semaphore_table`` and ``tau_of`` read an ideal's table and classes off
+the view with no second test.
 Codes checked from their words, generated by a set of words or restricted
 to A^k, and the lattice of ideals (an ideal from its members, meet, join,
 order, ``enumerate_ideals`` and ``src_lattice``) are in ``constructions``;
@@ -47,7 +48,7 @@ from collections.abc import Iterable
 from functools import cached_property
 from operator import itemgetter
 
-from .congruences import RightCongruence, _congruence
+from .congruences import CongruenceError, RightCongruence, _canonical
 from .words import Alphabet, Word, WordLimitExceeded, _Frozen, count_of_length, is_suffix, words_of_length
 
 
@@ -312,13 +313,15 @@ def _ideal_from_keys(alphabet: Alphabet, k: int, keys: set[tuple[int, int]]) -> 
 def tau_of(ideal: IdealRep) -> RightCongruence:
     """The right congruence of an ideal: u ~ v iff they share a suffix in it.
 
-    Its labels are the code's suffix view, read g^(k-m) times over: word x
-    of A^k has the code suffix of its last m letters, x mod g^m.  The
-    code is semaphore, so the classes are closed; ``_congruence`` still
-    checks it.
+    Its labels are the code's suffix view, read g^(k-m) times over and
+    renumbered canonically: word x of A^k has the code suffix of its last
+    m letters, x mod g^m.  An ``IdealRep``'s code is semaphore, so the
+    classes are closed and are not checked again.  Refuses k < 1.
     """
+    if ideal.k < 1:
+        raise CongruenceError("k must be >= 1")
     view = ideal.code.suffix_index
-    return _congruence(ideal.alphabet, ideal.k, view * (ideal.alphabet.size**ideal.k // len(view)))
+    return RightCongruence(ideal.alphabet, ideal.k, _canonical(view * (ideal.alphabet.size**ideal.k // len(view))))
 
 
 class LambdaResult(_Frozen):

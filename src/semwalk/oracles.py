@@ -4,15 +4,17 @@ Nothing on the command-line path imports this module: ``import semwalk.cli``
 compiles the engine (``words``, ``congruences``, ``codes``, ``graphs`` and
 ``walks``) and not these routines, which ``semwalk`` loads on first use of
 one of their names.  Each one is brute force on purpose, so that it stays
-definitional:
+definitional, except ``validate`` and ``generate`` on ``Word``s, which
+check their words' alphabet and hand the keys to
+``congruences.validate_keys`` and ``generate_keys``:
 
 - the ``Word`` algebra: prefix and factor orders, longest common suffixes,
   the suffixes of a word, and the words of length 1..n;
-- ``validate`` and ``generate`` on ``Word``s, ``enumerate_all``, which
-  filters every set partition of A^k through the closure check,
-  ``join_graph``, the census search with every join computed, and
-  ``lattice_report``, the lattice checks of any list of congruences read
-  off its pairwise meets, the oracle of ``congruences.lattice_census``;
+- ``enumerate_all``, which filters every set partition of A^k through the
+  closure check, ``join_graph``, the census search with every join
+  computed, and ``lattice_report``, the lattice checks of any list of
+  congruences read off its pairwise meets, the oracle of
+  ``congruences.lattice_census``;
 - ``is_semaphore``, with its witness in a ``SemaphoreCheck``, and
   ``suffix_classes``, which look up the suffixes of each word one by one;
 - the dense ``Fraction`` matrices (``TransitionMatrix``) of a code's walk,
@@ -127,10 +129,9 @@ def generate(
 ) -> RightCongruence:
     """Smallest right congruence containing the given pairs.
 
-    Disjoint-set closure with a worklist: merge each input pair, then keep
-    merging the images of merged pairs under every letter until fixpoint.
-    The result does not depend on merge order; canonical form is restored
-    at the end regardless.
+    Refuses a pair with a word over another alphabet, and hands the pairs'
+    keys to ``congruences.generate_keys``, which checks their length and
+    closes them.
     """
 
     def keys():

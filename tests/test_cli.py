@@ -638,7 +638,8 @@ def run_file(capsys, command, flag, path, pi="a=1/2,b=1/2"):
 
 @pytest.mark.parametrize("stray, bad", [(" b", " "), ("+b", "+"), ("b_", "_"), ("1", "1"), ("bA", "A"), (1, "1"), (None, "N")])
 def test_characters_int_would_accept_are_parse_errors(files, capsys, stray, bad):
-    message = f"letter {bad!r} not in alphabet 'ab'"
+    # A word that is not a JSON string is refused as one, before its letters are read.
+    message = f"letter {bad!r} not in alphabet 'ab'" if isinstance(stray, str) else f"expected a JSON string, got {json.dumps(stray)}"
     path = files("code.json", {"alphabet": "ab", "code": ["a", stray], "k": 2})
     for command in CODE_COMMANDS:
         code, out, err = run_file(capsys, command, "--code", path)
@@ -754,6 +755,71 @@ def test_an_infinite_tail_that_is_not_a_boolean_is_a_parse_error(files, capsys, 
         assert json.loads(err) == {"error": "parse", "message": message}
 
 
+# Where a value that is not a string sits in each kind of input file: the
+# commands that read it, and the words the message puts before the value.
+NOT_STRING_FIELDS = {
+    "code alphabet": (CODE_COMMANDS, "--code", lambda v: {"alphabet": v, "code": ["a", "b"]}, ""),
+    "code word": (CODE_COMMANDS, "--code", lambda v: {"alphabet": "ab", "code": ["a", v, "b"]}, "malformed code: "),
+    "congruence alphabet": (CONGRUENCE_COMMANDS, "--in", lambda v: {"alphabet": v, "k": 1, "blocks": [["a"], ["b"]]}, ""),
+    "block word": (CONGRUENCE_COMMANDS, "--in", lambda v: {"alphabet": "ab", "k": 1, "blocks": [["a"], [v, "b"]]}, "malformed congruence: "),
+    "pair set alphabet": ([["rc", "generate"]], "--in", lambda v: {"alphabet": v, "k": 1, "pairs": [["a", "b"]]}, ""),
+    "pair word": ([["rc", "generate"]], "--in", lambda v: {"alphabet": "ab", "k": 1, "pairs": [["a", "b"], ["b", v]]}, "malformed pair set: "),
+}
+
+
+@pytest.mark.parametrize("value", [None, True, 1, 2.5], ids=json.dumps)
+@pytest.mark.parametrize("field", sorted(NOT_STRING_FIELDS))
+def test_an_alphabet_or_word_that_is_not_a_string_is_a_parse_error(files, capsys, field, value):
+    commands, flag, payload, malformed = NOT_STRING_FIELDS[field]
+    path = files("input.json", payload(value))
+    message = f"{path}: {malformed}expected a JSON string, got {json.dumps(value)}"
+    for command in commands:
+        code, out, err = run_file(capsys, command, flag, path)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "parse", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, payload, message",
+    [
+        # str() would read these as the alphabet "None", the code {0, 1}
+        # over "01" and the word "True", each a valid input.
+        (["rc", "validate", "--in"], {"alphabet": None, "k": 1, "blocks": [["N", "o"], ["n", "e"]]}, "expected a JSON string, got null"),
+        (["walk", "stationary", "--pi", "0=1/2,1=1/2", "--code"], {"alphabet": "01", "code": [0, 1]}, "malformed code: expected a JSON string, got 0"),
+        (["rc", "generate", "--in"], {"alphabet": "True", "k": 4, "pairs": [[True, "eurT"]]}, "malformed pair set: expected a JSON string, got true"),
+    ],
+    ids=["alphabet", "code word", "pair word"],
+)
+def test_values_str_would_coerce_are_parse_errors(files, capsys, argv, payload, message):
+    path = files("input.json", payload)
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "parse", "message": f"{path}: {message}"}
+
+
+@pytest.mark.parametrize(
+    "flag, payload, exit_code, message",
+    [
+        ("--code", {**BA_RESTRICTED, "k": 2}, 1, "code word longer than k=2"),
+        ("--in", {"alphabet": "ab", "k": 1, "blocks": [["a", "b"], ["b"]]}, 1, "word b appears in two blocks"),
+        # A^17 is too large to view: a shorter code word that is a suffix is
+        # named first, else listing A^17 is refused.
+        ("--code", {"alphabet": "ab", "code": ["a", "a" * 17]}, 1, f"not a suffix code: a is a suffix of {'a' * 17}"),
+        ("--code", {"alphabet": "ab", "code": ["b", "a" * 17]}, 4, "refusing to enumerate 131072 words (limit 65536)"),
+    ],
+    ids=["code word past k", "word in two blocks", "suffix of a long word", "long word"],
+)
+def test_refusals_of_a_file_past_its_parse(files, capsys, flag, payload, exit_code, message):
+    path = files("input.json", payload)
+    for command in CODE_COMMANDS if flag == "--code" else CONGRUENCE_COMMANDS:
+        code, out, err = run_file(capsys, command, flag, path)
+        assert code == exit_code
+        if exit_code == 1:
+            assert (json.loads(out), err) == ({"error": "validation", "message": message}, "")
+        else:
+            assert (out, json.loads(err)) == ("", {"error": "bound", "message": message})
+
+
 def run_process(argv, **env):
     """A CLI run in its own interpreter, on real stdout and stderr streams:
     capsys's StringIO takes strings that no encoding of a stream can write."""
@@ -791,12 +857,29 @@ def test_out_writes_a_non_ascii_letter_as_utf8_in_any_locale(files, tmp_path):
 # parser serves every parse, failed or not.
 
 WORD = st.text(alphabet="abcz", max_size=4)
+NOT_A_STRING = st.sampled_from([None, True, False, 0, 7, 2.5])
+ITEM = st.one_of(WORD, NOT_A_STRING)
 JUNK = ["--bogus", "x", "-k", "--in", "--pi", "--steps", "3", ""]
 
 
 def mostly(draw, good, bad):
     """The well-formed value four times in five, else a draw from bad."""
     return good if draw(st.integers(0, 4)) else draw(bad)
+
+
+@st.composite
+def spoiled(draw, words):
+    """A copy of ``words``, a list of words or of lists of words, with one
+    word, if it has any, replaced by a value that is not a string."""
+    rows = [list(row) if isinstance(row, list) else row for row in words]
+    places = [(i, j) for i, row in enumerate(rows) for j in (range(len(row)) if isinstance(row, list) else [None])]
+    if places:
+        i, j = draw(st.sampled_from(places))
+        if j is None:
+            rows[i] = draw(NOT_A_STRING)
+        else:
+            rows[i][j] = draw(NOT_A_STRING)
+    return rows
 
 
 @st.composite
@@ -809,13 +892,13 @@ def payloads(draw):
     short = ["".join(t) for n in range(1, k) for t in itertools.product(letters, repeat=n)]
     gens = draw(st.sets(st.sampled_from(short), max_size=3)) if short else set()
     code = sorted(gens) + [w for w in carrier if not any(w.endswith(x) for x in gens)]
-    pairs = st.lists(st.lists(st.sampled_from(carrier), min_size=2, max_size=2), max_size=3)
+    pairs = draw(st.lists(st.lists(st.sampled_from(carrier), min_size=2, max_size=2), max_size=3))
     payload = {
-        "alphabet": mostly(draw, letters, st.sampled_from(["ab", "abc", "a", "", "aa", 7])),
+        "alphabet": mostly(draw, letters, st.sampled_from(["ab", "abc", "a", "", "aa", 7, None, True, 2.5])),
         "k": mostly(draw, k, st.sampled_from([-1, 0, 1, 4, 17, 20000, 2.5, True, "2", None])),
-        "blocks": mostly(draw, partition, st.one_of(st.lists(st.lists(WORD, max_size=3), max_size=4), WORD)),
-        "pairs": mostly(draw, draw(pairs), st.one_of(st.lists(st.lists(WORD, max_size=3), max_size=2), WORD)),
-        "code": mostly(draw, code, st.one_of(st.lists(WORD, max_size=5), WORD)),
+        "blocks": mostly(draw, partition, st.one_of(st.lists(st.lists(ITEM, max_size=3), max_size=4), WORD, spoiled(partition))),
+        "pairs": mostly(draw, pairs, st.one_of(st.lists(st.lists(ITEM, max_size=3), max_size=2), WORD, spoiled(pairs))),
+        "code": mostly(draw, code, st.one_of(st.lists(ITEM, max_size=5), WORD, spoiled(code))),
     }
     dropped = draw(st.sets(st.sampled_from(sorted(payload)), max_size=1)) if not draw(st.integers(0, 4)) else set()
     return letters, {key: value for key, value in payload.items() if key not in dropped}
@@ -859,6 +942,17 @@ def payload_path(tmp_path_factory):
     return tmp_path_factory.mktemp("random") / "payload.json"
 
 
+def reads_a_value_that_is_not_a_string(argv, payload):
+    """Whether the command in ``argv`` reads from ``payload`` an alphabet,
+    or a word in the field it reads, that is not a JSON string."""
+    if argv[0] == "lattice":
+        return False
+    field = "code" if "--code" in argv else "pairs" if argv[:2] == ["rc", "generate"] else "blocks"
+    rows = payload.get(field) if isinstance(payload.get(field), list) else []
+    words = [w for row in rows for w in (row if isinstance(row, list) else [row])]
+    return "alphabet" in payload and not isinstance(payload["alphabet"], str) or any(not isinstance(w, str) for w in words)
+
+
 @given(st.data())
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_random_argv_and_payloads_end_in_a_documented_outcome(payload_path, data):
@@ -872,6 +966,7 @@ def test_random_argv_and_payloads_end_in_a_documented_outcome(payload_path, data
         argv += ["--out", str(payload_path.parent / "missing" / "x")]
     code, out, err = call(argv)
     assert code in (0, 1, 2, 3, 4)
+    assert code != 0 or not reads_a_value_that_is_not_a_string(argv, payload)
     if code == 0:
         assert out.startswith("digraph {") if argv[:2] == ["graph", "dot"] else isinstance(json.loads(out), dict)
     elif code == 1:
@@ -1019,6 +1114,18 @@ def test_a_walk_request_runs_the_semaphore_test_once(files, capsys, monkeypatch,
     monkeypatch.setattr(codes, "_require_semaphore", lambda code: calls.append(code) or check(code))
     code, _, err = run(capsys, *[inputs.get(arg, arg) for arg in argv])
     assert code == 0, err
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("action", ["lower", "upper", "is-special"])
+@pytest.mark.parametrize("name", ["five_class.json", "g3_k3.json"])
+def test_an_approximation_runs_the_closure_check_once(capsys, monkeypatch, action, name):
+    # On the input file; tau_of builds its congruence on an ideal whose code
+    # was checked semaphore when it was built, and checks no closure again.
+    calls = []
+    check = congruences._closure_witness
+    monkeypatch.setattr(congruences, "_closure_witness", lambda *args: calls.append(args) or check(*args))
+    run_json(capsys, "rc", action, "--in", str(Path(__file__).parent / "golden" / name))
     assert len(calls) == 1
 
 

@@ -9,6 +9,7 @@ from semwalk import (
     Alphabet,
     ClosureViolation,
     CodeError,
+    CongruenceError,
     IdealRep,
     SemaphoreCode,
     code_action,
@@ -257,6 +258,12 @@ def test_tau_of_four_class_code(ab, four_class):
 def test_tau_of_full_length_code_is_identity(ab):
     ideal = IdealRep(SemaphoreCode(ab, tuple(words_of_length(ab, 3))), 3)
     assert tau_of(ideal).is_identity
+
+
+def test_tau_of_refuses_k_below_one(ab):
+    # The epsilon code covers A^0, so it holds an ideal at k = 0, but A^0 carries no congruence.
+    with pytest.raises(CongruenceError, match="^k must be >= 1$"):
+        tau_of(IdealRep(SemaphoreCode.from_keys(ab, [(0, 0)]), 0))
 
 
 def test_tau_of_left_ideal_counterexample(ab):
