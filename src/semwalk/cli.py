@@ -214,10 +214,14 @@ def _rc_generate(args) -> dict:
     try:
         k = _typed(data["k"], int)
         # Read pair by pair and deduplicated in file order, so any error names the first bad pair.
-        pairs = list(dict.fromkeys(tuple(alphabet.keys_of([u, v])) for u, v in map(_texts, _typed(data["pairs"], list))))
+        pairs = []
+        for i, pair in enumerate(map(_texts, _typed(data["pairs"], list)), 1):
+            if len(pair) != 2:
+                raise ValueError(f"pair {i} is {json.dumps(pair)}, and a pair holds two words")
+            pairs.append(tuple(alphabet.keys_of(pair)))
     except _FIELD_ERRORS as e:
         raise ParseFailure(f"{args.infile}: malformed pair set: {e}") from e
-    return {"congruence": _congruence_json(congruences.generate_keys(alphabet, k, pairs))}
+    return {"congruence": _congruence_json(congruences.generate_keys(alphabet, k, dict.fromkeys(pairs)))}
 
 
 # -------------------------------------------------------------- walk group

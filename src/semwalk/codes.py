@@ -14,9 +14,11 @@ This module is the engine of the ``rc`` and ``walk`` commands: codes and
 ideals held by their keys, a code's suffix view and action table, the reset
 and lcs ideals, ``tau_of``, ``is_special`` and the two approximations.  One
 test on the suffix view decides whether a code is semaphore: an ``IdealRep``
-runs it on construction, ``action_table`` runs it on a bare code, and
-``semaphore_table`` and ``tau_of`` read an ideal's table and classes off
-the view with no second test.
+runs it on construction, and its ``table``, the walk's action table, and
+``tau_of`` read the view with no second test.  ``action_table`` takes a
+bare code, which it checks first: a code with a view by the same test, and
+one with none by the suffix-code scan ``IdealRep`` runs, before the
+suffixes of each s+a are looked up.
 Codes checked from their words, generated by a set of words or restricted
 to A^k, and the lattice of ideals (an ideal from its members, meet, join,
 order, ``enumerate_ideals`` and ``src_lattice``) are in ``constructions``;
@@ -170,19 +172,24 @@ class IdealRep(_Frozen):
         if self.code.max_len > self.k:
             raise CodeError(f"code word longer than k={self.k}")
         if self.code.suffix_index is None:  # the scan, then a painting of A^k, names the first fault
-            alphabet, index, g = self.alphabet, self.code._index, self.alphabet.size
-            for n, x in index:
-                u = next(_suffix_keys(index, g, n - 1, x), None)
-                if u is not None:
-                    raise CodeError(f"not a suffix code: {alphabet.word_at(*u)} is a suffix of {alphabet.word_at(n, x)}")
-            x = _paint(self.code.keys, alphabet, self.k)[0].index(None)
-            raise CodeError(f"word {alphabet.word_at(self.k, x)} of A^{self.k} has no suffix in the code")
+            _require_suffix_code(self.code)
+            x = _paint(self.code.keys, self.alphabet, self.k)[0].index(None)
+            raise CodeError(f"word {self.alphabet.word_at(self.k, x)} of A^{self.k} has no suffix in the code")
         count_of_length(self.alphabet, self.k)  # with a view of A^m, m <= k: refuses an A^k too large to list
         _require_semaphore(self.code)
 
     @property
     def alphabet(self) -> Alphabet:
         return self.code.alphabet
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The right action on state numbers, the rows of ``action_table``
+        as tuples: ``table[i][a]`` is the position in ``code.keys`` of the
+        code suffix of word i followed by letter a.  Read off the suffix
+        view that construction checked, with no second test.  Refuses the
+        epsilon code."""
+        return _view_table(self.code)
 
     def contains(self, w: Word) -> bool:
         """Ideal membership: suffix in the code, or any word of length >= k."""
@@ -229,16 +236,31 @@ def _suffix_keys(keys, g: int, n: int, x: int):
             yield j, x
 
 
+def _require_suffix_code(code: SemaphoreCode) -> None:
+    """Refuses a code with a word that is a suffix of another, naming the
+    first longer word, in key order, and its longest such suffix: one
+    suffix lookup per code word."""
+    alphabet, index, g = code.alphabet, code._index, code.alphabet.size
+    for n, x in index:
+        u = next(_suffix_keys(index, g, n - 1, x), None)
+        if u is not None:
+            raise CodeError(f"not a suffix code: {alphabet.word_at(*u)} is a suffix of {alphabet.word_at(n, x)}")
+
+
 def _ideal(alphabet: Alphabet, k: int, keys) -> IdealRep:
     return IdealRep(SemaphoreCode.from_keys(alphabet, keys), k)
 
 
+_NO_ACTION = "the action is not defined on the epsilon code"
+
+
 def code_action(code: SemaphoreCode, s: Word, a: Word) -> Word:
-    """The right action: the unique suffix of s+a that lies in the code."""
+    """The right action: the longest suffix of s+a that lies in the code,
+    which is the unique one when the code is a suffix code."""
     if s not in code:
         raise CodeError(f"{s} is not a code word")
     if s.is_empty:
-        raise CodeError("the action is not defined on the epsilon code")
+        raise CodeError(_NO_ACTION)
     sa = s.concat(a)
     for t in sorted(code.words, key=len, reverse=True):
         if is_suffix(t, sa):
@@ -268,29 +290,25 @@ def _no_suffix(alphabet: Alphabet, n: int, x: int) -> CodeError:
 
 
 def action_table(code: SemaphoreCode) -> list[list[int]]:
-    """The right action on state numbers: ``nxt[i][a]`` is the position in
-    ``code.words`` of ``code_action(code, code.words[i], letter a)``.
+    """The right action on state numbers of a code that is not held by an
+    ideal: ``nxt[i][a]`` is the position in ``code.words`` of
+    ``code_action(code, code.words[i], letter a)``.
 
-    Read off the suffix view once ``_require_semaphore`` passes; a code
-    with no view (truncated, not covering, or with A^m too large to list)
-    has each suffix of s+a looked up, longest first.  The first (s, a)
-    with no code suffix raises the same error as ``code_action``.
+    A code with a suffix view is read off it, as ``IdealRep.table`` is,
+    once ``_require_semaphore`` passes.  A code with no view (truncated,
+    not covering, or with A^m too large to list) must pass the suffix-code
+    scan that ``IdealRep`` runs, and then has each suffix of s+a looked up,
+    longest first.  A code that holds the empty word is refused first; then
+    a code word that is a suffix of another, and then the first (s, a)
+    with no code suffix, with the same error as ``code_action``.
     """
     if code.suffix_index is not None:
         _require_semaphore(code)
-    return semaphore_table(code)
-
-
-def semaphore_table(code: SemaphoreCode) -> list[list[int]]:
-    """``action_table`` of a code already checked to be semaphore, as an
-    ``IdealRep``'s code is: the rows are read off its suffix view with no
-    second test."""
+        return list(map(list, _view_table(code)))
     if code.keys[:1] == ((0, 0),):
-        raise CodeError("the action is not defined on the epsilon code")
-    view, g = code.suffix_index, code.alphabet.size
-    if view is not None:
-        return [list(view[t : t + g]) for t in [x * g % len(view) for _, x in code.keys]]
-    index, nxt = code._index, []
+        raise CodeError(_NO_ACTION)
+    _require_suffix_code(code)
+    index, g, nxt = code._index, code.alphabet.size, []
     for n, x in index:
         row = []
         for sa in range(x * g, x * g + g):
@@ -300,6 +318,16 @@ def semaphore_table(code: SemaphoreCode) -> list[list[int]]:
             row.append(index[u])
         nxt.append(row)
     return nxt
+
+
+def _view_table(code: SemaphoreCode) -> tuple[tuple[int, ...], ...]:
+    """The action table of a code whose view passed ``_require_semaphore``:
+    row (n, x) is ``view[t : t + g]``, t = x*g mod g^m.  Refuses the
+    epsilon code, the one code with a view that holds the empty word."""
+    if code.is_epsilon:
+        raise CodeError(_NO_ACTION)
+    view, g = code.suffix_index, code.alphabet.size
+    return tuple(view[t : t + g] for t in [x * g % len(view) for _, x in code.keys])
 
 
 def _ideal_from_keys(alphabet: Alphabet, k: int, keys: set[tuple[int, int]]) -> IdealRep:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from math import lcm
 
-from .codes import CodeError, IdealRep, reset_code, semaphore_table
+from .codes import CodeError, IdealRep, reset_code
 # Unused here: perfbench/test_perfbench.py::test_tracer_restores_the_program
 # reads walks.code_action to check that its tracer restores the binding.
 from .codes import code_action  # noqa: F401
@@ -110,10 +110,10 @@ class LetterDistribution(_Frozen):
         return Fraction(num, self._denominator ** len(w))
 
 
-def _code_table(ideal: IdealRep, pi: LetterDistribution) -> list[list[int]]:
+def _code_table(ideal: IdealRep, pi: LetterDistribution) -> tuple[tuple[int, ...], ...]:
     if pi.alphabet != ideal.alphabet:
         raise WalkError("the letter distribution and the code are over different alphabets")
-    return semaphore_table(ideal.code)
+    return ideal.table
 
 
 def _weights(pi: LetterDistribution, g: int, keys: list[tuple[int, int]], top: int) -> list[int]:
@@ -138,7 +138,7 @@ def _weights(pi: LetterDistribution, g: int, keys: list[tuple[int, int]], top: i
     return out
 
 
-def _is_fixpoint(nxt: list[list[int]], pi: LetterDistribution, weights: list[int]) -> bool:
+def _is_fixpoint(nxt: tuple[tuple[int, ...], ...], pi: LetterDistribution, weights: list[int]) -> bool:
     """Whether the vector ``weights`` / c, for any c > 0, is fixed by one
     walk step: ``advance`` on integers, with the letter probabilities as
     numerators over their common denominator d.  The step sends weight
@@ -242,11 +242,12 @@ def lumped_weights(
     # The universal congruence's reset code is {epsilon}: one state, and no
     # action table.
     if not rc.is_universal:
-        code = reset_code(rc).code
+        ideal = reset_code(rc)
+        code = ideal.code
         # Each code word's bucket of A^k words lies inside one class of rc; the
         # code word padded on the left with letter 0 is in it and has its integer.
         cls = [rc.labels[x] for _, x in code.keys]
-        for key, b, succ in zip(code.keys, cls, semaphore_table(code)):
+        for key, b, succ in zip(code.keys, cls, ideal.table):
             if tuple(map(cls.__getitem__, succ)) != rc.block_action[b]:
                 raise AssertionError(f"lumpability violated at code word {rc.alphabet.word_at(*key)}")
 

@@ -1063,6 +1063,20 @@ def test_rc_generate_refuses_a_pair_of_the_wrong_length(files, capsys):
     assert json.loads(out) == {"error": "validation", "message": "pair (a, bb) is not in A^2 x A^2"}
 
 
+@pytest.mark.parametrize(
+    "bad, shown",
+    [([], "[]"), (["a"], '["a"]'), (["a", "b", "a"], '["a", "b", "a"]')],
+    ids=["no word", "one word", "three words"],
+)
+def test_rc_generate_names_a_pair_that_is_not_two_words(files, capsys, bad, shown):
+    # Counted from 1 in file order; the pair after it is never read.
+    path = files("pairs.json", {"alphabet": "ab", "k": 1, "pairs": [["a", "b"], bad, ["a"]]})
+    code, out, err = run(capsys, "rc", "generate", "--in", path)
+    assert (code, out) == (2, "")
+    message = f"{path}: malformed pair set: pair 2 is {shown}, and a pair holds two words"
+    assert json.loads(err) == {"error": "parse", "message": message}
+
+
 def test_rc_generate_builds_no_word(files, capsys, monkeypatch):
     built = []
     init = Word.__init__

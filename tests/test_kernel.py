@@ -103,7 +103,6 @@ from semwalk import (
 )
 from semwalk import codes, congruences, oracles, walks
 from semwalk.cli import main
-from semwalk.codes import semaphore_table
 from semwalk.constructions import ideal_from_members
 from semwalk.oracles import SemaphoreCheck, suffixes, words_up_to_length
 from semwalk.words import WordLimitExceeded
@@ -288,12 +287,27 @@ def test_action_table_matches_code_action_on_every_enumerated_ideal(enumerated_i
     # An ideal's table, read with no second semaphore test, is the checked one.
     for ideals in enumerated_ideals.values():
         for ideal in ideals:
-            for table in (action_table, semaphore_table):
+            for table in (lambda: action_table(ideal.code), lambda: list(map(list, ideal.table))):
                 if ideal.code.is_epsilon:
                     with pytest.raises(CodeError, match="not defined on the epsilon code"):
-                        table(ideal.code)
+                        table()
                     continue
-                assert table(ideal.code) == oracle_table(ideal.code)
+                assert table() == oracle_table(ideal.code)
+
+
+def test_action_table_refuses_what_an_ideal_refuses():
+    # {a, b, ba} has no view, as a is a suffix of ba; the action on it would
+    # still find a code suffix of every s+a.
+    code = pinned_code(["a", "b", "ba"])
+    assert code.suffix_index is None and first_action_error(code) is None
+    for refused in (lambda: action_table(code), lambda: IdealRep(code, 2)):
+        with pytest.raises(CodeError) as info:
+            refused()
+        assert str(info.value) == "not a suffix code: a is a suffix of ba"
+    # The empty word is refused before the suffix-code scan would name it.
+    for texts in (["", "a", "b"], [""]):
+        with pytest.raises(CodeError, match="^the action is not defined on the epsilon code$"):
+            action_table(pinned_code(texts))
 
 
 @given(generated_ideals())

@@ -336,8 +336,8 @@ def test_lumped_checks_each_letter_of_each_code_word(five_class, uniform, monkey
     # code word leaves the class sums of each row unchanged, so a check on
     # row sums misses it; the letter by letter check against the Cayley
     # table does not.
-    table = walks.semaphore_table
-    monkeypatch.setattr(walks, "semaphore_table", lambda code: [row[::-1] for row in table(code)])
+    table = IdealRep.table.func
+    monkeypatch.setattr(IdealRep, "table", property(lambda ideal: [row[::-1] for row in table(ideal)]))
     with pytest.raises(AssertionError, match="^lumpability violated at code word aa$"):
         lumped(five_class, uniform)
 
