@@ -11,10 +11,11 @@ Every command prints one JSON object, with rationals as "num/den" strings,
 except graph dot, which prints DOT text; --out FILE writes it to FILE
 instead.  Exit codes are a stable contract: 0 success, 1 validation failure
 (diagnostic payload on stdout), 2 parse error, 3 internal assertion, 4
-bound exceeded.  Exit 4 refuses a request before its work starts: more than
-65,536 words of one length, a census carrier past --carrier-bound (at most
-12 words), a lattice of more than 5,000 elements, a walk lumped matrix of
-more than 2^22 entries, or walk simulate --steps above 10^9.
+bound exceeded.  Exit 4 refuses a request before its work starts when it
+asks for more than 65,536 words of one length, a census carrier past
+--carrier-bound (at most 12 words), a walk lumped matrix of more than 2^22
+entries, or walk simulate --steps above 10^9; a census lattice of more than
+5,000 elements is refused once its search reaches the 5,001st.
 
 Every command runs on the engine's integer kernels: walk lumped reads each
 row of its matrix off the Cayley table, as numerators over the common
@@ -28,7 +29,6 @@ import argparse
 import functools
 import json
 import sys
-from itertools import repeat
 from math import gcd
 
 from . import codes, congruences, graphs, walks
@@ -231,14 +231,9 @@ def _walk_stationary(args) -> dict:
     ideal, order, keys = _parse_code_file(args.code)
     pi = _pi_arg(ideal.alphabet, args.pi)
     weights, total = walks.stationary_weights(ideal, pi)
-    # Align output to the code order given in the input file, each weight
-    # rendered as _ratio(weight, total) renders it.
-    aligned = list(map(weights.__getitem__, map(ideal.code._index.__getitem__, keys)))
-    stationary = [
-        f"{w // c}/{total // c}" if c != total else str(w // c)
-        for w, c in zip(aligned, map(gcd, aligned, repeat(total)))
-    ]
-    return {"states": order, "stationary": stationary}
+    # Align output to the code order given in the input file.
+    aligned = map(weights.__getitem__, map(ideal.code._index.__getitem__, keys))
+    return {"states": order, "stationary": [_ratio(w, total) for w in aligned]}
 
 
 def _walk_profile(args) -> dict:

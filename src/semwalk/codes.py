@@ -38,7 +38,8 @@ length, to its code suffix; a word of A^k, k >= m, has the code suffix
 of its last m letters), the suffix-minimal part of a key set, and the
 words of A^n with no suffix among the keys.  ``_suffix_keys`` looks up
 the suffixes of one word, longest first.
-A code's ``texts`` are rendered from its keys; ``Word`` objects are built
+A code's ``texts`` are read off its keys by ``words._read_keys``, the
+routine that also gives the walk's word weights; ``Word`` objects are built
 only on first use of a code's ``words`` or of ``lambda_of``'s lcs sets, and
 for messages.
 """
@@ -48,10 +49,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable
 from functools import cached_property
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .congruences import CongruenceError, RightCongruence, _canonical
-from .words import Alphabet, Word, WordLimitExceeded, _Frozen, count_of_length, is_suffix, words_of_length
+from .words import Alphabet, Word, WordLimitExceeded, _Frozen, _read_keys, count_of_length, is_suffix, words_of_length
 
 
 class CodeError(ValueError):
@@ -97,25 +98,9 @@ class SemaphoreCode(_Frozen):
 
     @cached_property
     def texts(self) -> tuple[str, ...]:
-        """The code words rendered, in shortlex order, epsilon as "", built
-        without a ``Word``: the texts of A^j are rendered length by length
-        from the letters, for j up to the largest m <= ``max_len`` with g^m
-        at most the number of code words, and a longer word is read off its
-        key m letters at a time, as ``walks._weights`` reads its probability."""
-        letters, keys = self.alphabet.letters, self.keys
-        g, levels = len(letters), [("",), letters]
-        while len(levels) <= self.max_len and g * len(levels[-1]) <= len(keys):
-            levels.append([text + c for text in levels[-1] for c in letters])
-        m, out = len(levels) - 1, []
-        for n, x in keys:
-            parts = []
-            while n > m:
-                x, r = divmod(x, g**m)
-                parts.append(levels[m][r])
-                n -= m
-            parts.append(levels[n][x])
-            out.append("".join(reversed(parts)))
-        return tuple(out)
+        """The code words rendered, in shortlex order, epsilon as "", read
+        off their keys by ``words._read_keys`` without a ``Word``."""
+        return tuple(_read_keys(self.keys, self.max_len, self.alphabet.letters, add, "")[0])
 
     @property
     def max_len(self) -> int:

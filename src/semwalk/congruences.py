@@ -38,11 +38,12 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import combinations, product as iter_product
+from itertools import combinations
+from operator import add
 
 # Unused here: perfbench/test_perfbench.py::test_tracer_restores_the_program
 # reads congruences.product to check that its tracer restores the binding.
-from .words import Alphabet, Word, _Frozen, count_of_length, product, words_of_length  # noqa: F401
+from .words import Alphabet, Word, _Frozen, _read_keys, count_of_length, product, words_of_length  # noqa: F401
 
 # The oracle enumeration is a Bell-number filter.  Both enumerations refuse
 # carriers of more than 12 points outright, and more than 8 requires an
@@ -247,9 +248,10 @@ class RightCongruence(_Frozen):
     @cached_property
     def block_texts(self) -> tuple[tuple[str, ...], ...]:
         """The blocks as the sorted texts of their words, blocks ordered by
-        their least word: the rendering, built without a ``Word``."""
-        texts = list(map("".join, iter_product(self.alphabet.letters, repeat=self.k)))
-        return tuple(tuple(texts[x] for x in blk) for blk in self.block_points)
+        their least word: the rendering, read off the texts of A^k that
+        ``words._read_keys`` tables, without a ``Word``."""
+        texts = _read_keys((), self.k, self.alphabet.letters, add, "", len(self.labels))[1][self.k]
+        return tuple(tuple(map(texts.__getitem__, blk)) for blk in self.block_points)
 
     @cached_property
     def blocks(self) -> tuple[tuple[Word, ...], ...]:

@@ -32,13 +32,14 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import lcm
+from operator import mul
 
 from .codes import CodeError, IdealRep, reset_code
 # Unused here: perfbench/test_perfbench.py::test_tracer_restores_the_program
 # reads walks.code_action to check that its tracer restores the binding.
 from .codes import code_action  # noqa: F401
 from .congruences import RightCongruence
-from .words import Alphabet, Word, _Frozen
+from .words import Alphabet, Word, _Frozen, _read_keys
 
 # Refused before the work starts: a class walk of more matrix entries (2^22
 # is 2,048 classes, k = 11 over two letters, and the CLI prints every entry),
@@ -119,23 +120,11 @@ def _code_table(ideal: IdealRep, pi: LetterDistribution) -> tuple[tuple[int, ...
 def _weights(pi: LetterDistribution, g: int, keys: list[tuple[int, int]], top: int) -> list[int]:
     """The probability of each word, given by its key (n, x) over g letters,
     as an integer over d^top, for d the common denominator of ``pi`` and top
-    at least every n: d^(top-n) times the numerators of the word's letters.
-    ``prods[j][x]`` is that product for the word (j, x), for j up to the
-    largest m <= top with g^m at most the number of keys; a longer word is
-    read off its key m letters at a time."""
-    nums, d = pi._numerators, pi._denominator
-    prods = [(1,), nums]
-    while len(prods) <= top and g * len(prods[-1]) <= len(keys):
-        prods.append([p * q for p in prods[-1] for q in nums])
-    m, out = len(prods) - 1, []
-    for n, x in keys:
-        num = d ** (top - n)
-        while n > m:
-            x, c = divmod(x, g**m)
-            num *= prods[m][c]
-            n -= m
-        out.append(num * prods[n][x])
-    return out
+    at least every n: d^(top-n) times the product of the numerators of the
+    word's letters, read off its key by ``words._read_keys``."""
+    d = pi._denominator
+    scale = [d ** (top - n) for n in range(top + 1)]
+    return [scale[n] * p for (n, _), p in zip(keys, _read_keys(keys, top, pi._numerators, mul, 1)[0])]
 
 
 def _is_fixpoint(nxt: tuple[tuple[int, ...], ...], pi: LetterDistribution, weights: list[int]) -> bool:
@@ -251,8 +240,9 @@ def lumped_weights(
             if tuple(map(cls.__getitem__, succ)) != rc.block_action[b]:
                 raise AssertionError(f"lumpability violated at code word {rc.alphabet.word_at(*key)}")
 
+        # The weights of the words of A^k are the table of A^k, over d^k.
         by_debruijn = [0] * n
-        for b, weight in zip(rc.labels, _weights(pi, g, [(k, x) for x in range(len(rc.labels))], k)):
+        for b, weight in zip(rc.labels, _read_keys((), k, pi._numerators, mul, 1, len(rc.labels))[1][k]):
             by_debruijn[b] += weight
         weights = [0] * n
         for b, weight in zip(cls, _weights(pi, g, code.keys, k)):

@@ -4,7 +4,8 @@ Words over a finite alphabet are the carrier of everything else in this
 package.  Words are stored as index tuples so the internals never depend on
 how letters are rendered; rendering uses ``a..z``.  The engine reads a word
 as its key (length, letters in base g): ``Alphabet.keys_of`` parses texts
-straight to keys, ``Alphabet.word_at`` renders one back, and
+straight to keys, ``Alphabet.word_at`` renders one back, ``_read_keys``
+reads many keys at once, as texts or as products of letter weights, and
 ``count_of_length`` bounds every enumeration of A^n.  The truncated product
 that keeps only the last ``k`` letters and the suffix order are here; the
 rest of the ``Word`` algebra (prefix and factor orders, longest common
@@ -16,7 +17,7 @@ written once, equality, hashing, ``repr`` and refused assignment over a
 
 from __future__ import annotations
 
-from itertools import product as iter_product, repeat
+from itertools import product as iter_product, repeat, starmap
 from typing import Iterable, Iterator
 
 LETTER_POOL = "abcdefghijklmnopqrstuvwxyz"
@@ -137,6 +138,38 @@ class Alphabet(_Frozen):
     def __iter__(self) -> Iterator["Word"]:
         for i in range(self.size):
             yield Word(self, (i,))
+
+
+def _read_keys(keys, top: int, values, op, unit, size: int = 0) -> tuple[list, list]:
+    """The value of each word of ``keys``, keys (n, x) over g letters,
+    under the letter map ``values`` extended to words: a word's value is
+    ``op`` over its letters' values, in order, and ``unit`` for epsilon.
+    The letters with ``operator.add`` and "" render texts, the inverse of
+    ``Alphabet.keys_of``; integers with ``operator.mul`` and 1 give
+    products of letter weights.
+
+    Returns the values in key order, and the tables they are read off:
+    ``tables[j][x]`` is the value of the word (j, x), in carrier order, for
+    j up to the largest m <= ``top`` (the longest key, or more) with g^m at
+    most ``size`` and the number of keys, whichever is larger (m >= 1).  A
+    longer key is read m letters at a time.
+    """
+    g, tables, bound = len(values), [(unit,), values], max(size, len(keys))
+    while len(tables) <= top and g * len(tables[-1]) <= bound:
+        tables.append(list(starmap(op, iter_product(tables[-1], values))))
+    m = len(tables) - 1
+    step, last, out = g**m, tables[m], []
+    for n, x in keys:
+        if n > m:
+            x, r = divmod(x, step)
+            value, n = last[r], n - m
+            while n > m:
+                x, r = divmod(x, step)
+                value, n = op(last[r], value), n - m
+            out.append(op(tables[n][x], value))
+        else:
+            out.append(tables[n][x])
+    return out, tables
 
 
 class Word(_Frozen):

@@ -3,6 +3,7 @@ import pickle
 import random
 import re
 from itertools import product as iproduct
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from semwalk import (
     Word,
     WordError,
     epsilon,
+    identity,
     is_factor,
     is_prefix,
     is_suffix,
@@ -25,7 +27,7 @@ from semwalk import (
 )
 from semwalk.oracles import suffixes, words_up_to_length
 from semwalk.congruences import validate_keys
-from semwalk.words import DEFAULT_ENUMERATION_LIMIT, WordLimitExceeded, _Frozen, count_of_length
+from semwalk.words import DEFAULT_ENUMERATION_LIMIT, WordLimitExceeded, _Frozen, _read_keys, count_of_length
 
 
 @pytest.fixture
@@ -256,6 +258,23 @@ def test_word_at_inverts_the_key(alphabet, length, data):
     x = data.draw(st.integers(0, alphabet.size**length - 1))
     w = alphabet.word_at(length, x)
     assert w.key == (length, x) and alphabet.keys_of([str(w)]) == [(length, x)]
+
+
+@given(ALPHABETS, st.lists(st.integers(0, 12), max_size=40), st.integers(0, 2), st.data())
+@settings(deadline=None)
+def test_read_keys_renders_each_key_off_tables_in_carrier_order(alphabet, lengths, extra, data):
+    keys = [(n, data.draw(st.integers(0, alphabet.size**n - 1))) for n in lengths]
+    texts, tables = _read_keys(keys, max(lengths, default=0) + extra, alphabet.letters, add, "")
+    assert texts == [str(alphabet.word_at(n, x)) for n, x in keys]
+    for j, table in enumerate(tables):
+        assert list(table) == [str(w) for w in words_of_length(alphabet, j)]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_identity_block_texts_list_the_words_in_carrier_order(g):
+    alphabet = Alphabet.of_size(g)
+    for k in (k for k in range(1, 13) if g**k <= 4096):  # one letter: k up to 12, as for two
+        assert identity(alphabet, k).block_texts == tuple((str(w),) for w in words_of_length(alphabet, k))
 
 
 @pytest.mark.parametrize("g, length, limit", [(2, 16, DEFAULT_ENUMERATION_LIMIT), (2, 17, DEFAULT_ENUMERATION_LIMIT), (2, 30, 1000), (3, 7, 1000), (1, 11, 10), (1, 65537, DEFAULT_ENUMERATION_LIMIT), (2, -1, 10)])
