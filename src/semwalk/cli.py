@@ -11,11 +11,13 @@ Every command prints one JSON object, with rationals as "num/den" strings,
 except graph dot, which prints DOT text; --out FILE writes it to FILE
 instead.  Exit codes are a stable contract: 0 success, 1 validation failure
 (diagnostic payload on stdout), 2 parse error, 3 internal assertion, 4
-bound exceeded.  Exit 4 refuses a request before its work starts when it
-asks for more than 65,536 words of one length, a census carrier past
---carrier-bound (at most 12 words), a walk lumped matrix of more than 2^22
-entries, or walk simulate --steps above 10^9; a census lattice of more than
-5,000 elements is refused once its search reaches the 5,001st.
+bound exceeded.  On exit 0, each warning the command raised follows the
+result as one ``{"warning": ...}`` line on stderr.  Exit 4 refuses a
+request before its work starts when it asks for more than 65,536 words of
+one length, a census carrier past --carrier-bound (at most 12 words), a
+walk lumped matrix of more than 2^22 entries, or walk simulate --steps
+above 10^9; a census lattice of more than 5,000 elements is refused once
+its search reaches the 5,001st.
 
 Every command runs on the engine's integer kernels: walk lumped reads each
 row of its matrix off the Cayley table, as numerators over the common
@@ -29,6 +31,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from math import gcd
 
 from . import codes, congruences, graphs, walks
@@ -122,7 +125,7 @@ def _parse_code_file(path: str) -> tuple[codes.IdealRep, list[str], list[tuple[i
 def _pi_arg(alphabet: Alphabet, text: str) -> walks.LetterDistribution:
     try:
         return walks.LetterDistribution.parse(alphabet, text)
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         raise ParseFailure(f"bad --pi value: {e}") from e
 
 
@@ -397,6 +400,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _run(argv)
+    if code == EXIT_OK:
+        for caution in caught:
+            print(json.dumps({"warning": str(caution.message)}), file=sys.stderr)
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         result = args.func(args)

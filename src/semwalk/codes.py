@@ -147,10 +147,6 @@ class IdealRep(_Frozen):
 
     _fields = ("code", "k")
 
-    def __init__(self, code: SemaphoreCode, k: int):
-        self.__dict__.update(code=code, k=k)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if self.code.infinite_tail:
             raise CodeError("an ideal representation requires the full finite code")
@@ -344,9 +340,6 @@ class LambdaResult(_Frozen):
     words are built on first read."""
 
     _fields = ("rc", "keys", "ideal")
-
-    def __init__(self, rc: RightCongruence, keys: tuple[tuple[int, int], ...], ideal: IdealRep):
-        self.__dict__.update(rc=rc, keys=keys, ideal=ideal)
 
     @cached_property
     def per_block(self) -> tuple[Word, ...]:

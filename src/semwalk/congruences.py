@@ -236,9 +236,6 @@ class RightCongruence(_Frozen):
 
     _fields = ("alphabet", "k", "labels")
 
-    def __init__(self, alphabet: Alphabet, k: int, labels: tuple[int, ...]):
-        self.__dict__.update(alphabet=alphabet, k=k, labels=labels)
-
     @cached_property
     def block_points(self) -> tuple[tuple[int, ...], ...]:
         """The blocks as sorted points, blocks ordered by their least point:
@@ -467,29 +464,10 @@ class LatticeReport(_Frozen):
         "size", "bottom", "top", "covers", "atoms", "semimodular", "modular", "atomistic", "jordan_dedekind",
         "pentagon", "semimodular_pentagon", "non_atomistic_witness", "unequal_chains",
     )
-
-    def __init__(
-        self,
-        size: int,
-        bottom: int,
-        top: int,
-        covers: list[tuple[int, int]],
-        atoms: list[int],
-        semimodular: bool,
-        modular: bool,
-        atomistic: bool,
-        jordan_dedekind: bool,
-        pentagon: tuple[int, int, int, int, int] | None = None,
-        semimodular_pentagon: tuple[int, int, int, int, int] | None = None,
-        non_atomistic_witness: int | None = None,
-        unequal_chains: tuple[list[int], list[int]] | None = None,
-    ):
-        self.__dict__.update(
-            size=size, bottom=bottom, top=top, covers=covers, atoms=atoms, semimodular=semimodular,
-            modular=modular, atomistic=atomistic, jordan_dedekind=jordan_dedekind, pentagon=pentagon,
-            semimodular_pentagon=semimodular_pentagon, non_atomistic_witness=non_atomistic_witness,
-            unequal_chains=unequal_chains,
-        )
+    pentagon: tuple[int, int, int, int, int] | None = None
+    semimodular_pentagon: tuple[int, int, int, int, int] | None = None
+    non_atomistic_witness: int | None = None
+    unequal_chains: tuple[list[int], list[int]] | None = None
 
     @property
     def flags(self) -> dict[str, bool]:

@@ -36,7 +36,6 @@ from .congruences import RightCongruence
 from .graphs import AGraph, GraphError
 from .oracles import (
     StationaryVector,
-    TransitionMatrix,
     congruence_transition_matrix,
     epsilon,
     is_semaphore,
@@ -353,9 +352,6 @@ class LumpedWalk(_Frozen):
     lumps onto: its Cayley-table matrix and its stationary vector."""
 
     _fields = ("matrix", "stationary")
-
-    def __init__(self, matrix: TransitionMatrix, stationary: StationaryVector):
-        self.__dict__.update(matrix=matrix, stationary=stationary)
 
 
 def lumped(rc: RightCongruence, pi: LetterDistribution) -> LumpedWalk:

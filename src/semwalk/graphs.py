@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .congruences import RightCongruence
-from .words import Alphabet, Word, _Frozen, count_of_length
+from .words import Word, _Frozen, count_of_length
 
 
 class GraphError(ValueError):
@@ -57,10 +57,6 @@ class AGraph(_Frozen):
     """
 
     _fields = ("alphabet", "labels", "transitions")
-
-    def __init__(self, alphabet: Alphabet, labels: tuple[str, ...], transitions: tuple[tuple[int, ...], ...]):
-        self.__dict__.update(alphabet=alphabet, labels=labels, transitions=transitions)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = len(self.labels)

@@ -289,9 +289,8 @@ class SemaphoreCheck(_Frozen):
     """
 
     _fields = ("ok", "comparable", "stuck")
-
-    def __init__(self, ok: bool, comparable: tuple[Word, Word] | None = None, stuck: tuple[Word, Word] | None = None):
-        self.__dict__.update(ok=ok, comparable=comparable, stuck=stuck)
+    comparable: tuple[Word, Word] | None = None
+    stuck: tuple[Word, Word] | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -341,10 +340,6 @@ class TransitionMatrix(_Frozen):
 
     _fields = ("labels", "rows")
 
-    def __init__(self, labels: tuple[str, ...], rows: tuple[tuple[Fraction, ...], ...]):
-        self.__dict__.update(labels=labels, rows=rows)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         n = len(self.labels)
         if n == 0:
@@ -377,10 +372,6 @@ class TransitionMatrix(_Frozen):
 
 class StationaryVector(_Frozen):
     _fields = ("labels", "values")
-
-    def __init__(self, labels: tuple[str, ...], values: tuple[Fraction, ...]):
-        self.__dict__.update(labels=labels, values=values)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.values):

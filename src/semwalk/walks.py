@@ -62,10 +62,6 @@ class LetterDistribution(_Frozen):
 
     _fields = ("alphabet", "probs")
 
-    def __init__(self, alphabet: Alphabet, probs: tuple[Fraction, ...]):
-        self.__dict__.update(alphabet=alphabet, probs=probs)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if len(self.probs) != self.alphabet.size:
             raise WalkError("one probability per letter required")
@@ -89,10 +85,13 @@ class LetterDistribution(_Frozen):
         values: dict[str, Fraction] = {}
         for item in text.split(","):
             letter, _, frac = item.partition("=")
-            letter = letter.strip()
+            letter, frac = letter.strip(), frac.strip()
             if letter in values:
                 raise WalkError(f"duplicate probability for letter {letter!r}")
-            values[letter] = Fraction(frac.strip())
+            try:
+                values[letter] = Fraction(frac)
+            except ZeroDivisionError:
+                raise WalkError(f"zero denominator in the probability of letter {letter!r}: {frac!r}") from None
         if set(values) != set(alphabet.letters):
             raise WalkError(f"need exactly the letters {alphabet.letters!r}")
         return cls(alphabet, tuple(values[c] for c in alphabet.letters))
@@ -163,10 +162,6 @@ class ResetProfile(_Frozen):
     """Cumulative reset probabilities P(1..k), increments, and hitting time."""
 
     _fields = ("cumulative", "increments", "hitting_time")
-
-    def __init__(self, cumulative: tuple[Fraction, ...], increments: tuple[Fraction, ...], hitting_time: Fraction):
-        self.__dict__.update(cumulative=cumulative, increments=increments, hitting_time=hitting_time)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         P = self.cumulative
@@ -265,14 +260,6 @@ class SimulationResult(_Frozen):
     """Empirical statistics from a seeded walk; reporting is float-valued."""
 
     _fields = ("labels", "visits", "steps", "seed", "episodes", "mean_reset_time")
-
-    def __init__(
-        self, labels: tuple[str, ...], visits: tuple[int, ...], steps: int, seed: int, episodes: int,
-        mean_reset_time: float,
-    ):
-        self.__dict__.update(
-            labels=labels, visits=visits, steps=steps, seed=seed, episodes=episodes, mean_reset_time=mean_reset_time
-        )
 
     @property
     def frequencies(self) -> tuple[float, ...]:

@@ -11,8 +11,10 @@ that keeps only the last ``k`` letters and the suffix order are here; the
 rest of the ``Word`` algebra (prefix and factor orders, longest common
 suffixes, the words of length 1..n) is in ``oracles``, which the CLI does
 not import.  ``_Frozen`` is the base of the package's value types:
-written once, equality, hashing, ``repr`` and refused assignment over a
-``_fields`` tuple, so that no class generates methods when it is defined.
+written once, the constructor that binds its arguments to a ``_fields``
+tuple and calls ``__post_init__``, and equality, hashing, ``repr`` and
+refused assignment over those fields, so that no class generates methods
+when it is defined.
 """
 
 from __future__ import annotations
@@ -40,16 +42,44 @@ class WordLimitExceeded(WordError):
 class _Frozen:
     """An immutable value, the base of the package's value types.
 
-    ``==`` and ``hash`` compare the tuple of the attributes named in
-    ``_fields``, between objects of one class only, and ``repr`` shows them.
-    Assignment is refused: ``__init__`` sets the fields through
-    ``__dict__``, as ``cached_property`` sets its views, and any attribute
-    outside ``_fields`` (a view, an index) takes no part in ``==``, hash or
-    ``repr``.  A subclass that validates does so in ``__post_init__``,
-    called at the end of its ``__init__``.
+    ``__init__`` binds its arguments to ``_fields`` as a signature listing
+    them in order would: positionally, then by keyword, a field left out
+    taking the class attribute of its name if the class has one.  It sets
+    the fields through ``__dict__``, as ``cached_property`` sets its views,
+    and then calls ``__post_init__``, where a subclass validates its fields
+    or derives private ones.  ``==`` and ``hash`` compare the tuple of the
+    fields, between objects of one class only, and ``repr`` shows them.
+    Assignment is refused, and any attribute outside ``_fields`` (a view,
+    an index) takes no part in ``==``, hash or ``repr``.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The value of each field, in order, or ``TypeError`` as a call to a
+        function whose signature lists the fields would raise."""
+        name, rest = cls.__name__, cls._fields[len(args) :]
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{name}() takes {len(cls._fields)} positional arguments but {len(args)} were given")
+        for field in kwargs:
+            if field not in rest:
+                how = "multiple values for argument" if field in cls._fields else "an unexpected keyword argument"
+                raise TypeError(f"{name}() got {how} {field!r}")
+        missing = [field for field in rest if field not in kwargs and not hasattr(cls, field)]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
+        return [*args, *(kwargs.get(field, getattr(cls, field, None)) for field in rest)]
+
+    def __post_init__(self) -> None:
+        """Check the fields, or derive private attributes from them: a
+        subclass's hook, which the base leaves empty."""
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
@@ -77,10 +107,6 @@ class Alphabet(_Frozen):
     """An ordered alphabet of distinct letters, rendered ``a, b, c, ...``."""
 
     _fields = ("letters",)
-
-    def __init__(self, letters: str):
-        self.__dict__["letters"] = letters
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not (1 <= len(self.letters) <= len(LETTER_POOL)):

@@ -252,12 +252,23 @@ def test_walk_stationary_in_input_order(files, capsys):
 
 def test_walk_stationary_renders_zero_and_whole_weights(files, capsys):
     # Each entry as _ratio renders it: a zero weight is "0", the whole mass "1".
+    # A zero letter probability is reported on stderr as one JSON line, on
+    # every call, although Python shows a warning once per process.
     path = files("ba3.json", BA_RESTRICTED)
-    with pytest.warns(UserWarning, match="^non-positive letter distribution"):
-        data = run_json(capsys, "walk", "stationary", "--code", path, "--pi", "a=0,b=1")
-    assert data["stationary"] == ["1", "0", "0", "0"]
+    for _ in range(2):
+        code, out, err = run(capsys, "walk", "stationary", "--code", path, "--pi", "a=0,b=1")
+        assert code == 0 and json.loads(out)["stationary"] == ["1", "0", "0", "0"]
+        assert err == json.dumps({"warning": "non-positive letter distribution: stationary vector may not be unique"}) + "\n"
     data = run_json(capsys, "walk", "stationary", "--code", path, "--pi", "a=2/3,b=1/3")
     assert data["stationary"] == [cli._ratio(w, 27) for w in (9, 6, 4, 8)]
+
+
+@pytest.mark.parametrize("pi, letter, value", [("a=1/0,b=1/2", "a", "1/0"), ("a=1,b=0/0", "b", "0/0")])
+def test_a_zero_denominator_in_pi_names_its_letter(files, capsys, pi, letter, value):
+    code, out, err = run(capsys, "walk", "stationary", "--code", files("ba3.json", BA_RESTRICTED), "--pi", pi)
+    assert code == 2 and out == ""
+    message = f"bad --pi value: zero denominator in the probability of letter {letter!r}: {value!r}"
+    assert json.loads(err) == {"error": "parse", "message": message}
 
 
 def test_walk_lumped_in_input_order(files, capsys):
@@ -969,6 +980,7 @@ def test_random_argv_and_payloads_end_in_a_documented_outcome(payload_path, data
     assert code != 0 or not reads_a_value_that_is_not_a_string(argv, payload)
     if code == 0:
         assert out.startswith("digraph {") if argv[:2] == ["graph", "dot"] else isinstance(json.loads(out), dict)
+        assert all(json.loads(line).keys() == {"warning"} for line in err.splitlines())
     elif code == 1:
         assert err == "" and json.loads(out)["error"] in ("validation", "closure")
     else:

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+from fractions import Fraction
 from itertools import product as iproduct
 from operator import add
 
@@ -355,6 +356,44 @@ def test_value_types_refuse_assignment_and_compare_by_their_fields(name):
     for clone in (copy.copy(a), pickle.loads(pickle.dumps(a))):
         assert type(clone) is cls
         assert [getattr(clone, field) for field in cls._fields] == [getattr(a, field) for field in cls._fields]
+
+
+# The value types whose constructor is the base's, which binds the fields.
+BOUND = [name for name, make in VALUES.items() if type(make()).__init__ is _Frozen.__init__]
+
+
+@pytest.mark.parametrize("name", BOUND)
+def test_value_types_bind_their_arguments_to_their_fields_as_a_signature_would(name):
+    a = VALUES[name]()
+    cls, values = type(a), a._values()
+    fields = dict(zip(cls._fields, values))
+    assert cls(*values) == a and cls(**fields) == a and cls(values[0], **dict(list(fields.items())[1:])) == a
+    first, n = cls._fields[0], len(values)
+    with pytest.raises(TypeError, match=rf"^{name}\(\) takes {n} positional arguments but {n + 1} were given$"):
+        cls(*values, values[0])
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got an unexpected keyword argument 'bogus'$"):
+        cls(*values, bogus=values[0])
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got multiple values for argument '{first}'$"):
+        cls(*values[:1], **fields)
+    required = [field for field in cls._fields if not hasattr(cls, field)]
+    with pytest.raises(TypeError, match=rf"^{name}\(\) missing required arguments: '{required[-1]}'$"):
+        cls(**{field: fields[field] for field in cls._fields if field != required[-1]})
+    # A field left out takes its class attribute, None on the two classes with witnesses.
+    defaults = [field for field in cls._fields if field not in required]
+    assert bool(defaults) == (name in ("SemaphoreCheck", "LatticeReport"))
+    short = cls(**{field: fields[field] for field in required})
+    assert all(getattr(short, field) is None for field in defaults)
+
+
+def test_the_base_constructor_runs_the_checks_of_post_init():
+    with pytest.raises(WordError, match="^alphabet letters must be distinct: 'aa'$"):
+        Alphabet("aa")
+    with pytest.raises(WordError, match="^alphabet letters must be distinct: 'aa'$"):
+        Alphabet(letters="aa")
+    with pytest.raises(sw.WalkError, match="^letter probabilities sum to 2, not 1$"):
+        sw.LetterDistribution(Alphabet("ab"), (Fraction(1), Fraction(1)))
+    with pytest.raises(sw.WalkError, match="^letter probabilities sum to 2, not 1$"):
+        sw.LetterDistribution(alphabet=Alphabet("ab"), probs=(Fraction(1), Fraction(1)))
 
 
 @pytest.mark.parametrize("letters", ["a\ud800", "\udfff", "ab\udc00c"])
