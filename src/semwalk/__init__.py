@@ -2,11 +2,14 @@
 
 The package is split by what the CLI runs.  The engine is ``words``,
 ``congruences``, ``codes``, ``graphs`` and ``walks``, on integer keys;
-``cli`` imports only these.  The brute-force checks the engine is tested
-against are in ``oracles``, and the paper's constructions that no command
-runs are in ``constructions``.  Every public name is importable from here,
-``from semwalk import enumerate_all`` included: its module is imported on
-first use of the name, so ``import semwalk.cli`` compiles the engine alone.
+``cli`` imports only these, and runs ``codes``, ``graphs`` and ``walks``
+only for the commands that use them, so the lattice census compiles
+``words`` and ``congruences`` alone.  The brute-force checks the engine is
+tested against are in ``oracles``, and the paper's constructions that no
+command runs are in ``constructions``.  Every public name is importable
+from here, ``from semwalk import enumerate_all`` included: its module is
+imported on first use of the name, so ``import semwalk.cli`` compiles no
+more than the engine.
 """
 
 from importlib import import_module

@@ -23,19 +23,44 @@ Every command runs on the engine's integer kernels: walk lumped reads each
 row of its matrix off the Cayley table, as numerators over the common
 denominator of the letter probabilities, and no command builds a matrix of
 fractions.
+
+Importing this module runs the engine's words and congruences modules, all
+that lattice census, rc validate and rc generate use.  codes, walks and
+graphs are bound here as lazy modules, each run on the first use of one of
+its attributes: graph dot runs graphs, the other rc commands run codes, and
+the walk commands run codes and walks.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import sys
 import warnings
 from math import gcd
 
-from . import codes, congruences, graphs, walks
+from . import congruences
 from .words import Alphabet, WordError, WordLimitExceeded
+
+
+def _lazy(name: str):
+    """The engine module ``semwalk.<name>``, bound on the package as an
+    import binds it, whose code runs on the first use of one of its
+    attributes.  A module already imported is returned as it is, so that
+    each name has one module object."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+codes, graphs, walks = map(_lazy, ("codes", "graphs", "walks"))
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -416,8 +441,7 @@ def _run(argv: list[str] | None) -> int:
         _write(result if isinstance(result, str) else json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
         return EXIT_OK
     except ParseFailure as e:
-        print(json.dumps({"error": "parse", "message": str(e)}), file=sys.stderr)
-        return EXIT_PARSE
+        return _failure(EXIT_PARSE, "parse", e)
     except congruences.ClosureViolation as e:
         payload = {
             "error": "closure",
@@ -426,15 +450,27 @@ def _run(argv: list[str] | None) -> int:
         }
         print(json.dumps(payload))
         return EXIT_VALIDATION
-    except (congruences.BoundExceeded, WordLimitExceeded, walks.WalkBoundExceeded) as e:
-        print(json.dumps({"error": "bound", "message": str(e)}), file=sys.stderr)
-        return EXIT_BOUND
-    except (congruences.NotAPartitionError, codes.CodeError, walks.WalkError, WordError, graphs.GraphError, congruences.CongruenceError) as e:
-        print(json.dumps({"error": "validation", "message": str(e)}))
-        return EXIT_VALIDATION
+    # The errors of words and congruences are matched first, so that a
+    # command that never loads codes, walks or graphs reports its errors
+    # without loading them.  No error class of one module derives from
+    # another's, so the order changes no exit code.
+    except (congruences.BoundExceeded, WordLimitExceeded) as e:
+        return _failure(EXIT_BOUND, "bound", e)
+    except (WordError, congruences.CongruenceError) as e:
+        return _failure(EXIT_VALIDATION, "validation", e)
     except AssertionError as e:
-        print(json.dumps({"error": "internal", "message": str(e)}), file=sys.stderr)
-        return EXIT_INTERNAL
+        return _failure(EXIT_INTERNAL, "internal", e)
+    except walks.WalkBoundExceeded as e:
+        return _failure(EXIT_BOUND, "bound", e)
+    except (codes.CodeError, walks.WalkError, graphs.GraphError) as e:
+        return _failure(EXIT_VALIDATION, "validation", e)
+
+
+def _failure(code: int, kind: str, e: Exception) -> int:
+    """Prints one JSON diagnostic, a validation failure on stdout and any
+    other on stderr, and returns the exit code."""
+    print(json.dumps({"error": kind, "message": str(e)}), file=sys.stdout if code == EXIT_VALIDATION else sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -341,6 +341,9 @@ def simulate(ideal: IdealRep, pi: LetterDistribution, steps: int, seed: int) -> 
     code = ideal.code
     if code.is_epsilon:
         raise CodeError("the one-word code has no chain to simulate")
+    # random.Random seeds with abs(seed), so a negative seed would repeat the walk of its absolute value.
+    if type(seed) is not int or seed < 0:
+        raise WalkError("seed must be an integer >= 0")
 
     # Exact letter sampler: cumulative integer thresholds over one denominator.
     denom = pi._denominator

@@ -365,6 +365,14 @@ def test_walk_simulate_seeded_determinism(files, capsys):
     assert sum(data["visits"]) == 20000
 
 
+def test_walk_simulate_refuses_a_negative_seed(files, capsys):
+    # random.Random seeds with abs(seed): --seed -1 once printed the walk of --seed 1.
+    argv = ["walk", "simulate", "--code", files("ba3.json", BA_RESTRICTED), "--pi", "a=1/2,b=1/2", "--steps", "1000"]
+    refusal = json.dumps({"error": "validation", "message": "seed must be an integer >= 0"}) + "\n"
+    assert run(capsys, *argv, "--seed", "-1") == (1, refusal, "")
+    assert run_json(capsys, *argv, "--seed", "0")["seed"] == 0
+
+
 def test_walk_simulate_on_congruence_resets(files, capsys):
     data = run_json(
         capsys,

@@ -2,6 +2,12 @@
 ``dataclasses`` or ``inspect``, and every public name still resolves from
 ``semwalk``.
 
+``import semwalk.cli`` runs ``words`` and ``congruences``, and registers
+``codes``, ``walks`` and ``graphs`` as lazy modules, each run on the first
+use of one of its attributes: the census and ``rc validate`` and
+``rc generate`` run none of them, ``graph dot`` runs ``graphs``, the other
+``rc`` commands run ``codes``, and the walk commands ``codes`` and
+``walks``.  Whichever is imported first, each name has one module object.
 ``oracles`` (the definitional checks) and ``constructions`` (the paper's
 constructions that no command runs) are imported on first use of one of
 their names, never by ``import semwalk.cli`` or a command.  Each module
@@ -23,6 +29,7 @@ import pytest
 import semwalk
 
 SRC = Path(semwalk.__file__).resolve().parents[1]
+GOLDEN = Path(__file__).parent / "golden"
 
 # Every name the package exported before the split, by its module now.
 HOMES = {
@@ -85,9 +92,9 @@ print(json.dumps([
 """
 
 
-def python(code: str) -> str:
+def python(code: str, *args: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, check=True, env=env).stdout
 
 
 def test_the_cli_and_its_commands_import_the_engine_alone():
@@ -96,6 +103,79 @@ def test_the_cli_and_its_commands_import_the_engine_alone():
     assert loaded == ["semwalk"] + [f"semwalk.{m}" for m in ("cli", "codes", "congruences", "graphs", "walks", "words")]
     # The engine's value types generate no code at import, and nothing else on the path loads inspect.
     assert stdlib == []
+
+
+# One command, run in a fresh interpreter: its exit code, and the engine
+# modules that have run, beyond cli, words and congruences.  Until it runs,
+# a lazy module is of a subclass of ModuleType.
+FOOTPRINT = """
+import contextlib, io, json, sys, types
+from semwalk.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+ran = {m for m, module in sys.modules.items() if m.startswith("semwalk.") and type(module) is types.ModuleType}
+print(json.dumps([code, sorted(m[len("semwalk."):] for m in ran - {"semwalk.cli", "semwalk.words", "semwalk.congruences"})]))
+"""
+
+FIVE = str(GOLDEN / "five_class.json")
+PI = ["--pi", "a=1/2,b=1/2"]
+RUNS = [
+    (["lattice", "census", "-g", "2", "-k", "2"], []),
+    (["rc", "validate", "--in", FIVE], []),
+    (["rc", "generate", "--in", str(GOLDEN / "five_class_pairs.json")], []),
+    (["graph", "dot", "--in", FIVE], ["graphs"]),
+    *((["rc", leaf, "--in", FIVE], ["codes"]) for leaf in ("lower", "upper", "resets", "is-special")),
+    (["walk", "stationary", "--code", str(GOLDEN / "code_g2.json"), *PI], ["codes", "walks"]),
+    (["walk", "profile", "--in", FIVE, *PI], ["codes", "walks"]),
+    (["walk", "lumped", "--in", FIVE, *PI], ["codes", "walks"]),
+    (["walk", "simulate", "--in", FIVE, *PI, "--steps", "100"], ["codes", "walks"]),
+]
+
+
+@pytest.mark.parametrize("argv, ran", RUNS, ids=[" ".join(argv[:2]) for argv, _ in RUNS])
+def test_each_command_runs_only_the_engine_modules_it_uses(argv, ran):
+    assert json.loads(python(FOOTPRINT, *argv)) == [0, ran]
+
+
+@pytest.mark.parametrize("argv, payload, code", [
+    (["lattice", "census", "-g", "4", "-k", "2"], None, 4),
+    (["lattice", "census", "-g", "2", "-k", "0"], None, 1),
+    (["rc", "validate", "--in"], {"alphabet": "ab", "k": 2, "blocks": [["aa", "ab"], ["ba", "bb"]]}, 1),
+    (["rc", "validate", "--in"], {"alphabet": "ab", "k": 2, "blocks": [["aa", "ab"], ["ab", "ba", "bb"]]}, 1),
+], ids=["census-bound", "census-k0", "rc-not-closed", "rc-not-a-partition"])
+def test_a_census_or_rc_error_runs_no_other_engine_module(argv, payload, code, tmp_path):
+    if payload is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        argv = [*argv, str(path)]
+    assert json.loads(python(FOOTPRINT, *argv)) == [code, []]
+
+
+# Each way of naming a lazily loaded engine module, and the module object
+# of an import made before the CLI's.
+SAME_MODULE = """
+import sys, types
+{first}
+import semwalk.cli as cli
+{then}
+from semwalk import {m} as imported_from
+import semwalk.{m}
+objects = [cli.{m}, semwalk.{m}, imported_from, sys.modules["semwalk.{m}"], *earlier]
+assert all(module is objects[0] for module in objects), objects
+assert objects[0].__name__ == "semwalk.{m}" and type(objects[0]) is types.ModuleType
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("module", ["codes", "graphs", "walks"])
+@pytest.mark.parametrize("before", [True, False], ids=["imported-before-cli", "imported-after-cli"])
+def test_a_lazy_engine_module_is_one_object_under_every_name(module, before):
+    if before:
+        first, then = f"import semwalk.{module}\nearlier = [semwalk.{module}]", ""
+    else:
+        first, then = "earlier = []", f"assert type(sys.modules['semwalk.{module}']) is not types.ModuleType"
+    assert python(SAME_MODULE.format(first=first, then=then, m=module)) == "ok\n"
 
 
 def test_every_public_name_resolves_to_its_home():

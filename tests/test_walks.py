@@ -385,6 +385,9 @@ def test_simulate_validations(ab, uniform):
         simulate(s3, uniform, steps=0, seed=1)
     with pytest.raises(WalkError):
         simulate(s3, LetterDistribution(ab, (F(1), F(0))), steps=10, seed=1)
+    for seed in (-1, True):
+        with pytest.raises(WalkError, match="^seed must be an integer >= 0$"):
+            simulate(s3, uniform, steps=10, seed=seed)
 
 
 @pytest.mark.parametrize("steps", [2.5, 10.0, True, "10", None])
