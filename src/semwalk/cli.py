@@ -11,13 +11,15 @@ Every command prints one JSON object, with rationals as "num/den" strings,
 except graph dot, which prints DOT text; --out FILE writes it to FILE
 instead.  Exit codes are a stable contract: 0 success, 1 validation failure
 (diagnostic payload on stdout), 2 parse error, 3 internal assertion, 4
-bound exceeded.  On exit 0, each warning the command raised follows the
-result as one ``{"warning": ...}`` line on stderr.  Exit 4 refuses a
-request before its work starts when it asks for more than 65,536 words of
-one length, a census carrier past --carrier-bound (at most 12 words), a
-walk lumped matrix of more than 2^22 entries, or walk simulate --steps
-above 10^9; a census lattice of more than 5,000 elements is refused once
-its search reaches the 5,001st.
+bound exceeded.  On exit 0, each caution the command reports follows the
+result as one ``{"warning": ...}`` line on stderr, on every call; the one
+caution is walk stationary's, for a letter of probability 0, whose
+stationary vector may not be unique.  Exit 4 refuses a request before its
+work starts when it asks for more than 65,536 words of one length, a
+census carrier past --carrier-bound (at most 12 words), a walk lumped
+matrix of more than 2^22 entries, or walk simulate --steps above 10^9; a
+census lattice of more than 5,000 elements is refused once its search
+reaches the 5,001st.
 
 Every command runs on the engine's integer kernels: walk lumped reads each
 row of its matrix off the Cayley table, as numerators over the common
@@ -38,7 +40,6 @@ import functools
 import importlib.util
 import json
 import sys
-import warnings
 from math import gcd
 
 from . import congruences
@@ -259,6 +260,8 @@ def _walk_stationary(args) -> dict:
     ideal, order, keys = _parse_code_file(args.code)
     pi = _pi_arg(ideal.alphabet, args.pi)
     weights, total = walks.stationary_weights(ideal, pi)
+    if not pi.positive:
+        args.cautions.append(walks.NON_POSITIVE_CAUTION)
     # Align output to the code order given in the input file.
     aligned = map(weights.__getitem__, map(ideal.code._index.__getitem__, keys))
     return {"states": order, "stationary": [_ratio(w, total) for w in aligned]}
@@ -363,11 +366,12 @@ _PI = _arg("--pi", required=True)
 # Every command, declared once: group -> (help, {leaf: (handler, arguments)}),
 # in --help order.  To add a command, write a handler that takes the parsed
 # arguments and returns what the command prints (a JSON payload dict, or text
-# such as DOT), and give it a line here with its arguments as add_argument
-# takes them; every leaf also gets --out.  A handler reads its input file
-# before it parses --pi, so a bad file is reported first, and calls the
-# library through its modules (codes.reset_code), so that a wrapper installed
-# on a library function sees every call.
+# such as DOT), appending to args.cautions any caution to print after it, and
+# give it a line here with its arguments as add_argument takes them; every
+# leaf also gets --out.  A handler reads its input file before it parses
+# --pi, so a bad file is reported first, and calls the library through its
+# modules (codes.reset_code), so that a wrapper installed on a library
+# function sees every call.
 _COMMANDS = {
     "rc": ("right congruence operations", {
         "validate": (_rc_validate, [_IN]),
@@ -425,31 +429,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = _run(argv)
-    if code == EXIT_OK:
-        for caution in caught:
-            print(json.dumps({"warning": str(caution.message)}), file=sys.stderr)
-    return code
-
-
-def _run(argv: list[str] | None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        args.cautions = []
         result = args.func(args)
         _write(result if isinstance(result, str) else json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
-        return EXIT_OK
     except ParseFailure as e:
         return _failure(EXIT_PARSE, "parse", e)
     except congruences.ClosureViolation as e:
-        payload = {
-            "error": "closure",
-            "message": str(e),
-            "witness": {"u": str(e.u), "v": str(e.v), "letter": str(e.letter)},
-        }
-        print(json.dumps(payload))
-        return EXIT_VALIDATION
+        return _failure(EXIT_VALIDATION, "closure", e, witness={"u": str(e.u), "v": str(e.v), "letter": str(e.letter)})
     # The errors of words and congruences are matched first, so that a
     # command that never loads codes, walks or graphs reports its errors
     # without loading them.  No error class of one module derives from
@@ -464,12 +452,16 @@ def _run(argv: list[str] | None) -> int:
         return _failure(EXIT_BOUND, "bound", e)
     except (codes.CodeError, walks.WalkError, graphs.GraphError) as e:
         return _failure(EXIT_VALIDATION, "validation", e)
+    for caution in args.cautions:
+        print(json.dumps({"warning": caution}), file=sys.stderr)
+    return EXIT_OK
 
 
-def _failure(code: int, kind: str, e: Exception) -> int:
-    """Prints one JSON diagnostic, a validation failure on stdout and any
-    other on stderr, and returns the exit code."""
-    print(json.dumps({"error": kind, "message": str(e)}), file=sys.stdout if code == EXIT_VALIDATION else sys.stderr)
+def _failure(code: int, kind: str, e: Exception, **fields) -> int:
+    """Prints one JSON diagnostic, with ``fields`` after its message, a
+    validation failure on stdout and any other on stderr, and returns the
+    exit code."""
+    print(json.dumps({"error": kind, "message": str(e), **fields}), file=sys.stdout if code == EXIT_VALIDATION else sys.stderr)
     return code
 
 

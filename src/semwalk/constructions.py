@@ -28,6 +28,7 @@ kernel replaced there reaches these constructions too.
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 from . import codes, congruences, graphs, walks
@@ -341,8 +342,11 @@ def stationary(ideal: IdealRep, pi: LetterDistribution) -> StationaryVector:
     L the longest code word, word w has probability N_w / d^L, where
     N_w = d^(L-|w|) times the numerators of its letters, and the N_w must
     sum to d^L.  A non-positive distribution still satisfies the equations
-    but loses the uniqueness argument, hence the warning.
+    but loses the uniqueness argument, so it issues a ``UserWarning`` with
+    the message ``walks.NON_POSITIVE_CAUTION``.
     """
+    if not pi.positive:
+        warnings.warn(walks.NON_POSITIVE_CAUTION)
     weights, total = walks.stationary_weights(ideal, pi)
     return StationaryVector(ideal.code.texts, tuple(Fraction(x, total) for x in weights))
 

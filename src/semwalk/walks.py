@@ -27,7 +27,6 @@ most ``MAX_MATRIX_ENTRIES`` entries, and ``simulate`` runs at most
 from __future__ import annotations
 
 import random
-import warnings
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, chain
@@ -47,6 +46,9 @@ from .words import Alphabet, Word, _Frozen, _read_keys
 # per second).
 MAX_MATRIX_ENTRIES = 1 << 22
 MAX_SIMULATION_STEPS = 10**9
+
+# What the callers of stationary_weights report for a distribution with a zero.
+NON_POSITIVE_CAUTION = "non-positive letter distribution: stationary vector may not be unique"
 
 
 class WalkError(ValueError):
@@ -92,6 +94,8 @@ class LetterDistribution(_Frozen):
                 values[letter] = Fraction(frac)
             except ZeroDivisionError:
                 raise WalkError(f"zero denominator in the probability of letter {letter!r}: {frac!r}") from None
+            except ValueError:
+                raise WalkError(f"cannot read the probability of letter {letter!r}: {frac!r}") from None
         if set(values) != set(alphabet.letters):
             raise WalkError(f"need exactly the letters {alphabet.letters!r}")
         return cls(alphabet, tuple(values[c] for c in alphabet.letters))
@@ -142,9 +146,12 @@ def _is_fixpoint(nxt: tuple[tuple[int, ...], ...], pi: LetterDistribution, weigh
 
 def stationary_weights(ideal: IdealRep, pi: LetterDistribution) -> tuple[list[int], int]:
     """The stationary vector of ``stationary`` as integers: the weight N_w
-    of each code word, in the code's key order, and their sum d^L."""
-    if not pi.positive:
-        warnings.warn("non-positive letter distribution: stationary vector may not be unique")
+    of each code word, in the code's key order, and their sum d^L.
+
+    A distribution with a zero is not refused and warns nothing: the
+    weights are still a fixpoint, though maybe not the only one.  The
+    callers report ``NON_POSITIVE_CAUTION`` for it, ``walk stationary`` as
+    a line on stderr and ``constructions.stationary`` as a ``UserWarning``."""
     code = ideal.code
     if code.is_epsilon:
         raise CodeError("the one-word code has no action; its chain is the 1x1 identity")

@@ -271,6 +271,30 @@ def test_a_zero_denominator_in_pi_names_its_letter(files, capsys, pi, letter, va
     assert json.loads(err) == {"error": "parse", "message": message}
 
 
+@pytest.mark.parametrize("pi, letter, value", [("a=1/2,b=x", "b", "x"), ("a=1/2,b", "b", ""), ("a=1/2,b=1/2,", "", "")])
+def test_an_unreadable_probability_in_pi_names_its_letter(files, capsys, pi, letter, value):
+    code, out, err = run(capsys, "walk", "stationary", "--code", files("ba3.json", BA_RESTRICTED), "--pi", pi)
+    assert code == 2 and out == ""
+    message = f"bad --pi value: cannot read the probability of letter {letter!r}: {value!r}"
+    assert json.loads(err) == {"error": "parse", "message": message}
+
+
+def test_the_zero_probability_caution_is_a_line_not_a_python_warning(files, capsys, tmp_path, five_class):
+    # The caution is printed only after the result is written, and the CLI
+    # route issues no Python warning for it, whatever the warning filters.
+    argv = ["walk", "stationary", "--code", files("ba3.json", BA_RESTRICTED), "--pi", "a=0,b=1"]
+    pi = walks.LetterDistribution.parse(Alphabet("ab"), "a=0,b=1")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(2):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == json.dumps({"warning": walks.NON_POSITIVE_CAUTION}) + "\n"
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "x.json"))
+        assert code == 2 and out == "" and err.count("\n") == 1 and json.loads(err)["error"] == "parse"
+        walks.stationary_weights(codes.reset_code(five_class), pi)
+    assert caught == []
+
+
 def test_walk_lumped_in_input_order(files, capsys):
     data = run_json(
         capsys, "walk", "lumped", "--in", files("five_class.json", FIVE_CLASS), "--pi", "a=1/2,b=1/2"
@@ -950,8 +974,7 @@ def argvs(draw, path, letters):
 
 def call(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a zero letter probability warns once per process
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
