@@ -326,24 +326,26 @@ def _lattice_census(args) -> dict:
         alphabet = Alphabet.of_size(args.alphabet_size)
     except WordError as e:
         raise ParseFailure(f"-g: {e}") from e
-    elements, report = congruences.lattice_census(alphabet, args.k, carrier_bound=args.carrier_bound)
+    labels, report = congruences._census(alphabet, args.k, args.carrier_bound)
+
+    def names(indices) -> list[str]:  # a congruence is built only for an element printed
+        return [str(congruences.RightCongruence(alphabet, args.k, labels[i])) for i in indices]
+
     wanted = _CHECKS if args.checks is None else args.checks
     witnesses: dict = {}
     if "modular" in wanted and not report.modular:
-        witnesses["pentagon"] = [str(elements[i]) for i in report.pentagon]
+        witnesses["pentagon"] = names(report.pentagon)
     if "semimodular" in wanted and not report.semimodular:
-        witnesses["semimodular_pentagon"] = [str(elements[i]) for i in report.semimodular_pentagon]
+        witnesses["semimodular_pentagon"] = names(report.semimodular_pentagon)
     if "atomistic" in wanted and not report.atomistic:
-        witnesses["not_join_of_atoms"] = str(elements[report.non_atomistic_witness])
+        witnesses["not_join_of_atoms"] = names([report.non_atomistic_witness])[0]
     if "jordan_dedekind" in wanted and not report.jordan_dedekind:
-        witnesses["unequal_chains"] = [
-            [str(elements[i]) for i in chain] for chain in report.unequal_chains
-        ]
+        witnesses["unequal_chains"] = list(map(names, report.unequal_chains))
     return {
         "alphabet": alphabet.letters,
         "k": args.k,
         "count": report.size,
-        "atoms": [str(elements[i]) for i in report.atoms],
+        "atoms": names(report.atoms),
         "checks": {name: report.flags[name] for name in wanted},
         "witnesses": witnesses,
     }

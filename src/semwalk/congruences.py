@@ -28,10 +28,11 @@ block index of each integer, and nothing else: its one view of its blocks,
 of A^k, the Cayley table and the lcs scan of ``codes`` all read.  ``Word``
 objects are built only for the word API, witnesses in messages and, per
 object, the ``blocks`` and ``block_of`` views.
-The lattice enumeration and the join certificate of the lattice report
-work on stars instead: the string whose character x is ``chr`` of the
-least point of x's block (its ``_roots``), in which a join merges two
-blocks by one C-level ``str.replace``.
+The lattice enumeration, its principal congruences and its order, and the
+join certificate of the lattice report work on stars instead: the string
+whose character x is ``chr`` of the least point of x's block (its
+``_roots``), in which a join merges two blocks by one C-level
+``str.replace``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import combinations
-from operator import add
+from operator import add, lshift
 
 # Unused here: perfbench/test_perfbench.py::test_tracer_restores_the_program
 # reads congruences.product to check that its tracer restores the binding.
@@ -117,14 +118,6 @@ def _blocks(labels: tuple[int, ...]) -> list[list[int]]:
     return out
 
 
-def _blocks_key(labels: tuple[int, ...]) -> str:
-    """A string that sorts as ``_blocks(labels)`` does, at about a byte a
-    point instead of a list per block: each block's points as ``chr(x + 1)``,
-    blocks joined by ``chr(0)``, which sorts a block before any longer block
-    it starts."""
-    return "\0".join("".join([chr(x + 1) for x in blk]) for blk in _blocks(labels))
-
-
 def _roots(labels) -> list[int]:
     """Each point mapped to the least point of its block: a union-find
     forest of the partition and, read as pairs (x, root), a generating set."""
@@ -146,13 +139,24 @@ def _star_pairs(star: str) -> list[tuple[int, int]]:
     return [(x, p) for x, p in enumerate(map(ord, star)) if x != p]
 
 
+def _star_key(star: str) -> str:
+    """A string that sorts as ``_blocks`` of the star's labels: its points
+    in (root, point) order, point x of root r as ``chr((n - r) * n + x + 1)``.
+    Where two keys first differ, a point that starts a block (a larger
+    root) sorts before one that continues a block, as a block sorts before
+    a longer block it starts."""
+    n = len(star)
+    return "".join([chr((n - ord(star[x])) * n + x + 1) for x in sorted(range(n), key=star.__getitem__)])
+
+
 def _relation(labels: tuple[int, ...]) -> int:
     """The relation as one int, point x's block bitset at bit x*n: a
     canonical key under which the meet of two partitions is the AND."""
-    masks = [0] * (max(labels, default=-1) + 1)
+    n = len(labels)
+    masks = [0] * n
     for x, b in enumerate(labels):
         masks[b] |= 1 << x
-    return sum(masks[b] << (x * len(labels)) for x, b in enumerate(labels))
+    return sum(map(lshift, map(masks.__getitem__, labels), range(0, n * n, n)))
 
 
 def _close(g: int, parent, pairs) -> tuple[int, ...]:
@@ -380,25 +384,29 @@ def _enumerable_size(alphabet: Alphabet, k: int, carrier_bound: int) -> int:
     return n
 
 
-def _principals(g: int, n: int) -> list[tuple[int, int, list[tuple[int, int]]]]:
-    """The principal congruences theta(u, v) on n points under g letters,
-    each once, as (u, v, its ``_star_pairs``) for the first pair that
-    generates it."""
+def _principals(g: int, k: int) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """The principal congruences theta(u, v) on A^k under g letters, each
+    once, as (u, v, its ``_star_pairs``) for the first pair that generates
+    it.  The right translates (u*w, v*w), |w| < k, are a set the action
+    keeps (u*w = v*w once |w| >= k), so theta(u, v) is the identity joined
+    with them, where u*w = u*g^j mod n + w for |w| = j."""
+    n, shifts = g**k, [g**j for j in range(k)]
+    identity = _star(range(n))
     principal: dict[str, tuple[int, int]] = {}
     for u in range(n):
         for v in range(u + 1, n):
-            principal.setdefault(_star(_close(g, range(n), [(u, v)])), (u, v))
+            translates = [(u * m % n + w, v * m % n + w) for m in shifts for w in range(m)]
+            principal.setdefault(_join_star(identity, translates), (u, v))
     return [(u, v, _star_pairs(star)) for star, (u, v) in principal.items()]
 
 
-def _join_graph(
+def _search(
     alphabet: Alphabet, k: int, carrier_bound: int, max_elements: int | None = None
-) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """Every right congruence on A^k as labels, in ``oracles.enumerate_all``'s
-    order, with the indices of each one's joins x v theta(u, v) with the
-    principal congruences not below it.  Every right congruence is a join of
-    principals, so the breadth-first search from the identity reaches it;
-    each new join is looked up in, or added to, the list.  Given
+) -> tuple[list[str], list[list[int]], list[int]]:
+    """Every right congruence on A^k as its star, with its row, in the order
+    of a breadth-first search from the identity by joins with the principal
+    congruences, which reaches each as a join of principals, and the
+    indices of the stars in ``oracles.enumerate_all``'s order.  Given
     ``max_elements``, the search raises BoundExceeded as soon as the list
     holds one element more.
 
@@ -414,7 +422,7 @@ def _join_graph(
     search that computes every join (``oracles.join_graph``).
     """
     n = _enumerable_size(alphabet, k, carrier_bound)
-    gens = _principals(alphabet.size, n)
+    gens = _principals(alphabet.size, k)
     stars = [_star(range(n))]
     index = {stars[0]: 0}
     # The (parent, q) of each element.  The identity has none: its stand-in
@@ -440,8 +448,17 @@ def _join_graph(
                     reached.append((i, p))
                 row.append(j)
         rows.append(row)
-    labels = list(map(_canonical, stars))
-    order = sorted(range(len(stars)), key=lambda i: _blocks_key(labels[i]))
+    keys = list(map(_star_key, stars))
+    return stars, rows, sorted(range(len(stars)), key=keys.__getitem__)
+
+
+def _join_graph(
+    alphabet: Alphabet, k: int, carrier_bound: int, max_elements: int | None = None
+) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The list of ``_search`` as labels, with the indices of each one's
+    joins x v theta(u, v) with the principal congruences not below it, all
+    in ``oracles.enumerate_all``'s order."""
+    stars, rows, order = _search(alphabet, k, carrier_bound, max_elements)
     at = [0] * len(order)
     for new, old in enumerate(order):
         at[old] = new
@@ -449,7 +466,7 @@ def _join_graph(
     for i in order:  # each row is dropped as its joins are read off it
         joins.append([at[j] for j in rows[i] if j != i])
         rows[i] = None
-    return [labels[i] for i in order], joins
+    return [_canonical(stars[i]) for i in order], joins
 
 
 class LatticeReport(_Frozen):
@@ -515,15 +532,11 @@ def _covers(down: list[int], above: list[int]) -> list[tuple[int, int]]:
     return covers
 
 
-def lattice_census(
-    alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIER_BOUND
-) -> tuple[list[RightCongruence], LatticeReport]:
-    """``constructions.enumerate_rc`` and its ``oracles.lattice_report``
-    (same list and report), read off one ``_join_graph``, which stops at
-    the first element past ``MAX_LATTICE_ELEMENTS``.  Every z > x holds a pair
-    (u, v) that x does not, so x < x v theta(u, v) <= z: coarse to fine, the
-    up-set of x is x and the up-sets of its joins, the down-sets are the
-    reverse, and the upper covers of x are its minimal joins.
+def _census(alphabet: Alphabet, k: int, carrier_bound: int) -> tuple[list[tuple[int, ...]], LatticeReport]:
+    """``lattice_census`` with its elements as labels.  Every z > x holds a
+    pair (u, v) that x does not, so x < x v theta(u, v) <= z: coarse to
+    fine, the up-set of x is x and the up-sets of its joins, the down-sets
+    are the reverse, and the upper covers of x are its minimal joins.
 
     Meet closure is certified by looking up x meet m for every
     meet-irreducible m (one upper cover) and x incomparable to it.  The
@@ -563,7 +576,17 @@ def lattice_census(
             rest ^= low
             if rel[low.bit_length() - 1] & rel_m not in kept:
                 raise CongruenceError("input is not closed under meet")
-    return [RightCongruence(alphabet, k, lab) for lab in labels], _report(up, down, covers)
+    return labels, _report(up, down, covers)
+
+
+def lattice_census(
+    alphabet: Alphabet, k: int, carrier_bound: int = DEFAULT_CARRIER_BOUND
+) -> tuple[list[RightCongruence], LatticeReport]:
+    """``constructions.enumerate_rc`` and its ``oracles.lattice_report``
+    (same list and report), read off one ``_join_graph``, which stops at
+    the first element past ``MAX_LATTICE_ELEMENTS`` (``_census``)."""
+    labels, report = _census(alphabet, k, carrier_bound)
+    return [RightCongruence(alphabet, k, lab) for lab in labels], report
 
 
 def _report(up: list[int], down: list[int], covers: list[tuple[int, int]]) -> LatticeReport:

@@ -86,9 +86,11 @@ def enumerate_rc(
     alphabet: Alphabet, k: int, carrier_bound: int = congruences.DEFAULT_CARRIER_BOUND
 ) -> list[RightCongruence]:
     """Every right congruence on A^k, as the join closure of the principal
-    ones (``congruences._join_graph``).  Same list, order and refusals as
+    ones (``congruences._search``), without the renumbered joins of
+    ``congruences._join_graph``.  Same list, order and refusals as
     ``enumerate_all``, however many elements it has."""
-    return [RightCongruence(alphabet, k, s) for s in congruences._join_graph(alphabet, k, carrier_bound)[0]]
+    stars, _, order = congruences._search(alphabet, k, carrier_bound)
+    return [RightCongruence(alphabet, k, congruences._canonical(stars[i])) for i in order]
 
 
 # ------------------------------------------------------------------- codes

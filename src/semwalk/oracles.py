@@ -12,9 +12,9 @@ check their words' alphabet and hand the keys to
   the suffixes of a word, and the words of length 1..n;
 - ``enumerate_all``, which filters every set partition of A^k through the
   closure check, ``join_graph``, the census search with every join
-  computed, and ``lattice_report``, the lattice checks of any list of
-  congruences read off its pairwise meets, the oracle of
-  ``congruences.lattice_census``;
+  computed, from principal congruences closed pair by pair, and
+  ``lattice_report``, the lattice checks of any list of congruences read
+  off its pairwise meets, the oracle of ``congruences.lattice_census``;
 - ``is_semaphore``, with its witness in a ``SemaphoreCheck``, and
   ``suffix_classes``, which look up the suffixes of each word one by one;
 - the dense ``Fraction`` matrices (``TransitionMatrix``) of a code's walk,
@@ -175,15 +175,28 @@ def enumerate_all(
     return [RightCongruence(alphabet, k, s) for s in kept]
 
 
+def _principals_by_closure(g: int, k: int) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """``congruences._principals`` by the union-find closure of each pair
+    (u, v) under the action: the same principal congruences, pairs and
+    order."""
+    n = g**k
+    principal: dict[str, tuple[int, int]] = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            principal.setdefault(congruences._star(congruences._close(g, range(n), [(u, v)])), (u, v))
+    return [(u, v, congruences._star_pairs(star)) for star, (u, v) in principal.items()]
+
+
 def join_graph(
     alphabet: Alphabet, k: int, carrier_bound: int, max_elements: int | None = None
 ) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """``congruences._join_graph`` with every entry computed: one
     ``_join_star`` per element and principal congruence not below it, each
-    join looked up in, or added to, the list.  Same list, order, joins and
-    refusals, with no entry read off another element's row."""
+    join looked up in, or added to, the list, and the list sorted by
+    ``_blocks``.  Same list, order, joins and refusals, with no entry read
+    off another element's row."""
     n = congruences._enumerable_size(alphabet, k, carrier_bound)
-    gens = congruences._principals(alphabet.size, n)
+    gens = _principals_by_closure(alphabet.size, k)
     stars = [congruences._star(range(n))]
     index = {stars[0]: 0}
     joins: list[list[int]] = []

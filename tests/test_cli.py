@@ -1221,8 +1221,8 @@ def test_lattice_census_renders_every_witness(capsys, monkeypatch):
     # handed the pentagon of RC(A^1) over four letters as its whole lattice.
     elements = constructions.enumerate_rc(Alphabet.of_size(4), 1)
     pentagon = [elements[i] for i in oracles.lattice_report(elements).pentagon]
-    census = (pentagon, oracles.lattice_report(pentagon))
-    monkeypatch.setattr(congruences, "lattice_census", lambda *args, **kwargs: census)
+    census = ([rc.labels for rc in pentagon], oracles.lattice_report(pentagon))
+    monkeypatch.setattr(congruences, "_census", lambda *args, **kwargs: census)
     data = run_json(capsys, "lattice", "census", "-g", "4", "-k", "1")
     top, upper, lower, side, bottom = "{a,b,c,d}", "{a,b} | {c,d}", "{a} | {b} | {c,d}", "{a,c} | {b,d}", "{a} | {b} | {c} | {d}"
     assert data == {

@@ -25,7 +25,10 @@ against their Fraction loops.
 Lattice order: ``enumerate_rc`` (join closure of the principal
 congruences) against ``enumerate_all``, its join graph (most joins read off
 finished rows) against ``oracles.join_graph`` (every join computed), the
-(2,4) graph included, the equivalence join against the
+(2,4) graph included, its principal congruences from their right
+translates against the closure of each pair, its star sort key against
+the order of ``_blocks`` on every partition of up to 8 points, the
+equivalence join against the
 action-closure join, the star-string kernel ``_join_star`` against ``join``
 and the census join counts, and ``lattice_report`` (order bitsets, local cover
 checks, a join-irreducible closure certificate) against a copy of the
@@ -1356,10 +1359,11 @@ def test_join_at_2_16_is_generate_of_both_pairs():
 
 
 def test_the_census_join_counts(monkeypatch):
-    # The work of `lattice census -g 3 -k 2`: 423 of the 3,105 entries x v
-    # theta(u, v) with theta(u, v) not below x are computed, the rest read off
-    # finished rows; and one join per join-irreducible a and element
-    # incomparable to a.
+    # The work of `lattice census -g 3 -k 2`: one join per pair u < v of the
+    # 9 words builds theta(u, v) from the pair's right translates; 423 of
+    # the 3,105 entries x v theta(u, v) with theta(u, v) not below x are
+    # computed, the rest read off finished rows; and one join per
+    # join-irreducible a and element incomparable to a.
     calls = []
     join_star = congruences._join_star
 
@@ -1369,7 +1373,7 @@ def test_the_census_join_counts(monkeypatch):
 
     monkeypatch.setattr(congruences, "_join_star", counted)
     elements = enumerate_rc(Alphabet("abc"), 2, carrier_bound=9)
-    assert len(calls) == 423
+    assert len(calls) == 36 + 423
     calls.clear()
     lattice_report(elements)
     assert len(calls) == 3000
@@ -1396,6 +1400,18 @@ def test_the_join_graph_reads_what_the_direct_search_computes(g, k):
     assert congruences._join_graph(alphabet, k, 9) == oracles.join_graph(alphabet, k, 9)
 
 
+@pytest.mark.parametrize("g, k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2)])
+def test_the_principals_from_right_translates_are_those_closed_pair_by_pair(g, k):
+    assert congruences._principals(g, k) == oracles._principals_by_closure(g, k)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_the_star_key_sorts_every_partition_as_its_blocks_do(n):
+    by_blocks = sorted(oracles._set_partitions(range(n)), key=congruences._blocks)
+    keys = [congruences._star_key(congruences._star(labels)) for labels in by_blocks]
+    assert keys == sorted(set(keys))
+
+
 def test_the_join_graph_of_two_letters_at_k4_reads_what_the_direct_search_computes(ab, monkeypatch):
     monkeypatch.setattr(congruences, "HARD_CARRIER_BOUND", 16)
     labels, joins = congruences._join_graph(ab, 4, 16)
@@ -1404,8 +1420,9 @@ def test_the_join_graph_of_two_letters_at_k4_reads_what_the_direct_search_comput
 
 
 def test_the_cli_census_reads_its_report_off_the_enumeration_joins(monkeypatch, capsys):
-    # `lattice census -g 3 -k 2`: the 423 computed joins of enumerate_rc, and
-    # neither the pairwise meets nor the 3,000 certificate joins of the oracle.
+    # `lattice census -g 3 -k 2`: the 36 principal and 423 computed joins of
+    # enumerate_rc, and neither the pairwise meets nor the 3,000 certificate
+    # joins of the oracle.
     calls = []
     join_star = congruences._join_star
 
@@ -1420,7 +1437,7 @@ def test_the_cli_census_reads_its_report_off_the_enumeration_joins(monkeypatch, 
     monkeypatch.setattr(oracles, "lattice_report", refused)
     assert main(["lattice", "census", "-g", "3", "-k", "2", "--carrier-bound", "9"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 192
-    assert len(calls) == 423
+    assert len(calls) == 36 + 423
 
 
 def test_the_meet_certificate_refuses_a_join_closed_list_without_a_meet(monkeypatch):
