@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, for developers; ``_ABOUT`` is what --help says.
 
 One binary, four subcommand groups:
 
@@ -7,19 +7,16 @@ One binary, four subcommand groups:
   semwalk lattice  census
   semwalk graph    dot
 
-Every command prints one JSON object, with rationals as "num/den" strings,
-except graph dot, which prints DOT text; --out FILE writes it to FILE
-instead.  Exit codes are a stable contract: 0 success, 1 validation failure
-(diagnostic payload on stdout), 2 parse error, 3 internal assertion, 4
-bound exceeded.  On exit 0, each caution the command reports follows the
-result as one ``{"warning": ...}`` line on stderr, on every call; the one
-caution is walk stationary's, for a letter of probability 0, whose
-stationary vector may not be unique.  Exit 4 refuses a request before its
-work starts when it asks for more than 65,536 words of one length, a
-census carrier past --carrier-bound (at most 12 words), a walk lumped
-matrix of more than 2^22 entries, or walk simulate --steps above 10^9; a
-census lattice of more than 5,000 elements is refused once its search
-reaches the 5,001st.
+Rationals print as "num/den" strings.  The output and exit codes that
+_ABOUT describes are a stable contract; the diagnostic of exit 1 is on
+stdout.  On exit 0, each caution the command reports follows the result as
+one ``{"warning": ...}`` line on stderr, on every call; the one caution is
+walk stationary's, for a letter of probability 0, whose stationary vector
+may not be unique.  Exit 4 refuses a request before its work starts when
+it asks for more than 65,536 words of one length, a census carrier past
+--carrier-bound (at most 12 words), a walk lumped matrix of more than 2^22
+entries, or walk simulate --steps above 10^9; a census lattice of more
+than 5,000 elements is refused once its search reaches the 5,001st.
 
 Every command runs on the engine's integer kernels: walk lumped reads each
 row of its matrix off the Cayley table, as numerators over the common
@@ -30,7 +27,9 @@ Importing this module runs the engine's words and congruences modules, all
 that lattice census, rc validate and rc generate use.  codes, walks and
 graphs are bound here as lazy modules, each run on the first use of one of
 its attributes: graph dot runs graphs, the other rc commands run codes, and
-the walk commands run codes and walks.
+the walk commands run codes and walks.  Every engine error derives from a
+base class in words, which main maps to its exit code, so an error runs no
+module its command does not use.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import sys
 from math import gcd
 
 from . import congruences
-from .words import Alphabet, WordError, WordLimitExceeded
+from .words import Alphabet, WordError, _BoundRefusal, _Refusal
 
 
 def _lazy(name: str):
@@ -68,6 +67,13 @@ EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 EXIT_BOUND = 4
+
+
+_ABOUT = """Exact analytics of right congruences on A^k, semaphore codes and their
+random walks, in four command groups: rc, walk, lattice and graph.  Each
+command prints one JSON object (graph dot: DOT text), to --out FILE if
+given.  Exit codes: 0 success, 1 validation failure, 2 parse error, 3
+internal assertion, 4 bound exceeded; each failure prints a JSON line."""
 
 
 class ParseFailure(Exception):
@@ -417,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     process, and lazily, so that importing the module stays cheap.  A parse
     leaves the parser unchanged: each call returns a fresh namespace.
     """
-    parser = _Parser(prog="semwalk", description=__doc__)
+    parser = _Parser(prog="semwalk", description=_ABOUT)
     groups = parser.add_subparsers(dest="group", required=True)
     for group, (summary, leaves) in _COMMANDS.items():
         actions = groups.add_parser(group, help=summary).add_subparsers(dest="action", required=True)
@@ -440,20 +446,12 @@ def main(argv: list[str] | None = None) -> int:
         return _failure(EXIT_PARSE, "parse", e)
     except congruences.ClosureViolation as e:
         return _failure(EXIT_VALIDATION, "closure", e, witness={"u": str(e.u), "v": str(e.v), "letter": str(e.letter)})
-    # The errors of words and congruences are matched first, so that a
-    # command that never loads codes, walks or graphs reports its errors
-    # without loading them.  No error class of one module derives from
-    # another's, so the order changes no exit code.
-    except (congruences.BoundExceeded, WordLimitExceeded) as e:
+    except _BoundRefusal as e:
         return _failure(EXIT_BOUND, "bound", e)
-    except (WordError, congruences.CongruenceError) as e:
+    except _Refusal as e:
         return _failure(EXIT_VALIDATION, "validation", e)
     except AssertionError as e:
         return _failure(EXIT_INTERNAL, "internal", e)
-    except walks.WalkBoundExceeded as e:
-        return _failure(EXIT_BOUND, "bound", e)
-    except (codes.CodeError, walks.WalkError, graphs.GraphError) as e:
-        return _failure(EXIT_VALIDATION, "validation", e)
     for caution in args.cautions:
         print(json.dumps({"warning": caution}), file=sys.stderr)
     return EXIT_OK

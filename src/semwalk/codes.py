@@ -52,10 +52,10 @@ from functools import cached_property
 from operator import add, itemgetter
 
 from .congruences import CongruenceError, RightCongruence, _canonical
-from .words import Alphabet, Word, WordLimitExceeded, _Frozen, _read_keys, count_of_length, is_suffix, words_of_length
+from .words import Alphabet, Word, WordLimitExceeded, _Frozen, _Refusal, _read_keys, count_of_length, is_suffix, words_of_length
 
 
-class CodeError(ValueError):
+class CodeError(_Refusal):
     """Raised on inputs outside a code operation's domain."""
 
 

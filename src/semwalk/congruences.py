@@ -44,7 +44,7 @@ from operator import add, lshift
 
 # Unused here: perfbench/test_perfbench.py::test_tracer_restores_the_program
 # reads congruences.product to check that its tracer restores the binding.
-from .words import Alphabet, Word, _Frozen, _read_keys, count_of_length, product, words_of_length  # noqa: F401
+from .words import Alphabet, Word, _BoundRefusal, _Frozen, _Refusal, _read_keys, count_of_length, product, words_of_length  # noqa: F401
 
 # The oracle enumeration is a Bell-number filter.  Both enumerations refuse
 # carriers of more than 12 points outright, and more than 8 requires an
@@ -58,7 +58,7 @@ HARD_CARRIER_BOUND = 12
 MAX_LATTICE_ELEMENTS = 5000
 
 
-class CongruenceError(ValueError):
+class CongruenceError(_Refusal):
     """Malformed partition input (not a partition of A^k, bad parameters)."""
 
 
@@ -66,7 +66,7 @@ class NotAPartitionError(CongruenceError):
     pass
 
 
-class BoundExceeded(CongruenceError):
+class BoundExceeded(CongruenceError, _BoundRefusal):
     """An enumeration was refused because it would blow past its size bound."""
 
 

@@ -23,7 +23,9 @@ their names.  They are built on the engine's integer kernels:
 
 The routines and bounds of ``congruences``, ``codes``, ``graphs`` and
 ``walks`` are read through their module at call time, so a bound or a
-kernel replaced there reaches these constructions too.
+kernel replaced there reaches these constructions too, with one
+exception: ``congruences.DEFAULT_CARRIER_BOUND`` is read once, as the
+default ``carrier_bound`` of ``enumerate_rc``, when it is defined.
 """
 
 from __future__ import annotations

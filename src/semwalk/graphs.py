@@ -21,10 +21,10 @@ from __future__ import annotations
 from functools import cached_property
 
 from .congruences import RightCongruence
-from .words import Word, _Frozen, count_of_length
+from .words import Word, _Frozen, _Refusal, count_of_length
 
 
-class GraphError(ValueError):
+class GraphError(_Refusal):
     pass
 
 

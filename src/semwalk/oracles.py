@@ -28,7 +28,9 @@ check their words' alphabet and hand the keys to
 The routines and bounds of ``congruences``, ``codes`` and ``walks`` are
 read through their module at call time (``congruences.MAX_LATTICE_ELEMENTS``,
 ``congruences._join_star``, ``walks.MAX_MATRIX_ENTRIES``), so a bound or a
-kernel replaced there reaches these checks too.
+kernel replaced there reaches these checks too, with one exception:
+``congruences.DEFAULT_CARRIER_BOUND`` is read once, as the default
+``carrier_bound`` of ``enumerate_all``, when it is defined.
 """
 
 from __future__ import annotations
@@ -503,10 +505,8 @@ def polynomial_identity_holds(ideal: IdealRep) -> bool:
     P(k) - 1 has degree at most k in each letter probability, so vanishing
     on a grid of k+2 values per free variable proves the identity.
     """
-    g, keys, k = ideal.alphabet.size, ideal.code.keys, ideal.k
-    return all(
-        sum(walks._weights(pi, g, keys, k)) == pi._denominator**k for pi in _grid_distributions(ideal.alphabet, k + 2)
-    )
+    keys, k = ideal.code.keys, ideal.k
+    return all(sum(walks._weights(pi, keys, k)) == pi._denominator**k for pi in _grid_distributions(ideal.alphabet, k + 2))
 
 
 def check_polynomial_identity(rc: RightCongruence) -> bool:

@@ -38,7 +38,7 @@ from .codes import CodeError, IdealRep, reset_code
 # reads walks.code_action to check that its tracer restores the binding.
 from .codes import code_action  # noqa: F401
 from .congruences import RightCongruence
-from .words import Alphabet, Word, _Frozen, _read_keys
+from .words import Alphabet, Word, _BoundRefusal, _Frozen, _Refusal, _read_keys
 
 # Refused before the work starts: a class walk of more matrix entries (2^22
 # is 2,048 classes, k = 11 over two letters, and the CLI prints every entry),
@@ -51,11 +51,11 @@ MAX_SIMULATION_STEPS = 10**9
 NON_POSITIVE_CAUTION = "non-positive letter distribution: stationary vector may not be unique"
 
 
-class WalkError(ValueError):
+class WalkError(_Refusal):
     pass
 
 
-class WalkBoundExceeded(WalkError):
+class WalkBoundExceeded(WalkError, _BoundRefusal):
     """A walk was refused because its size exceeds its bound."""
 
 
@@ -120,11 +120,12 @@ def _code_table(ideal: IdealRep, pi: LetterDistribution) -> tuple[tuple[int, ...
     return ideal.table
 
 
-def _weights(pi: LetterDistribution, g: int, keys: list[tuple[int, int]], top: int) -> list[int]:
-    """The probability of each word, given by its key (n, x) over g letters,
-    as an integer over d^top, for d the common denominator of ``pi`` and top
-    at least every n: d^(top-n) times the product of the numerators of the
-    word's letters, read off its key by ``words._read_keys``."""
+def _weights(pi: LetterDistribution, keys: list[tuple[int, int]], top: int) -> list[int]:
+    """The probability of each word, given by its key (n, x) over the
+    letters of ``pi``, as an integer over d^top, for d the common
+    denominator of ``pi`` and top at least every n: d^(top-n) times the
+    product of the numerators of the word's letters, read off its key by
+    ``words._read_keys``."""
     d = pi._denominator
     scale = [d ** (top - n) for n in range(top + 1)]
     return [scale[n] * p for (n, _), p in zip(keys, _read_keys(keys, top, pi._numerators, mul, 1)[0])]
@@ -156,7 +157,7 @@ def stationary_weights(ideal: IdealRep, pi: LetterDistribution) -> tuple[list[in
     if code.is_epsilon:
         raise CodeError("the one-word code has no action; its chain is the 1x1 identity")
     nxt, top = _code_table(ideal, pi), code.max_len
-    weights = _weights(pi, ideal.alphabet.size, code.keys, top)
+    weights = _weights(pi, code.keys, top)
     if not _is_fixpoint(nxt, pi, weights):
         raise AssertionError("closed-form stationary vector is not a fixpoint")
     total = pi._denominator**top
@@ -190,7 +191,7 @@ def profile_of_ideal(ideal: IdealRep, pi: LetterDistribution) -> ResetProfile:
         raise WalkError("the letter distribution and the code are over different alphabets")
     k, keys = ideal.k, ideal.code.keys
     by_length = [0] * (k + 1)
-    for (n, _), weight in zip(keys, _weights(pi, ideal.alphabet.size, keys, k)):
+    for (n, _), weight in zip(keys, _weights(pi, keys, k)):
         by_length[n] += weight
     P = [Fraction(x, pi._denominator**k) for x in accumulate(by_length)][1:]
     inc = [P[0]] + [P[i] - P[i - 1] for i in range(1, k)]
@@ -228,7 +229,7 @@ def lumped_weights(
     n = max(rc.labels) + 1
     if n * n > MAX_MATRIX_ENTRIES:
         raise WalkBoundExceeded(f"refusing to build a {n}x{n} transition matrix (limit {MAX_MATRIX_ENTRIES} entries)")
-    g, k, d = rc.alphabet.size, rc.k, pi._denominator
+    k, d = rc.k, pi._denominator
     weights = [d**k]
     # The universal congruence's reset code is {epsilon}: one state, and no
     # action table.
@@ -247,7 +248,7 @@ def lumped_weights(
         for b, weight in zip(rc.labels, _read_keys((), k, pi._numerators, mul, 1, len(rc.labels))[1][k]):
             by_debruijn[b] += weight
         weights = [0] * n
-        for b, weight in zip(cls, _weights(pi, g, code.keys, k)):
+        for b, weight in zip(cls, _weights(pi, code.keys, k)):
             weights[b] += weight
         if weights != by_debruijn:
             raise AssertionError("code-word and de Bruijn lumped stationary vectors differ")

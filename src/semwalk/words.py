@@ -14,7 +14,7 @@ not import.  ``_Frozen`` is the base of the package's value types:
 written once, the constructor that binds its arguments to a ``_fields``
 tuple and calls ``__post_init__``, and equality, hashing, ``repr`` and
 refused assignment over those fields, so that no class generates methods
-when it is defined.
+when it is defined.  ``_Refusal`` is the base of its error classes.
 """
 
 from __future__ import annotations
@@ -31,11 +31,19 @@ _DIGITS = "0123456789abcdefghijklmnop"
 DEFAULT_ENUMERATION_LIMIT = 1 << 16
 
 
-class WordError(ValueError):
+class _Refusal(ValueError):
+    """Input the engine refuses: exit 1 in the CLI."""
+
+
+class _BoundRefusal(_Refusal):
+    """Work refused past a size bound: exit 4 in the CLI."""
+
+
+class WordError(_Refusal):
     """Raised on malformed words or operations outside their domain."""
 
 
-class WordLimitExceeded(WordError):
+class WordLimitExceeded(WordError, _BoundRefusal):
     """An enumeration of words was refused because it exceeds its limit."""
 
 

@@ -584,6 +584,16 @@ def test_help_still_exits_zero(capsys):
     assert "usage: semwalk walk" in capsys.readouterr().out
 
 
+def test_help_is_for_users(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for code in ("0 success", "1 validation failure", "2 parse error", "3 internal assertion", "4 bound exceeded"):
+        assert code in text
+    assert "``" not in text and "lazy" not in text
+
+
 @pytest.mark.parametrize("k", [2.9, True, 3.0])
 @pytest.mark.parametrize(
     "argv_head, payload",

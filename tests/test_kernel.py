@@ -611,7 +611,7 @@ def test_the_integer_weights_match_word_prob(data):
     keys = [(n, data.draw(st.integers(0, g**n - 1))) for n in lengths]
     top = max(lengths, default=0) + data.draw(st.integers(0, 2))
     scale = pi._denominator**top
-    assert walks._weights(pi, g, keys, top) == [pi.word_prob(alphabet.word_at(n, x)) * scale for n, x in keys]
+    assert walks._weights(pi, keys, top) == [pi.word_prob(alphabet.word_at(n, x)) * scale for n, x in keys]
 
 
 @pytest.mark.parametrize("scale", [0, 2])

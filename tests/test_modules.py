@@ -7,11 +7,13 @@
 use of one of its attributes: the census and ``rc validate`` and
 ``rc generate`` run none of them, ``graph dot`` runs ``graphs``, the other
 ``rc`` commands run ``codes``, and the walk commands ``codes`` and
-``walks``.  Whichever is imported first, each name has one module object.
-``oracles`` (the definitional checks) and ``constructions`` (the paper's
-constructions that no command runs) are imported on first use of one of
-their names, never by ``import semwalk.cli`` or a command.  Each module
-also imports alone, in a fresh interpreter, so no import cycle runs
+``walks``.  An error runs no more than its command does, since ``main``
+matches the engine's errors by their bases in ``words``, and every error
+class keeps its old base.  Whichever is imported first, each name has one
+module object.  ``oracles`` (the definitional checks) and ``constructions``
+(the paper's constructions that no command runs) are imported on first use
+of one of their names, never by ``import semwalk.cli`` or a command.  Each
+module also imports alone, in a fresh interpreter, so no import cycle runs
 between the engine and the modules imported on demand.
 """
 
@@ -152,6 +154,20 @@ def test_a_census_or_rc_error_runs_no_other_engine_module(argv, payload, code, t
     assert json.loads(python(FOOTPRINT, *argv)) == [code, []]
 
 
+ONE_LETTER = {"alphabet": "a", "k": 2, "blocks": [["aa"]]}
+
+
+@pytest.mark.parametrize("argv, payload, expected", [
+    (["rc", "lower", "--in"], ONE_LETTER, [1, ["codes"]]),
+    (["walk", "stationary", "--pi", "a=1/2,b=1/2", "--code"], {"alphabet": "ab", "code": ["a", "ba"]}, [1, ["codes"]]),
+    (["walk", "profile", "--pi", "a=1/1", "--in"], ONE_LETTER, [1, ["codes", "walks"]]),
+], ids=["rc-lower-one-letter", "walk-stationary-not-a-suffix-code", "walk-profile-one-letter"])
+def test_an_error_runs_only_the_engine_modules_its_command_uses(argv, payload, expected, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    assert json.loads(python(FOOTPRINT, *argv, str(path))) == expected
+
+
 # Each way of naming a lazily loaded engine module, and the module object
 # of an import made before the CLI's.
 SAME_MODULE = """
@@ -183,6 +199,49 @@ def test_every_public_name_resolves_to_its_home():
         home = import_module(f"semwalk.{module}")
         assert getattr(semwalk, name) is getattr(home, name), name
         assert getattr(home, name).__module__ == home.__name__, name
+
+
+# Each public error class of the engine, by the class it derived from
+# before every one of them derived from words._Refusal.
+OLD_BASES = {
+    "WordError": "ValueError",
+    "WordLimitExceeded": "WordError",
+    "CongruenceError": "ValueError",
+    "NotAPartitionError": "CongruenceError",
+    "BoundExceeded": "CongruenceError",
+    "ClosureViolation": "CongruenceError",
+    "CodeError": "ValueError",
+    "WalkError": "ValueError",
+    "WalkBoundExceeded": "WalkError",
+    "GraphError": "ValueError",
+}
+
+
+def test_every_engine_error_derives_from_the_refusal_base():
+    from semwalk.words import _BoundRefusal, _Refusal
+
+    errors = {
+        name: value
+        for module in (f"semwalk.{p.stem}" for p in (SRC / "semwalk").glob("*.py") if p.stem[0] != "_")
+        for name, value in vars(import_module(module)).items()
+        if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module
+    }
+    assert errors.keys() == {*OLD_BASES, "ParseFailure", "_Refusal", "_BoundRefusal"}
+    assert not issubclass(errors["ParseFailure"], ValueError)
+    for name, base in OLD_BASES.items():
+        assert issubclass(errors[name], _Refusal) and issubclass(errors[name], errors.get(base, ValueError)), name
+    assert {name for name in OLD_BASES if issubclass(errors[name], _BoundRefusal)} == {
+        "WordLimitExceeded",
+        "BoundExceeded",
+        "WalkBoundExceeded",
+    }
+
+
+def test_main_names_no_class_of_a_lazy_module():
+    tree = ast.parse((SRC / "semwalk" / "cli.py").read_text())
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    named = {node.value.id for node in ast.walk(main) if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    assert named.isdisjoint({"codes", "walks", "graphs"})
 
 
 def test_every_function_and_class_is_defined_once():

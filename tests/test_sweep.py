@@ -1,10 +1,11 @@
-"""Every command on every right congruence of RC(ab,2), RC(ab,3) and
-RC(abc,2), compared by digest with a recorded corpus.
+"""Every command on every right congruence of RC(ab,2), RC(ab,3), RC(abc,2)
+and RC(a,2), compared by digest with a recorded corpus.
 
 ``golden/sweep.json`` maps each case, the argv with its input files named
 as they are written here, to the sha256 of its exit code, stdout and stderr.
-It was recorded at commit c1b122e, before the zero-probability caution of
-``walk stationary`` became a value.
+Its first 2,497 cases were recorded at commit c1b122e, before the
+zero-probability caution of ``walk stationary`` became a value; the rest,
+and RC(a,2), at commit b7ec24c.
 
 Each congruence of ``constructions.enumerate_rc`` (checked against
 ``oracles.enumerate_all``) is written with its blocks and their words in an
@@ -14,9 +15,16 @@ the file order, and its reset code likewise.  On each congruence file run
 profile`` and ``walk lumped`` at the uniform distribution, and ``walk
 simulate --in`` for 2,000 steps with seed 3; on each reset code file, ``walk
 stationary`` at the uniform distribution and at one with a letter of
-probability 0, so that the caution line is digested too.  The universal
-congruence's ``walk simulate --in`` exits 1, since its one-word code has no
-chain; those cases are recorded as they stand.
+probability 0, so that the caution line is digested too, and ``walk
+simulate --code`` as ``--in`` is run.  ``rc generate`` runs on the pairs
+(x, least word of x's block) over A^k, and ``walk stationary`` on the lcs
+code that ``rc upper`` prints, both written in an order shuffled by a
+second seed, so that the inputs of the first cases stay as recorded.  The
+universal congruence's ``walk simulate`` exits 1, since its one-word code
+has no chain, as does ``walk stationary`` on each lcs code {ε}.  RC(a,2),
+the one congruence over one letter, is refused by ``rc
+lower|upper|is-special`` and ``walk profile|lumped|simulate``, and has no
+lcs code to write.  Those cases are recorded as they stand.
 
 To re-record after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_sweep.py --record`` and say in
@@ -37,7 +45,7 @@ from semwalk.cli import main
 from semwalk.words import Alphabet
 
 CORPUS = Path(__file__).parent / "golden" / "sweep.json"
-INSTANCES = [("ab", 2, 5), ("ab", 3, 30), ("abc", 2, 192)]
+INSTANCES = [("ab", 2, 5), ("ab", 3, 30), ("abc", 2, 192), ("a", 2, 1)]
 RC_ACTIONS = ["validate", "lower", "upper", "resets", "is-special"]
 
 
@@ -53,7 +61,7 @@ def _distributions(letters: str) -> tuple[str, str]:
 def _cases(directory: Path) -> dict[str, list[str]]:
     """Writes every input file into ``directory``, and returns each case's
     argv by its key: the argv with each input named by its file name."""
-    rng = random.Random(2015)
+    rng, later = random.Random(2015), random.Random(2016)
     cases = {}
     for letters, k, count in INSTANCES:
         alphabet = Alphabet(letters)
@@ -80,6 +88,20 @@ def _cases(directory: Path) -> dict[str, list[str]]:
                 ["walk", "stationary", "--code", code, "--pi", uniform],
                 ["walk", "stationary", "--code", code, "--pi", zero],
             ]
+            pairs = [[x, block[0]] for block in rc.block_texts for x in block]
+            later.shuffle(pairs)
+            (directory / f"{name}_pairs.json").write_text(json.dumps({"alphabet": letters, "k": k, "pairs": pairs}))
+            argvs += [
+                ["walk", "simulate", "--code", code, "--pi", uniform, "--steps", "2000", "--seed", "3"],
+                ["rc", "generate", "--in", f"{name}_pairs.json"],
+            ]
+            if alphabet.size > 1:
+                upper = codes.upper_approx(rc)[1]
+                texts = later.sample(upper.code.texts, len(upper.code.texts))
+                (directory / f"{name}_upper.json").write_text(
+                    json.dumps({"alphabet": letters, "k": upper.k, "code": texts})
+                )
+                argvs.append(["walk", "stationary", "--code", f"{name}_upper.json", "--pi", uniform])
             cases.update((" ".join(argv), argv) for argv in argvs)
     return cases
 
@@ -102,7 +124,7 @@ def test_every_command_on_every_small_congruence_matches_the_corpus(tmp_path):
     recorded = json.loads(CORPUS.read_text())
     digests = sweep(tmp_path)
     assert digests.keys() == recorded.keys()
-    assert len(digests) == 227 * 11
+    assert len(digests) == 227 * 14 + 13
     changed = [key for key in recorded if digests[key] != recorded[key]]
     assert not changed, f"{len(changed)} cases changed, the first: {changed[0]}"
 
