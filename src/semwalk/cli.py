@@ -7,10 +7,12 @@ One binary, four subcommand groups:
   semwalk lattice  census
   semwalk graph    dot
 
-Rationals print as "num/den" strings.  The output and exit codes that
-_ABOUT describes are a stable contract; the diagnostic of exit 1 is on
-stdout.  On exit 0, each caution the command reports follows the result as
-one ``{"warning": ...}`` line on stderr, on every call; the one caution is
+Rationals print as "num/den" strings.  A JSON result prints as json.dumps
+prints it with an indent of 2 and sorted keys, streamed by _json_pieces
+one list row at a time.  The output and exit codes that _ABOUT describes
+are a stable contract; the diagnostic of exit 1 is on stdout.  On exit
+0, each caution the command reports follows the result as one
+``{"warning": ...}`` line on stderr, on every call; the one caution is
 walk stationary's, for a letter of probability 0, whose stationary vector
 may not be unique.  Exit 4 refuses a request before its work starts when
 it asks for more than 65,536 words of one length, a census carrier past
@@ -39,6 +41,8 @@ import functools
 import importlib.util
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
 
 from . import congruences
@@ -128,8 +132,13 @@ def _alphabet_of(data: dict, path: str) -> Alphabet:
 
 
 def _texts(value) -> list[str]:
-    """A JSON list of words, each a JSON string."""
-    return [_typed(text, str) for text in _typed(value, list)]
+    """A JSON list of words, each a JSON string: the types are checked in
+    one C-level pass, and item by item only to name the first that is not
+    a string."""
+    texts = _typed(value, list)
+    if set(map(type, texts)) <= {str}:
+        return texts
+    return [_typed(text, str) for text in texts]
 
 
 # Raised while reading a missing or malformed field: KeyError for a missing
@@ -168,6 +177,15 @@ def _ratio(num: int, den: int) -> str:
     return f"{num // common}/{den // common}" if common != den else str(num // common)
 
 
+def _ratios(nums, den: int) -> list[str]:
+    """``_ratio(num, den)`` of each of ``nums``, each distinct numerator
+    rendered once: a stationary weight depends only on how often each
+    letter occurs in its word, so a code has few distinct weights."""
+    nums = list(nums)
+    texts = {num: _ratio(num, den) for num in set(nums)}
+    return list(map(texts.__getitem__, nums))
+
+
 def _congruence_json(rc: congruences.RightCongruence) -> dict:
     return {
         "alphabet": rc.alphabet.letters,
@@ -189,16 +207,45 @@ def _code_json(ideal: codes.IdealRep) -> dict:
     return payload
 
 
-def _write(text: str, out: str | None) -> None:
-    """``text`` to the ``--out`` file if one is given, else to stdout."""
+def _json_pieces(value, pad: str = "\n", head: str = ""):
+    """Yields the text json.dumps prints for ``value`` with an indent of 2
+    and sorted keys, in pieces, ``head`` before the first; ``pad`` is the
+    newline and indent of the line that value is on, and dict keys are
+    strings.  A list or tuple of only strings or only ints (not bools) is
+    one C-level join, so a list of such lists is one piece per item."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        head += "{"
+        for key in sorted(value):
+            yield from _json_pieces(value[key], inner, head + inner + _encode_str(key) + ": ")
+            head = ","
+        yield pad + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        kinds = set(map(type, value))
+        if kinds == {str} or kinds == {int}:
+            items = map(_encode_str if kinds == {str} else int.__repr__, value)
+            yield head + "[" + inner + ("," + inner).join(items) + pad + "]"
+        else:
+            head += "["
+            for item in value:
+                yield from _json_pieces(item, inner, head + inner)
+                head = ","
+            yield pad + "]"
+    else:
+        yield head + (_encode_str(value) if type(value) is str else json.dumps(value))
+
+
+def _write(pieces, out: str | None) -> None:
+    """The text in ``pieces`` to the ``--out`` file if one is given, else
+    to stdout, a piece at a time."""
     if out is not None:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as e:
             raise ParseFailure(f"cannot write {out}: {e}") from e
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # ---------------------------------------------------------------- rc group
@@ -270,7 +317,7 @@ def _walk_stationary(args) -> dict:
         args.cautions.append(walks.NON_POSITIVE_CAUTION)
     # Align output to the code order given in the input file.
     aligned = map(weights.__getitem__, map(ideal.code._index.__getitem__, keys))
-    return {"states": order, "stationary": [_ratio(w, total) for w in aligned]}
+    return {"states": order, "stationary": _ratios(aligned, total)}
 
 
 def _walk_profile(args) -> dict:
@@ -297,7 +344,7 @@ def _walk_lumped(args) -> dict:
         matrix.append(row)
     return {
         "blocks": [rc.block_texts[b] for b in order],
-        "stationary": [_ratio(weights[b], total) for b in order],
+        "stationary": _ratios(map(weights.__getitem__, order), total),
         "matrix": matrix,
     }
 
@@ -441,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         args.cautions = []
         result = args.func(args)
-        _write(result if isinstance(result, str) else json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
+        _write((result,) if isinstance(result, str) else chain(_json_pieces(result), "\n"), args.out)
     except ParseFailure as e:
         return _failure(EXIT_PARSE, "parse", e)
     except congruences.ClosureViolation as e:

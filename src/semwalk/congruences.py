@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from operator import add, lshift
 
 # Unused here: perfbench/test_perfbench.py::test_tracer_restores_the_program
@@ -384,12 +384,12 @@ def _enumerable_size(alphabet: Alphabet, k: int, carrier_bound: int) -> int:
     return n
 
 
-def _principals(g: int, k: int) -> list[tuple[int, int, list[tuple[int, int]]]]:
+def _principals(g: int, k: int) -> list[tuple[str, int, int, list[tuple[int, int]]]]:
     """The principal congruences theta(u, v) on A^k under g letters, each
-    once, as (u, v, its ``_star_pairs``) for the first pair that generates
-    it.  The right translates (u*w, v*w), |w| < k, are a set the action
-    keeps (u*w = v*w once |w| >= k), so theta(u, v) is the identity joined
-    with them, where u*w = u*g^j mod n + w for |w| = j."""
+    once, as (its ``_star``, u, v, its ``_star_pairs``) for the first pair
+    that generates it.  The right translates (u*w, v*w), |w| < k, are a
+    set the action keeps (u*w = v*w once |w| >= k), so theta(u, v) is the
+    identity joined with them, where u*w = u*g^j mod n + w for |w| = j."""
     n, shifts = g**k, [g**j for j in range(k)]
     identity = _star(range(n))
     principal: dict[str, tuple[int, int]] = {}
@@ -397,7 +397,7 @@ def _principals(g: int, k: int) -> list[tuple[int, int, list[tuple[int, int]]]]:
         for v in range(u + 1, n):
             translates = [(u * m % n + w, v * m % n + w) for m in shifts for w in range(m)]
             principal.setdefault(_join_star(identity, translates), (u, v))
-    return [(u, v, _star_pairs(star)) for star, (u, v) in principal.items()]
+    return [(star, u, v, _star_pairs(star)) for star, (u, v) in principal.items()]
 
 
 def _search(
@@ -412,27 +412,31 @@ def _search(
 
     Each element x has one row, the index of x v theta_p for every
     principal p (x itself when theta_p is below x), and most entries are
-    read off finished rows instead of computed.  The search first reached
-    x as parent v theta_q, so x v theta_p = z v theta_q for z = parent v
-    theta_p, an entry of the parent's row: when z was reached before x,
-    z's row is finished and holds it.  Only the other entries, the
-    identity's row among them, take a ``_join_star``: 423 of the 3,105
-    joins at (3, 2).  Reading an entry adds no element, so the list, its
-    order and the point where the bound stops the search are those of the
-    search that computes every join (``oracles.join_graph``).
+    read off finished rows instead of computed.  The identity's row is the
+    principals themselves, whose stars ``_principals`` has built.  Any
+    other x was first reached as parent v theta_q, so x v theta_p = z v
+    theta_q for z = parent v theta_p, an entry of the parent's row: when z
+    was reached before x, z's row is finished and holds it.  Only the
+    other entries take a ``_join_star``: 402 of the 3,105 joins at (3, 2).
+    Reading an entry adds no element, so the list, its order and the point
+    where the bound stops the search are those of the search that computes
+    every join (``oracles.join_graph``).
     """
     n = _enumerable_size(alphabet, k, carrier_bound)
     gens = _principals(alphabet.size, k)
-    stars = [_star(range(n))]
-    index = {stars[0]: 0}
-    # The (parent, q) of each element.  The identity has none: its stand-in
-    # parent row of zeros names no element reached before it.
-    reached = [(0, 0)]
-    rows: list[list[int]] = []
-    for i, x in enumerate(stars):  # the list grows as it is read
+    too_many = f"lattice of more than {max_elements} elements exceeds the exhaustive-check bound"
+    # The identity, then its joins with the principals, theta_p at p + 1.
+    stars = [_star(range(n)), *(star for star, _, _, _ in gens)]
+    if max_elements is not None and len(stars) > max_elements:
+        raise BoundExceeded(too_many)
+    index = dict(zip(stars, range(len(stars))))
+    # The (parent, q) of each element; the identity has none.
+    reached = [None, *((0, q) for q in range(len(gens)))]
+    rows = [list(range(1, len(stars)))]
+    for i, x in islice(enumerate(stars), 1, None):  # the list grows as it is read
         parent, q = reached[i]
         row = []
-        for p, ((u, v, pairs), z) in enumerate(zip(gens, rows[parent] if i else [0] * len(gens))):
+        for p, ((_, u, v, pairs), z) in enumerate(zip(gens, rows[parent])):
             if x[u] == x[v]:  # theta_p is below x
                 row.append(i)
             elif z < i:
@@ -442,7 +446,7 @@ def _search(
                 j = index.get(y)
                 if j is None:
                     if len(stars) == max_elements:
-                        raise BoundExceeded(f"lattice of more than {max_elements} elements exceeds the exhaustive-check bound")
+                        raise BoundExceeded(too_many)
                     j = index[y] = len(stars)
                     stars.append(y)
                     reached.append((i, p))

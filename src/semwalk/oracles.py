@@ -177,7 +177,7 @@ def enumerate_all(
     return [RightCongruence(alphabet, k, s) for s in kept]
 
 
-def _principals_by_closure(g: int, k: int) -> list[tuple[int, int, list[tuple[int, int]]]]:
+def _principals_by_closure(g: int, k: int) -> list[tuple[str, int, int, list[tuple[int, int]]]]:
     """``congruences._principals`` by the union-find closure of each pair
     (u, v) under the action: the same principal congruences, pairs and
     order."""
@@ -186,7 +186,7 @@ def _principals_by_closure(g: int, k: int) -> list[tuple[int, int, list[tuple[in
     for u in range(n):
         for v in range(u + 1, n):
             principal.setdefault(congruences._star(congruences._close(g, range(n), [(u, v)])), (u, v))
-    return [(u, v, congruences._star_pairs(star)) for star, (u, v) in principal.items()]
+    return [(star, u, v, congruences._star_pairs(star)) for star, (u, v) in principal.items()]
 
 
 def join_graph(
@@ -204,7 +204,7 @@ def join_graph(
     joins: list[list[int]] = []
     for x in stars:  # a breadth-first search: the list grows as it is read
         out = []
-        for u, v, pairs in gens:
+        for _, u, v, pairs in gens:
             if x[u] != x[v]:  # else theta(u, v) is below x
                 y = congruences._join_star(x, pairs)
                 if y not in index:

@@ -465,6 +465,80 @@ def test_out_flag_writes_file(files, capsys, tmp_path):
     assert json.loads(target.read_text()) == {"special": False}
 
 
+@pytest.mark.parametrize("argv, payload, exit_code", [
+    (["rc", "validate", "--in"], {"alphabet": "ab", "k": 2, "blocks": [["aa", "ab"], ["ba"], ["bb"]]}, 1),
+    (["walk", "lumped", "--pi", "a=1/2,b=2/2", "--in"], FIVE_CLASS, 2),
+    (["walk", "stationary", "--pi", "a=1/2,b=1/2", "--code"], {"alphabet": "ab", "code": ["a", "b", "x"]}, 2),
+    (["walk", "simulate", "--pi", "a=1/2,b=1/2", "--steps", "2000000000", "--in"], FIVE_CLASS, 4),
+])
+def test_a_refused_request_leaves_the_out_file_untouched(files, capsys, tmp_path, argv, payload, exit_code):
+    target = tmp_path / "kept.json"
+    target.write_bytes(b"earlier output\x00\n")
+    code, out, err = run(capsys, *argv, files("in.json", payload), "--out", str(target))
+    assert code == exit_code
+    assert target.read_bytes() == b"earlier output\x00\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "lumped", "--in", "five_class.json", "--pi", "a=1/3,b=2/3"],
+    ["walk", "lumped", "--in", "identity9.json", "--pi", "a=1/2,b=1/2"],
+    ["lattice", "census", "-g", "3", "-k", "2", "--carrier-bound", "9"],
+    ["lattice", "census", "-g", "2", "-k", "3"],
+])
+def test_out_holds_the_bytes_stdout_prints(capsys, tmp_path, argv):
+    (tmp_path / "five_class.json").write_text(json.dumps(FIVE_CLASS))
+    identity9 = {"alphabet": "ab", "k": 9, "blocks": [["".join(w)] for w in itertools.product("ab", repeat=9)]}
+    (tmp_path / "identity9.json").write_text(json.dumps(identity9))
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, "--out", str(tmp_path / "out.json")) == (0, "", "")
+    assert (tmp_path / "out.json").read_bytes() == out.encode()
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_walk_lumped_writes_its_matrix_without_holding_the_text(files, tmp_path):
+    # identity(ab, 9): a 512 x 512 matrix, about 2.8 MB of text.  The
+    # payload's lists take about as much again, and the writer adds one row
+    # at a time; json.dumps with indent held one string per entry, and the
+    # peak was about 8 times the text.
+    blocks = [["".join(w)] for w in itertools.product("ab", repeat=9)]
+    target = tmp_path / "lumped.json"
+    argv = ["walk", "lumped", "--in", files("identity9.json", {"alphabet": "ab", "k": 9, "blocks": blocks}),
+            "--pi", "a=1/2,b=1/2", "--out", str(target)]
+    assert main(argv) == 0  # the parser and the lazy modules, once per process
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * target.stat().st_size
+
+
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\n\x1f\x7f\x80é\u2028\U0001d11e'), st.characters()), max_size=6)
+JSON_INT = st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([0, -1, 10**40, -(10**40)]))
+JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), JSON_INT, st.floats(), JSON_TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(JSON_TEXT, max_size=4),
+        st.lists(JSON_INT, max_size=4).map(tuple),
+        st.lists(st.booleans(), max_size=3),
+        st.dictionaries(JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(JSON_VALUE)
+@settings(max_examples=400, deadline=None)
+def test_the_json_writer_prints_what_json_dumps_prints(value):
+    assert "".join(cli._json_pieces(value)) == json.dumps(value, indent=2, sort_keys=True)
+
+
 def test_resets_of_universal_flags_epsilon(files, capsys):
     univ = {"alphabet": "ab", "k": 3, "blocks": [[  # one block, all of A^3
         "aaa", "aab", "aba", "abb", "baa", "bab", "bba", "bbb"]]}

@@ -1360,10 +1360,11 @@ def test_join_at_2_16_is_generate_of_both_pairs():
 
 def test_the_census_join_counts(monkeypatch):
     # The work of `lattice census -g 3 -k 2`: one join per pair u < v of the
-    # 9 words builds theta(u, v) from the pair's right translates; 423 of
+    # 9 words builds theta(u, v) from the pair's right translates; 402 of
     # the 3,105 entries x v theta(u, v) with theta(u, v) not below x are
-    # computed, the rest read off finished rows; and one join per
-    # join-irreducible a and element incomparable to a.
+    # computed, the identity's row read off the principals and the rest off
+    # finished rows; and one join per join-irreducible a and element
+    # incomparable to a.
     calls = []
     join_star = congruences._join_star
 
@@ -1373,7 +1374,7 @@ def test_the_census_join_counts(monkeypatch):
 
     monkeypatch.setattr(congruences, "_join_star", counted)
     elements = enumerate_rc(Alphabet("abc"), 2, carrier_bound=9)
-    assert len(calls) == 36 + 423
+    assert len(calls) == 36 + 402
     calls.clear()
     lattice_report(elements)
     assert len(calls) == 3000
@@ -1420,7 +1421,7 @@ def test_the_join_graph_of_two_letters_at_k4_reads_what_the_direct_search_comput
 
 
 def test_the_cli_census_reads_its_report_off_the_enumeration_joins(monkeypatch, capsys):
-    # `lattice census -g 3 -k 2`: the 36 principal and 423 computed joins of
+    # `lattice census -g 3 -k 2`: the 36 principal and 402 computed joins of
     # enumerate_rc, and neither the pairwise meets nor the 3,000 certificate
     # joins of the oracle.
     calls = []
@@ -1437,7 +1438,7 @@ def test_the_cli_census_reads_its_report_off_the_enumeration_joins(monkeypatch, 
     monkeypatch.setattr(oracles, "lattice_report", refused)
     assert main(["lattice", "census", "-g", "3", "-k", "2", "--carrier-bound", "9"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 192
-    assert len(calls) == 36 + 423
+    assert len(calls) == 36 + 402
 
 
 def test_the_meet_certificate_refuses_a_join_closed_list_without_a_meet(monkeypatch):
@@ -1461,7 +1462,7 @@ def test_the_census_refuses_a_lattice_past_the_element_bound(ab, monkeypatch):
 
 
 def test_the_census_search_stops_at_the_first_element_past_the_bound(monkeypatch):
-    # RC(abc, 2) has 192 elements and 3,105 joins, 423 of them computed.
+    # RC(abc, 2) has 192 elements and 3,105 joins, 402 of them computed.
     calls = []
     join_star = congruences._join_star
 
